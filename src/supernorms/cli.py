@@ -6,7 +6,8 @@ Subcommands: ``schatten`` (matrix norms), ``norm`` and ``stabilized``
 channel as JSON).  All numeric output is JSON or fixed 12-decimal text and is
 byte-deterministic for a fixed invocation including ``--seed``.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 usage or input errors.
+Exit codes: 0 success, 1 a verification suite failed, 2 usage, input or
+resource (out of memory) errors.
 """
 
 from __future__ import annotations
@@ -196,6 +197,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,8 @@ value is therefore a certified lower bound whatever the convergence status.
 
 All restarts advance together as one stacked array; a restart drops out of
 the stack once its gain or step falls under the configured tolerances.
+The ascent applies ``Phi (x) I_k`` and its adjoint through the one Kraus
+kernel of :mod:`.superop` and never materializes the enlarged map.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from .errors import InvalidInputError, PreconditionError, UnsupportedInstanceErr
 from .schatten import dual_exponent, format_exponent, holder_weights, pnorm, require_exponent
 from .superop import (
     SuperOp,
+    _dagger,
+    _kraus_act,
     apply,
+    choi_matrix,
     is_completely_positive,
     left_cp_map,
     remix,
@@ -99,24 +104,6 @@ class NormEstimate:
         self.achiever.setflags(write=False)
 
 
-def _apply_batch(left: np.ndarray, right: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # X: (r, din, din) -> (r, dout, dout)
-    out = None
-    for k in range(left.shape[0]):
-        term = (left[k] @ X) @ right[k].conj().T
-        out = term if out is None else out + term
-    return out
-
-
-def _adjoint_batch(left: np.ndarray, right: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # Y: (r, dout, dout) -> (r, din, din), the adjoint wrt tr(Y* .)
-    out = None
-    for k in range(left.shape[0]):
-        term = (left[k].conj().T @ Y) @ right[k]
-        out = term if out is None else out + term
-    return out
-
-
 def _frobenius(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("rab,rab->r", X, X.conj()).real)
 
@@ -148,14 +135,14 @@ def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     return z / np.linalg.norm(z)
 
 
-def _start_stack(n: int, q: float, constraint: str, cfg: OptimizerConfig, split) -> np.ndarray:
-    """Initial iterates: deterministic structured guesses in the first slots
-    (maximally entangled projector when an ancilla split is known, normalized
+def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerConfig) -> np.ndarray:
+    """Initial iterates on the base (x) ancilla space: deterministic guesses in
+    the first slots (maximally entangled projector when anc >= 2, normalized
     identity, uniform-superposition projector), Gaussian draws after that."""
+    n = base * anc
     starts = np.zeros((cfg.restarts, n, n), dtype=np.complex128)
     hints = []
-    if split is not None:
-        base, anc = split
+    if anc >= 2:
         m = min(base, anc)
         omega = np.zeros(n, dtype=np.complex128)
         omega[[i * anc + i for i in range(m)]] = 1.0 / math.sqrt(m)
@@ -183,24 +170,23 @@ def _start_stack(n: int, q: float, constraint: str, cfg: OptimizerConfig, split)
     return starts
 
 
-def _ascend(phi: SuperOp, q: float, p: float, constraint: str, cfg: OptimizerConfig, split):
-    left = phi.kraus_left
-    right = phi.kraus_right
-    n = phi.dim_in
+def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: OptimizerConfig):
+    left, right = phi.kraus_left, phi.kraus_right
+    left_h, right_h = _dagger(left), _dagger(right)
     p_dual = dual_exponent(p)
-    X = _start_stack(n, q, constraint, cfg, split)
+    X = _start_stack(phi.dim_in, k, q, constraint, cfg)
     values = np.full(cfg.restarts, -np.inf)
     converged = np.zeros(cfg.restarts, dtype=bool)
     active = np.arange(cfg.restarts)
     for _ in range(cfg.max_iterations):
         Xa = X[active]
-        U, s, Vh = np.linalg.svd(_apply_batch(left, right, Xa))
+        U, s, Vh = np.linalg.svd(_kraus_act(left, right, Xa, k))
         vals = pnorm(s, p, axis=-1)
         gain = vals - values[active]
         values[active] = vals
         wy = holder_weights(s, p_dual)
         Y = (U * wy[..., None, :]) @ Vh
-        Xn = _ball_witness(_adjoint_batch(left, right, Y), q, constraint)
+        Xn = _ball_witness(_kraus_act(left_h, right_h, Y, k), q, constraint)
         stalled = _frobenius(Xn) <= 1e-14
         if np.any(stalled):
             Xn[stalled] = Xa[stalled]
@@ -214,7 +200,7 @@ def _ascend(phi: SuperOp, q: float, p: float, constraint: str, cfg: OptimizerCon
             active = active[~done]
             if active.size == 0:
                 break
-    final = pnorm(np.linalg.svd(_apply_batch(left, right, X), compute_uv=False), p, axis=-1)
+    final = pnorm(np.linalg.svd(_kraus_act(left, right, X, k), compute_uv=False), p, axis=-1)
     best = int(np.argmax(final))
     return X[best], best, bool(converged[best])
 
@@ -236,12 +222,15 @@ def _polish_achiever(X: np.ndarray, q: float, constraint: str) -> np.ndarray:
     return A / nrm
 
 
-def _estimate(phi_eff: SuperOp, q: float, p: float, constraint: str, cfg: OptimizerConfig, split) -> NormEstimate:
+def _estimate(phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerConfig) -> NormEstimate:
     if constraint not in _CONSTRAINTS:
         raise InvalidInputError(f"unknown constraint {constraint!r}")
-    Xbest, best, conv = _ascend(phi_eff, q, p, constraint, cfg, split)
-    achiever = _polish_achiever(Xbest, q, constraint)
-    value = float(pnorm(np.linalg.svd(apply(phi_eff, achiever), compute_uv=False), p))
+    k = query.stabilize_dim
+    Xbest, best, conv = _ascend(phi, max(k, 1), query.q, query.p, constraint, cfg)
+    achiever = _polish_achiever(Xbest, query.q, constraint)
+    # the reference map, so that re-evaluating the achiever reproduces ``value``
+    phi_eff = tensor_identity(phi, k) if k else phi
+    value = float(pnorm(np.linalg.svd(apply(phi_eff, achiever), compute_uv=False), query.p))
     return NormEstimate(
         value=value,
         achiever=achiever,
@@ -251,19 +240,11 @@ def _estimate(phi_eff: SuperOp, q: float, p: float, constraint: str, cfg: Optimi
     )
 
 
-def _effective(phi: SuperOp, stabilize_dim: int):
-    if stabilize_dim > 0:
-        split = (phi.dim_in, stabilize_dim) if stabilize_dim >= 2 else None
-        return tensor_identity(phi, stabilize_dim), split
-    return phi, None
-
-
 def norm_q_to_p(phi: SuperOp, query: NormQuery, config: OptimizerConfig | None = None) -> NormEstimate:
     """Best lower bound on the queried induced norm over ``restarts`` runs."""
     cfg = config if config is not None else OptimizerConfig()
-    phi_eff, split = _effective(phi, query.stabilize_dim)
     constraint = "hermitian" if query.hermitian_restricted else "full"
-    return _estimate(phi_eff, query.q, query.p, constraint, cfg, split)
+    return _estimate(phi, query, constraint, cfg)
 
 
 def norm_1_to_p(
@@ -284,8 +265,7 @@ def cp_norm(phi: SuperOp, query: NormQuery, config: OptimizerConfig | None = Non
     if not is_completely_positive(phi):
         raise PreconditionError("cp_norm requires a completely positive map")
     cfg = config if config is not None else OptimizerConfig()
-    phi_eff, split = _effective(phi, query.stabilize_dim)
-    return _estimate(phi_eff, query.q, query.p, "psd", cfg, split)
+    return _estimate(phi, query, "psd", cfg)
 
 
 def stabilized_norm(
@@ -356,11 +336,6 @@ def _flat_out_pnorm(out_flat: np.ndarray, dout: int, p: float) -> np.ndarray:
     return pnorm(s, p, axis=-1)
 
 
-def _transfer_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The (dout^2, din^2) matrix acting on row-major vectorized inputs."""
-    return sum(np.kron(left[k], right[k].conj()) for k in range(left.shape[0]))
-
-
 def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float:
     """Grid maximum over a dense parameterization of the feasible set.
 
@@ -384,11 +359,11 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
             f"oracle grids require dim_in <= 2, got {phi.dim_in}"
         )
     q, p = query.q, query.p
-    dout = phi.dim_out
-    if phi.dim_in == 1:
-        out = _apply_batch(phi.kraus_left, phi.kraus_right, np.ones((1, 1, 1), dtype=np.complex128))
-        return float(pnorm(np.linalg.svd(out[0], compute_uv=False), p))
-    transfer_t = _transfer_matrix(phi.kraus_left, phi.kraus_right).T
+    din, dout = phi.dim_in, phi.dim_out
+    if din == 1:
+        return float(pnorm(np.linalg.svd(apply(phi, np.ones((1, 1))), compute_uv=False), p))
+    # the realigned Choi matrix maps row-major vectorized inputs to outputs
+    transfer_t = choi_matrix(phi).reshape(din, dout, din, dout).transpose(0, 2, 1, 3).reshape(din**2, -1)
     thetas = np.linspace(0.0, math.pi, R)
     phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
     best = 0.0

@@ -4,6 +4,10 @@ A :class:`SuperOp` holds two equal-length lists of dim_out x dim_in matrices
 and acts as ``Phi(X) = sum_i A_i X B_i^*``.  Maps given in completely positive
 form use a single list (``B_i = A_i``).  Instances are immutable; the stored
 stacks are read-only arrays.
+
+One kernel, :func:`_kraus_act`, applies every map and adjoint, acting on the
+system legs so ``Phi (x) I_k`` is never materialized; :func:`tensor_identity`
+builds that map explicitly and is the reference.
 """
 
 from __future__ import annotations
@@ -92,6 +96,24 @@ def identity_superop(dim: int) -> SuperOp:
     return SuperOp.from_kraus(eye)
 
 
+def _kraus_act(left: np.ndarray, right: np.ndarray, X: np.ndarray, k: int = 1) -> np.ndarray:
+    """``sum_t (A_t (x) I_k) X (B_t (x) I_k)^*`` for an (r, nk, nk) stack ``X``
+    and (n_terms, m, n) stacks ``left``, ``right``; the ancilla is the fast
+    index of each leg, and two GEMMs act on the system legs alone."""
+    t, m, n = left.shape
+    # system column leg first: [j, (i, r, a, b)] for X[r, (i, a), (j, b)]
+    Xj = X.reshape(-1, n, k, n, k).transpose(3, 1, 0, 2, 4).reshape(n, -1)
+    Z = (right.conj().reshape(t * m, n) @ Xj).reshape(t, m, n, -1)  # [t, q, i, (r, a, b)]
+    Z = Z.transpose(0, 2, 1, 3).reshape(t * n, -1)  # [(t, i), (q, r, a, b)]
+    out = left.transpose(1, 0, 2).reshape(m, t * n) @ Z  # [p, (q, r, a, b)]
+    return out.reshape(m, m, -1, k, k).transpose(2, 0, 3, 1, 4).reshape(-1, m * k, m * k)
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return stack.conj().transpose(0, 2, 1)
+
+
 def apply(phi: SuperOp, X) -> np.ndarray:
     """Evaluate ``Phi(X) = sum_i A_i X B_i^*``."""
     A = as_matrix(X)
@@ -99,8 +121,7 @@ def apply(phi: SuperOp, X) -> np.ndarray:
         raise InvalidInputError(
             f"input must be {phi.dim_in}x{phi.dim_in}, got {A.shape}"
         )
-    T = phi.kraus_left @ A
-    return np.einsum("kab,kcb->ac", T, phi.kraus_right.conj())
+    return _kraus_act(phi.kraus_left, phi.kraus_right, A[None])[0]
 
 
 def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
@@ -110,8 +131,7 @@ def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
         raise InvalidInputError(
             f"adjoint input must be {phi.dim_out}x{phi.dim_out}, got {A.shape}"
         )
-    T = phi.kraus_left.conj().transpose(0, 2, 1) @ A
-    return np.einsum("kab,kbc->ac", T, phi.kraus_right)
+    return _kraus_act(_dagger(phi.kraus_left), _dagger(phi.kraus_right), A[None])[0]
 
 
 def tensor_identity(phi: SuperOp, ancilla_dim: int) -> SuperOp:

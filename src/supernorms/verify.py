@@ -71,13 +71,12 @@ class VerificationReport:
         return json.dumps(self.to_obj(), separators=(",", ":"))
 
 
-def _trial_seeds(seed: int, salt: int, count: int) -> list[int]:
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed) & ((1 << 64) - 1), salt]))
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=count)]
-
-
 def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & ((1 << 64) - 1), salt]))
+
+
+def _trial_seeds(seed: int, salt: int, count: int) -> list[int]:
+    return [int(s) for s in _rng(seed, salt).integers(0, 2**63 - 1, size=count)]
 
 
 def _random_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

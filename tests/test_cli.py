@@ -78,6 +78,21 @@ def test_norm_output_contract(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 64.0 TiB", ""])
+def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("supernorms.cli.norm_q_to_p", exhausted)
+    path = write_channel(tmp_path, "phi.json", random_superop(2, 2, 2, 6))
+    code, out, err = run_cli(capsys, "norm", path, "--q", "1", "--p", "1", "--stabilize", "9")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory")
+    assert message in err
+    assert err.count("\n") == 1
+
+
 def test_norm_hermitian_flag_lowers_simple_example(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "example", "simple_nonhermitian")
     path = tmp_path / "simple.json"

@@ -25,6 +25,8 @@ from supernorms import (
     tensor_identity,
 )
 
+from supernorms.superop import _dagger, _kraus_act
+
 from conftest import complex_matrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -110,6 +112,27 @@ def test_tensor_identity_on_product_inputs(seed, k):
     X = complex_matrix(rng, 2, 2)
     W = complex_matrix(rng, k, k)
     assert np.allclose(apply(big, tensor(X, W)), tensor(apply(phi, X), W), atol=1e-12)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "phi",
+    [random_superop(2, 3, 2, 7), random_superop(3, 2, 3, 8), build_example("transpose(3)")],
+    ids=["2to3", "3to2", "transpose3"],
+)
+def test_kraus_kernel_matches_tensor_identity(phi, k):
+    # the stacked ancilla-leg kernel against the explicitly enlarged map
+    rng = np.random.default_rng(100 + k)
+    big = tensor_identity(phi, k)
+    X = np.stack([complex_matrix(rng, big.dim_in, big.dim_in) for _ in range(5)])
+    Y = np.stack([complex_matrix(rng, big.dim_out, big.dim_out) for _ in range(5)])
+    out = _kraus_act(phi.kraus_left, phi.kraus_right, X, k)
+    back = _kraus_act(_dagger(phi.kraus_left), _dagger(phi.kraus_right), Y, k)
+    for i in range(len(X)):
+        assert np.allclose(out[i], apply(big, X[i]), rtol=0.0, atol=1e-12)
+        assert np.allclose(out[i], manual_apply(big, X[i]), rtol=0.0, atol=1e-12)
+        assert np.allclose(back[i], adjoint_apply(big, Y[i]), rtol=0.0, atol=1e-12)
+        assert inner(Y[i], out[i]) == pytest.approx(inner(back[i], X[i]), abs=1e-10)
 
 
 def test_tensor_identity_with_one_is_same_map(rng):
