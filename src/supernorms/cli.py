@@ -6,8 +6,8 @@ Subcommands: ``schatten`` (matrix norms), ``norm`` and ``stabilized``
 channel as JSON).  All numeric output is JSON or fixed 12-decimal text and is
 byte-deterministic for a fixed invocation including ``--seed``.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 usage, input or
-resource (out of memory) errors.
+Exit codes: 0 success, 1 a verification suite failed, 2 usage, input,
+size-limit or resource (out of memory) errors.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The target quantity sup { ||Phi(X)||_p : ||X||_q = 1 } is treated as the
 bilinear form Re<Y, Phi(X)> maximized jointly over the unit p*-ball in Y and
 the unit q-ball in X.  Each partial maximization has a closed form (a Hoelder
-witness read off a singular value or eigenvalue decomposition), so the
-optimizer alternates the two exact half-steps.  The objective value never
+witness read off a singular value or eigenvalue decomposition; at exponent 2
+it is the normalized matrix and no decomposition runs), so the optimizer
+alternates the two exact half-steps.  The objective value never
 decreases along the iteration, every iterate is feasible, and the reported
 value is therefore a certified lower bound whatever the convergence status.
 
@@ -38,6 +39,9 @@ from .superop import (
 
 # grid points evaluated per vectorized sweep of the brute-force oracle
 _ORACLE_CHUNK = 1 << 18
+
+# complex entries one stacked ascent iterate may hold (2^26 entries = 1 GiB)
+_MAX_STACK_ENTRIES = 1 << 26
 
 _CONSTRAINTS = ("full", "hermitian", "psd")
 
@@ -113,14 +117,21 @@ def _ball_witness(Z: np.ndarray, q: float, constraint: str) -> np.ndarray:
 
     ``full`` uses the singular triplet of Z, ``hermitian`` the eigensystem of
     its Hermitian part, ``psd`` additionally clamps the spectrum (falling
-    back to the top eigendirection when nothing positive remains).
+    back to the top eigendirection when nothing positive remains).  At
+    q = 2 the ball is the Frobenius ball, so for ``full`` and ``hermitian``
+    the witness is the (Hermitian part of the) matrix normalized, and no
+    decomposition runs; zero slices stay zero.
     """
+    if constraint != "full":
+        Z = (Z + Z.conj().transpose(0, 2, 1)) / 2.0
+    if q == 2.0 and constraint != "psd":
+        nrm = _frobenius(Z)[:, None, None]
+        return np.divide(Z, nrm, out=np.zeros_like(Z), where=nrm > 0.0)
     if constraint == "full":
         U, s, Vh = np.linalg.svd(Z)
         w = holder_weights(s, q)
         return (U * w[..., None, :]) @ Vh
-    H = (Z + Z.conj().transpose(0, 2, 1)) / 2.0
-    lam, V = np.linalg.eigh(H)
+    lam, V = np.linalg.eigh(Z)
     if constraint == "psd":
         lam = np.maximum(lam, 0.0)
         dead = lam[..., -1] <= 0.0
@@ -180,12 +191,11 @@ def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: Opti
     active = np.arange(cfg.restarts)
     for _ in range(cfg.max_iterations):
         Xa = X[active]
-        U, s, Vh = np.linalg.svd(_kraus_act(left, right, Xa, k))
-        vals = pnorm(s, p, axis=-1)
+        W = _kraus_act(left, right, Xa, k)
+        Y = _ball_witness(W, p_dual, "full")
+        vals = np.einsum("rab,rab->r", W.conj(), Y).real
         gain = vals - values[active]
         values[active] = vals
-        wy = holder_weights(s, p_dual)
-        Y = (U * wy[..., None, :]) @ Vh
         Xn = _ball_witness(_kraus_act(left_h, right_h, Y, k), q, constraint)
         stalled = _frobenius(Xn) <= 1e-14
         if np.any(stalled):
@@ -226,6 +236,13 @@ def _estimate(phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerCon
     if constraint not in _CONSTRAINTS:
         raise InvalidInputError(f"unknown constraint {constraint!r}")
     k = query.stabilize_dim
+    side = max(phi.dim_in, phi.dim_out) * max(k, 1)
+    if cfg.restarts * side * side > _MAX_STACK_ENTRIES:
+        raise UnsupportedInstanceError(
+            f"stabilize_dim {k} on a {phi.dim_in}->{phi.dim_out} map with {cfg.restarts} restarts "
+            f"needs {cfg.restarts} x {side} x {side} iterates, over the limit of "
+            f"{_MAX_STACK_ENTRIES} entries"
+        )
     Xbest, best, conv = _ascend(phi, max(k, 1), query.q, query.p, constraint, cfg)
     achiever = _polish_achiever(Xbest, query.q, constraint)
     # the reference map, so that re-evaluating the achiever reproduces ``value``

@@ -93,6 +93,20 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mess
     assert err.count("\n") == 1
 
 
+def test_oversized_ancilla_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the ascent started")
+
+    monkeypatch.setattr("supernorms.optimize._ascend", never)
+    path = write_channel(tmp_path, "phi.json", random_superop(2, 2, 2, 6))
+    code, out, err = run_cli(capsys, "norm", path, "--q", "1", "--p", "1", "--stabilize", "100000")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: stabilize_dim 100000 on a 2->2 map with 32 restarts")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_norm_hermitian_flag_lowers_simple_example(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "example", "simple_nonhermitian")
     path = tmp_path / "simple.json"

@@ -14,10 +14,12 @@ from supernorms import (
     apply,
     brute_force_oracle,
     build_example,
+    choi_matrix,
     cp_norm,
     difference,
     explore_open_question,
     factorization_bound,
+    holder_weights,
     identity_superop,
     is_hermitian,
     norm_1_to_p,
@@ -30,6 +32,7 @@ from supernorms import (
     stabilized_norm,
     tensor_identity,
 )
+from supernorms.optimize import _ball_witness
 
 EXPONENTS = [1.0, 1.5, 2.0, math.inf]
 
@@ -170,8 +173,11 @@ def test_achiever_lives_on_stabilized_space(quick_cfg):
         (norm_q_to_p, random_superop(2, 3, 2, 41), NormQuery(1.0, 2.0, hermitian_restricted=True)),
         (cp_norm, random_cp_channel(3, 2, 2, 42), NormQuery(1.5, 3.0)),
         (norm_q_to_p, random_superop(2, 2, 3, 43), NormQuery(1.0, 1.0, stabilize_dim=2)),
+        (norm_q_to_p, random_superop(3, 2, 2, 44), NormQuery(2.0, 1.5)),
+        (norm_q_to_p, random_superop(2, 3, 3, 45), NormQuery(2.0, 3.0, hermitian_restricted=True)),
+        (norm_q_to_p, random_superop(2, 2, 2, 46), NormQuery(2.0, 2.0, stabilize_dim=2)),
     ],
-    ids=["full", "hermitian", "psd", "stabilized"],
+    ids=["full", "hermitian", "psd", "stabilized", "q2-full", "q2-hermitian", "p2-q2-stabilized"],
 )
 def test_more_iterations_never_lower_the_value(route, phi, query):
     # the ascent is monotone, so capping it later can only raise the reported value
@@ -197,9 +203,60 @@ def test_results_are_deterministic(quick_cfg):
 
 def test_zero_map(quick_cfg):
     zero = SuperOp.from_kraus(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)) + 0.0)
-    est = norm_q_to_p(zero, NormQuery(1.0, 1.0), quick_cfg)
-    assert est.value == 0.0
-    assert est.converged
+    for query in (NormQuery(1.0, 1.0), NormQuery(2.0, 2.0), NormQuery(2.0, 2.0, True)):
+        with np.errstate(all="raise"):
+            est = norm_q_to_p(zero, query, quick_cfg)
+        assert est.value == 0.0
+        assert est.converged
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_ball_witness_at_q2_matches_the_decompositions(d):
+    rng = np.random.default_rng(300 + d)
+    Z = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+    Z[3] = 0.0
+    U, s, Vh = np.linalg.svd(Z)
+    full = (U * holder_weights(s, 2.0)[..., None, :]) @ Vh
+    lam, V = np.linalg.eigh((Z + Z.conj().transpose(0, 2, 1)) / 2.0)
+    Vd = V.conj().transpose(0, 2, 1)
+    herm = (V * holder_weights(lam, 2.0)[..., None, :]) @ Vd
+    assert np.allclose(_ball_witness(Z, 2.0, "full"), full, rtol=0.0, atol=1e-12)
+    assert np.allclose(_ball_witness(Z, 2.0, "hermitian"), herm, rtol=0.0, atol=1e-12)
+    for constraint in ("full", "hermitian"):
+        assert not _ball_witness(Z, 2.0, constraint)[3].any()
+    # psd keeps the clamped spectrum; an all-zero slice falls back to a unit projector
+    psd = _ball_witness(Z, 2.0, "psd")
+    clamped = (V * holder_weights(np.maximum(lam, 0.0), 2.0)[..., None, :]) @ Vd
+    live = [0, 1, 2, 4]
+    assert np.allclose(psd[live], clamped[live], rtol=0.0, atol=1e-12)
+    assert np.allclose(psd[3], psd[3] @ psd[3], atol=1e-12)
+    assert np.trace(psd[3]).real == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_two_to_two_norm_is_the_top_singular_value_of_the_realigned_choi(k, quick_cfg):
+    # ||Phi (x) I_k||_{2->2} = ||Phi||_{2->2}: the operator norm of the map acting on
+    # row-major vectorized matrices, i.e. of the realigned Choi matrix
+    shapes = [(2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 3, 2)]
+    for i in range(12):
+        n, m, t = shapes[i % 4]
+        phi = random_superop(n, m, t, 600 + i)
+        realigned = choi_matrix(phi).reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+        exact = np.linalg.svd(realigned, compute_uv=False)[0]
+        got = norm_q_to_p(phi, NormQuery(2.0, 2.0, False, k), quick_cfg).value
+        assert got == pytest.approx(exact, rel=1e-8)
+
+
+def test_oversized_stack_is_refused_before_any_allocation(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the ascent started")
+
+    monkeypatch.setattr("supernorms.optimize._ascend", never)
+    phi = random_superop(2, 2, 2, 47)
+    with pytest.raises(UnsupportedInstanceError, match="stabilize_dim 100000"):
+        norm_q_to_p(phi, NormQuery(1.0, 1.0, False, 100000))
+    with pytest.raises(UnsupportedInstanceError):
+        cp_norm(random_cp_channel(2, 2, 2, 48), NormQuery(1.0, 1.0, False, 5000))
 
 
 def test_ancilla_never_hurts(quick_cfg):
