@@ -7,7 +7,8 @@ channel as JSON).  All numeric output is JSON or fixed 12-decimal text and is
 byte-deterministic for a fixed invocation including ``--seed``.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 usage, input,
-size-limit or resource (out of memory) errors.
+size-limit, numerical (a decomposition did not converge) or resource (out of
+memory) errors.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+
+from numpy.linalg import LinAlgError
 
 from .channels import EXAMPLE_NAMES, build_example
 from .errors import InvalidInputError
@@ -195,6 +198,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except LinAlgError as exc:
+        # a ValueError subclass; named so it is not mistaken for bad input
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -365,6 +365,12 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     space and 7 for the full one, so the unrestricted finite-q grid is only
     usable at very coarse resolutions.  The result is always a valid lower
     bound and converges to the norm as the resolution grows.
+
+    For even ``resolution`` only half of each sphere grid (finite q, and the
+    reflections and unitaries at q = inf) is evaluated: the grid is closed
+    under ``X -> -X``, the objective is even, and every skipped point's
+    antipode lies on the evaluated half, so the maximum is the same.
+    ``resolution`` still counts grid points per angle.
     """
     R = int(resolution)
     if R < 2:
@@ -383,11 +389,17 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     transfer_t = choi_matrix(phi).reshape(din, dout, din, dout).transpose(0, 2, 1, 3).reshape(din**2, -1)
     thetas = np.linspace(0.0, math.pi, R)
     phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
+    # sphere grids: for even R, theta index i pairs with R - 1 - i and
+    # phi_j + pi = phi_(j + R/2), so the antipode of every point with a first
+    # theta index >= R/2 is on the lower half
+    lead = R // 2 if R % 2 == 0 else R
     best = 0.0
 
-    def push(flat, dens=None):
+    def push(flat, dens=None, transfer=transfer_t):
         nonlocal best
-        vals = _flat_out_pnorm(flat @ transfer_t, dout, p)
+        # real coordinates times the real view of a complex transfer give the
+        # real view of the complex outputs; on complex inputs the view is a no-op
+        vals = _flat_out_pnorm((flat @ transfer).view(np.complex128), dout, p)
         if dens is not None:
             vals = vals / dens
         best = max(best, float(vals.max()))
@@ -427,7 +439,7 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
             push(np.array([[1.0, 0.0, 0.0, 1.0]], dtype=np.complex128))
             ca, sa = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
             ph = np.exp(1j * phis)
-            for i0, i1 in _chunked_indices((R, R), _ORACLE_CHUNK):
+            for i0, i1 in _chunked_indices((lead, R), _ORACLE_CHUNK):
                 a, s = ca[i0], sa[i0]
                 b = s * ph[i1]
                 flat = np.empty((a.size, 4), dtype=np.complex128)
@@ -440,7 +452,7 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
         axes = [thetas, thetas, phis]
         cos_t = [np.cos(a) for a in axes]
         sin_t = [np.sin(a) for a in axes]
-        for idx in _chunked_indices((R, R, R), _ORACLE_CHUNK):
+        for idx in _chunked_indices((lead, R, R), _ORACLE_CHUNK):
             m = idx[0].size
             x = np.empty((m, 4))
             running = np.ones(m)
@@ -463,7 +475,10 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     axes = [thetas] * (n_angles - 1) + [phis]
     cos_t = [np.cos(a) for a in axes]
     sin_t = [np.sin(a) for a in axes]
-    for idx in _chunked_indices(tuple(R for _ in axes), _ORACLE_CHUNK):
+    # images of the Hermitian basis E00, E11, E01 + E10, i(E01 - E10)
+    t = transfer_t
+    herm_t = np.stack([t[0], t[3], t[1] + t[2], 1j * (t[1] - t[2])]).view(np.float64)
+    for idx in _chunked_indices((lead,) + (R,) * (n_angles - 1), _ORACLE_CHUNK):
         m = idx[0].size
         x = np.empty((m, n_angles + 1))
         running = np.ones(m)
@@ -471,27 +486,18 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
             x[:, d] = running * cos_t[d][idx[d]]
             running = running * sin_t[d][idx[d]]
         x[:, n_angles] = running
-        flat = np.empty((m, 4), dtype=np.complex128)
         if query.hermitian_restricted:
-            flat[:, 0] = x[:, 0]
-            flat[:, 1] = x[:, 2] + 1j * x[:, 3]
-            flat[:, 2] = x[:, 2] - 1j * x[:, 3]
-            flat[:, 3] = x[:, 1]
             mean = (x[:, 0] + x[:, 1]) / 2.0
             rad = np.sqrt((x[:, 0] - x[:, 1]) ** 2 / 4.0 + x[:, 2] ** 2 + x[:, 3] ** 2)
-            dens = _pair_pnorm(np.abs(mean + rad), np.abs(mean - rad), q)
+            push(x, _pair_pnorm(np.abs(mean + rad), np.abs(mean - rad), q), herm_t)
         else:
-            flat[:, 0] = x[:, 0] + 1j * x[:, 1]
-            flat[:, 1] = x[:, 2] + 1j * x[:, 3]
-            flat[:, 2] = x[:, 4] + 1j * x[:, 5]
-            flat[:, 3] = x[:, 6] + 1j * x[:, 7]
+            flat = x.view(np.complex128)
             # the coordinate vector is unit, so the squared Frobenius norm is 1
             det = flat[:, 0] * flat[:, 3] - flat[:, 1] * flat[:, 2]
             g = np.sqrt(np.maximum(1.0 - 4.0 * np.abs(det) ** 2, 0.0))
             hi = np.sqrt((1.0 + g) / 2.0)
             lo = np.sqrt(np.maximum((1.0 - g) / 2.0, 0.0))
-            dens = _pair_pnorm(hi, lo, q)
-        push(flat, dens)
+            push(flat, _pair_pnorm(hi, lo, q))
     return best
 
 

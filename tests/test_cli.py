@@ -93,6 +93,17 @@ def test_out_of_memory_exits_2_with_one_line(tmp_path, capsys, monkeypatch, mess
     assert err.count("\n") == 1
 
 
+def test_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def diverged(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("supernorms.cli.norm_q_to_p", diverged)
+    path = write_channel(tmp_path, "phi.json", random_superop(2, 2, 2, 6))
+    code, out, err = run_cli(capsys, "norm", path, "--q", "1", "--p", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: numerical failure: SVD did not converge\n"
+
+
 def test_oversized_ancilla_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the ascent started")

@@ -11,6 +11,7 @@ from supernorms import (
     PreconditionError,
     SuperOp,
     UnsupportedInstanceError,
+    adjoint_apply,
     apply,
     brute_force_oracle,
     build_example,
@@ -247,6 +248,23 @@ def test_two_to_two_norm_is_the_top_singular_value_of_the_realigned_choi(k, quic
         assert got == pytest.approx(exact, rel=1e-8)
 
 
+def test_cp_one_to_one_norm_is_the_adjoint_on_the_identity(quick_cfg):
+    # for CP maps ||Phi (x) I_k||_{1->1} = ||Phi^*(I)||_inf for every k, with or
+    # without the Hermitian restriction (Theorem 1); the maps need not preserve trace
+    rng = np.random.default_rng(700)
+    for i, (n, m) in enumerate([(2, 2), (2, 3), (3, 2), (3, 3)] * 2):
+        kraus = rng.standard_normal((2 + i % 2, m, n)) + 1j * rng.standard_normal((2 + i % 2, m, n))
+        phi = SuperOp.from_kraus(kraus)
+        exact = schatten_norm(adjoint_apply(phi, np.eye(m)), math.inf)
+        for route, query in [
+            (norm_q_to_p, NormQuery(1.0, 1.0)),
+            (norm_q_to_p, NormQuery(1.0, 1.0, hermitian_restricted=True)),
+            (norm_q_to_p, NormQuery(1.0, 1.0, stabilize_dim=2)),
+            (cp_norm, NormQuery(1.0, 1.0)),
+        ]:
+            assert route(phi, query, quick_cfg).value == pytest.approx(exact, rel=1e-9), (i, query)
+
+
 def test_oversized_stack_is_refused_before_any_allocation(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the ascent started")
@@ -324,6 +342,77 @@ def test_oracle_brackets_optimizer(quick_cfg):
     v = brute_force_oracle(phi, query, 60)
     assert v <= est + 1e-3
     assert est <= v + 5e-2
+
+
+def _sphere_points(R: int, n_polar: int) -> np.ndarray:
+    # every unit vector of the oracle's hyperspherical grid: n_polar angles on
+    # linspace(0, pi, R) and one azimuth on [0, 2 pi), first angle slowest
+    thetas = np.linspace(0.0, math.pi, R)
+    phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
+    running, coords = 1.0, []
+    for a in np.meshgrid(*([thetas] * n_polar + [phis]), indexing="ij"):
+        coords.append(running * np.cos(a))
+        running = running * np.sin(a)
+    return np.stack([c.ravel() for c in coords + [running]], axis=-1)
+
+
+def _bloch_states(R: int) -> np.ndarray:
+    theta, phi = np.meshgrid(
+        np.linspace(0.0, math.pi, R), np.linspace(0.0, 2.0 * math.pi, R, endpoint=False), indexing="ij"
+    )
+    return np.stack([np.cos(theta / 2), np.sin(theta / 2) * np.exp(1j * phi)], axis=-1).reshape(-1, 2)
+
+
+def _full_oracle_grid(q: float, hermitian: bool, R: int) -> np.ndarray:
+    """Every input matrix of the oracle's grid for (q, hermitian), none skipped."""
+    if q == 1.0:
+        psi = _bloch_states(R)
+        if hermitian:
+            return np.einsum("na,nb->nab", psi, psi.conj())
+        return np.einsum("ua,vb->uvab", psi, psi.conj()).reshape(-1, 2, 2)
+    if math.isinf(q) and hermitian:
+        psi = _bloch_states(R)
+        refl = 2.0 * np.einsum("na,nb->nab", psi, psi.conj()) - np.eye(2)
+        return np.concatenate([refl, np.eye(2)[None]])
+    x = _sphere_points(R, 2 if hermitian or math.isinf(q) else 6)
+    if math.isinf(q):
+        z1, z2 = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
+        return np.stack([z1, -z2.conj(), z2, z1.conj()], axis=-1).reshape(-1, 2, 2)
+    if hermitian:
+        off = x[:, 2] + 1j * x[:, 3]
+        return np.stack([x[:, 0], off, off.conj(), x[:, 1]], axis=-1).reshape(-1, 2, 2)
+    return (x[:, 0::2] + 1j * x[:, 1::2]).reshape(-1, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "q, hermitian, resolutions",
+    [
+        (1.5, True, (12, 11)),
+        (3.0, False, (4, 5)),
+        (math.inf, True, (12, 11)),
+        (math.inf, False, (12, 11)),
+        # the rank-one q = 1 grids have no antipodes and are walked whole
+        (1.0, True, (12, 11)),
+        (1.0, False, (6, 5)),
+    ],
+)
+def test_oracle_matches_a_full_grid_reference(q, hermitian, resolutions):
+    # the oracle evaluates half of each sphere grid at even resolution; the
+    # reference evaluates ||Phi(X)||_p / ||X||_q on every grid point by SVD
+    maps = [
+        (random_superop(2, 2, 2, 50), 1.0),
+        (random_superop(2, 3, 2, 51), 2.5),
+        (random_superop(2, 2, 3, 52), math.inf),
+        (random_superop(2, 2, 2, 53), 2.0),
+    ]
+    for phi, p in maps:
+        for R in resolutions:
+            X = _full_oracle_grid(q, hermitian, R)
+            out = np.einsum("tab,nbc,tdc->nad", phi.kraus_left, X, phi.kraus_right.conj())
+            ratios = pnorm(np.linalg.svd(out, compute_uv=False), p)
+            ratios = ratios / pnorm(np.linalg.svd(X, compute_uv=False), q)
+            got = brute_force_oracle(phi, NormQuery(q, p, hermitian), R)
+            assert got == pytest.approx(ratios.max(), rel=1e-12)
 
 
 def test_oracle_scalar_input_space():
