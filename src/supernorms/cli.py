@@ -7,8 +7,8 @@ channel as JSON).  All numeric output is JSON or fixed 12-decimal text and is
 byte-deterministic for a fixed invocation including ``--seed``.
 
 Exit codes: 0 success, 1 a verification suite failed, 2 usage, input,
-size-limit, numerical (a decomposition did not converge) or resource (out of
-memory) errors.
+size-limit, numerical (a decomposition did not converge), resource (out of
+memory) or worker (a verify worker process died) errors.
 """
 
 from __future__ import annotations
@@ -208,6 +208,14 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
+    except RuntimeError as exc:
+        # imported here: the process pool module is loaded only by a verify fan-out
+        from concurrent.futures.process import BrokenProcessPool
+
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"error: worker process failed: {exc}", file=sys.stderr)
         return 2
 
 

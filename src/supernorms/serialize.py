@@ -33,6 +33,13 @@ def _loads(text: str):
         return json.loads(text, parse_constant=bad_constant)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInputError("malformed JSON: nested too deeply") from exc
+
+
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def matrix_to_obj(X) -> dict:
@@ -49,7 +56,7 @@ def matrix_from_obj(obj) -> np.ndarray:
         if key not in obj:
             raise InvalidInputError(f"matrix object is missing {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not (_is_int(rows) and _is_int(cols)) or rows < 1 or cols < 1:
         raise InvalidInputError("rows and cols must be positive integers")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -97,7 +104,7 @@ def channel_from_obj(obj) -> SuperOp:
         if key not in obj:
             raise InvalidInputError(f"channel object is missing {key!r}")
     dim_in, dim_out = obj["dim_in"], obj["dim_out"]
-    if not isinstance(dim_in, int) or not isinstance(dim_out, int) or dim_in < 1 or dim_out < 1:
+    if not (_is_int(dim_in) and _is_int(dim_out)) or dim_in < 1 or dim_out < 1:
         raise InvalidInputError("dim_in and dim_out must be positive integers")
     if not isinstance(obj["kraus_left"], list) or not obj["kraus_left"]:
         raise InvalidInputError("kraus_left must be a nonempty list of matrices")

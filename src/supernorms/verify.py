@@ -10,13 +10,18 @@ checked instance met its bound.
 Claims about optimized quantities use tolerance 2e-3 (two independent
 optimizations carry restart variance); claims that reduce to plain linear
 algebra use 1e-8 .. 1e-10.
+
+The seeded trials of the five claims on random maps run on up to the usable
+CPUs in worker processes; the reports are identical to a serial run.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -87,47 +92,107 @@ def _label(q, p) -> str:
     return f"q={format_exponent(q)},p={format_exponent(p)}"
 
 
-def _run_theorem1(seed, trials, restarts):
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_trials(salt, trial, seed, trials, restarts):
+    """``trial(i, seed_i, restarts)`` for ``i < trials``, in trial order.
+
+    A trial is a pure function of its arguments, so the trials may run in a
+    pool of worker processes that lives only inside this call, or, if no
+    worker can start, in-process: the details are the same bit for bit.
+    """
+    seeds = _trial_seeds(seed, salt, trials)
+    args = (range(trials), seeds, [restarts] * trials)
+    workers = min(trials, _usable_cpus())
+    if workers >= 2:
+        # the default start method: fork on Linux; a spawned worker re-imports numpy
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return list(pool.map(trial, *args))
+        except OSError:
+            pass  # a trial does no I/O: this is a worker that could not start
+    return list(map(trial, *args))
+
+
+def _trial_map(factory, i, seed, restarts):
+    """Trial i's map (shapes cycle through ``_DIMS_ROTATION``, 2 or 3 terms) and settings."""
+    din, dout = _DIMS_ROTATION[i % len(_DIMS_ROTATION)]
+    return factory(din, dout, 2 + i % 2, seed), OptimizerConfig(restarts=restarts, seed=seed)
+
+
+def _trial_detail(i, seed, phi, cases) -> dict:
+    """Trial i's record: the first largest residual over ``(residual, label)`` cases."""
+    worst, at = 0.0, ""
+    for r, label in cases:
+        if r > worst:
+            worst, at = r, label
+    dims = [phi.dim_in, phi.dim_out]
+    return {"trial": i, "dims": dims, "seed": seed, "residual": worst, "worst_case": at}
+
+
+def _theorem1_trial(i, seed, restarts):
     """CP maps: the unrestricted and Hermitian-restricted norms coincide."""
-    seeds = _trial_seeds(seed, 1, trials)
-    details = []
-    for i in range(trials):
-        din, dout = _DIMS_ROTATION[i % len(_DIMS_ROTATION)]
-        phi = random_cp_channel(din, dout, 2 + i % 2, seeds[i])
-        cfg = OptimizerConfig(restarts=restarts, seed=seeds[i])
-        worst, at = 0.0, ""
-        for q in _EXPONENT_GRID:
-            for p in _EXPONENT_GRID:
-                plain = norm_q_to_p(phi, NormQuery(q, p), cfg).value
-                herm = norm_q_to_p(phi, NormQuery(q, p, True), cfg).value
-                r = abs(plain - herm)
-                if r > worst:
-                    worst, at = r, _label(q, p)
-        details.append(
-            {"trial": i, "dims": [din, dout], "seed": seeds[i], "residual": worst, "worst_case": at}
-        )
-    return details
+    phi, cfg = _trial_map(random_cp_channel, i, seed, restarts)
+    cases = []
+    for q in _EXPONENT_GRID:
+        for p in _EXPONENT_GRID:
+            plain = norm_q_to_p(phi, NormQuery(q, p), cfg).value
+            herm = norm_q_to_p(phi, NormQuery(q, p, True), cfg).value
+            cases.append((abs(plain - herm), _label(q, p)))
+    return _trial_detail(i, seed, phi, cases)
 
 
-def _run_lemma1(seed, trials, restarts):
+def _lemma1_trial(i, seed, restarts):
     """||Phi||_{q->p} <= sqrt(||Phi_L||^H ||Phi_R||^H) for the stored Kraus pair."""
-    seeds = _trial_seeds(seed, 2, trials)
-    details = []
-    for i in range(trials):
-        din, dout = _DIMS_ROTATION[i % len(_DIMS_ROTATION)]
-        phi = random_superop(din, dout, 2 + i % 2, seeds[i])
-        cfg = OptimizerConfig(restarts=restarts, seed=seeds[i])
-        worst, at = 0.0, ""
-        for q in _EXPONENT_GRID:
-            for p in _EXPONENT_GRID:
-                lhs, rhs = factorization_bound(phi, NormQuery(q, p), cfg)
-                r = max(0.0, lhs - rhs)
-                if r > worst:
-                    worst, at = r, _label(q, p)
-        details.append(
-            {"trial": i, "dims": [din, dout], "seed": seeds[i], "residual": worst, "worst_case": at}
-        )
-    return details
+    phi, cfg = _trial_map(random_superop, i, seed, restarts)
+    cases = []
+    for q in _EXPONENT_GRID:
+        for p in _EXPONENT_GRID:
+            lhs, rhs = factorization_bound(phi, NormQuery(q, p), cfg)
+            cases.append((max(0.0, lhs - rhs), _label(q, p)))
+    return _trial_detail(i, seed, phi, cases)
+
+
+def _theorem2_trial(i, seed, restarts):
+    """Tensoring with an identity changes nothing once p >= 2 and q <= 2."""
+    phi, cfg = _trial_map(random_superop, i, seed, restarts)
+    cases = []
+    for q in (1.0, 1.5, 2.0):
+        for p in (2.0, 3.0, math.inf):
+            base = norm_q_to_p(phi, NormQuery(q, p), cfg).value
+            for anc in (2, 3):
+                stab = norm_q_to_p(phi, NormQuery(q, p, False, anc), cfg).value
+                cases.append((abs(stab - base), f"{_label(q, p)},ancilla={anc}"))
+    return _trial_detail(i, seed, phi, cases)
+
+
+def _theorem3_trial(i, seed, restarts):
+    """An ancilla of the input dimension already saturates the stabilized norm."""
+    phi, cfg = _trial_map(random_superop, i, seed, restarts)
+    cases = []
+    for p in _EXPONENT_GRID:
+        for herm in (False, True):
+            at_cap = norm_q_to_p(phi, NormQuery(1.0, p, herm, phi.dim_in), cfg).value
+            beyond = norm_q_to_p(phi, NormQuery(1.0, p, herm, phi.dim_in + 1), cfg).value
+            cases.append((abs(at_cap - beyond), f"p={format_exponent(p)},hermitian={herm}"))
+    return _trial_detail(i, seed, phi, cases)
+
+
+def _ahw_fact_trial(i, seed, restarts):
+    """For CP maps the Hermitian 1->p norm ignores tensoring with an identity."""
+    phi, cfg = _trial_map(random_cp_channel, i, seed, restarts)
+    cases = []
+    for p in (1.0, 2.0, math.inf):
+        base = norm_q_to_p(phi, NormQuery(1.0, p, True), cfg).value
+        stab = norm_q_to_p(phi, NormQuery(1.0, p, True, 2), cfg).value
+        cases.append((abs(base - stab), f"p={format_exponent(p)}"))
+    return _trial_detail(i, seed, phi, cases)
 
 
 def _run_prop_counterexamples(seed, trials, restarts):
@@ -179,51 +244,6 @@ def _run_prop_counterexamples(seed, trials, restarts):
     return details
 
 
-def _run_theorem2(seed, trials, restarts):
-    """Tensoring with an identity changes nothing once p >= 2 and q <= 2."""
-    seeds = _trial_seeds(seed, 4, trials)
-    details = []
-    for i in range(trials):
-        din, dout = _DIMS_ROTATION[i % len(_DIMS_ROTATION)]
-        phi = random_superop(din, dout, 2 + i % 2, seeds[i])
-        cfg = OptimizerConfig(restarts=restarts, seed=seeds[i])
-        worst, at = 0.0, ""
-        for q in (1.0, 1.5, 2.0):
-            for p in (2.0, 3.0, math.inf):
-                base = norm_q_to_p(phi, NormQuery(q, p), cfg).value
-                for anc in (2, 3):
-                    stab = norm_q_to_p(phi, NormQuery(q, p, False, anc), cfg).value
-                    r = abs(stab - base)
-                    if r > worst:
-                        worst, at = r, f"{_label(q, p)},ancilla={anc}"
-        details.append(
-            {"trial": i, "dims": [din, dout], "seed": seeds[i], "residual": worst, "worst_case": at}
-        )
-    return details
-
-
-def _run_theorem3(seed, trials, restarts):
-    """An ancilla of the input dimension already saturates the stabilized norm."""
-    seeds = _trial_seeds(seed, 5, trials)
-    details = []
-    for i in range(trials):
-        din, dout = _DIMS_ROTATION[i % len(_DIMS_ROTATION)]
-        phi = random_superop(din, dout, 2 + i % 2, seeds[i])
-        cfg = OptimizerConfig(restarts=restarts, seed=seeds[i])
-        worst, at = 0.0, ""
-        for p in _EXPONENT_GRID:
-            for herm in (False, True):
-                at_cap = norm_q_to_p(phi, NormQuery(1.0, p, herm, din), cfg).value
-                beyond = norm_q_to_p(phi, NormQuery(1.0, p, herm, din + 1), cfg).value
-                r = abs(at_cap - beyond)
-                if r > worst:
-                    worst, at = r, f"p={format_exponent(p)},hermitian={herm}"
-        details.append(
-            {"trial": i, "dims": [din, dout], "seed": seeds[i], "residual": worst, "worst_case": at}
-        )
-    return details
-
-
 def _run_transpose_instability(seed, trials, restarts):
     """||T||_p = 1 but ||T (x) I_n||_{1->p} = n^(2/p)/n on n-dimensional inputs."""
     seeds = _trial_seeds(seed, 6, 1)
@@ -251,27 +271,6 @@ def _run_transpose_instability(seed, trials, restarts):
                     "residual": abs(stab - want),
                 }
             )
-    return details
-
-
-def _run_ahw_fact(seed, trials, restarts):
-    """For CP maps the Hermitian 1->p norm ignores tensoring with an identity."""
-    seeds = _trial_seeds(seed, 7, trials)
-    details = []
-    for i in range(trials):
-        din, dout = _DIMS_ROTATION[i % len(_DIMS_ROTATION)]
-        phi = random_cp_channel(din, dout, 2 + i % 2, seeds[i])
-        cfg = OptimizerConfig(restarts=restarts, seed=seeds[i])
-        worst, at = 0.0, ""
-        for p in (1.0, 2.0, math.inf):
-            base = norm_q_to_p(phi, NormQuery(1.0, p, True), cfg).value
-            stab = norm_q_to_p(phi, NormQuery(1.0, p, True, 2), cfg).value
-            r = abs(base - stab)
-            if r > worst:
-                worst, at = r, f"p={format_exponent(p)}"
-        details.append(
-            {"trial": i, "dims": [din, dout], "seed": seeds[i], "residual": worst, "worst_case": at}
-        )
     return details
 
 
@@ -360,13 +359,13 @@ def _run_monotone_p(seed, trials, restarts):
 
 # claim id -> (tolerance, runner); order fixes the "all" iteration order
 _REGISTRY = {
-    "theorem1": (2e-3, _run_theorem1),
-    "lemma1": (2e-3, _run_lemma1),
+    "theorem1": (2e-3, partial(_run_trials, 1, _theorem1_trial)),
+    "lemma1": (2e-3, partial(_run_trials, 2, _lemma1_trial)),
     "prop_counterexamples": (2e-3, _run_prop_counterexamples),
-    "theorem2": (2e-3, _run_theorem2),
-    "theorem3": (2e-3, _run_theorem3),
+    "theorem2": (2e-3, partial(_run_trials, 4, _theorem2_trial)),
+    "theorem3": (2e-3, partial(_run_trials, 5, _theorem3_trial)),
     "transpose_instability": (2e-3, _run_transpose_instability),
-    "ahw_fact": (2e-3, _run_ahw_fact),
+    "ahw_fact": (2e-3, partial(_run_trials, 7, _ahw_fact_trial)),
     "duality": (1e-8, _run_duality),
     "hoelder": (1e-9, _run_hoelder),
     "block_bounds": (1e-9, _run_block_bounds),

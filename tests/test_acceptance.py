@@ -6,8 +6,10 @@ Budgets: seed 42, 50 trials, 32 restarts unless a criterion states otherwise.
 """
 
 import math
+import time
 
 import numpy as np
+import pytest
 
 from supernorms import (
     NormQuery,
@@ -29,16 +31,23 @@ TRIALS = 50
 RESTARTS = 32
 
 
-def announce(capsys, idx, label, passed, detail):
-    with capsys.disabled():
-        status = "PASS" if passed else "FAIL"
-        print(f"\nACCEPTANCE {idx} {label}: {status} ({detail})", flush=True)
+@pytest.fixture
+def announce(capsys):
+    """Prints a criterion's ACCEPTANCE line, ending with its wall time so far."""
+    start = time.perf_counter()
+
+    def line(idx, label, passed, detail):
+        elapsed = time.perf_counter() - start
+        with capsys.disabled():
+            status = "PASS" if passed else "FAIL"
+            print(f"\nACCEPTANCE {idx} {label}: {status} ({detail}, {elapsed:.1f} s)", flush=True)
+
+    return line
 
 
-def run_claim(capsys, idx, label, claim, trials=TRIALS):
+def run_claim(announce, idx, label, claim, trials=TRIALS):
     report = verify(claim, seed=SEED, trials=trials, restarts=RESTARTS)
     announce(
-        capsys,
         idx,
         label,
         report.passed,
@@ -49,40 +58,40 @@ def run_claim(capsys, idx, label, claim, trials=TRIALS):
     return report
 
 
-def test_criterion_1_transpose_instability(capsys):
-    run_claim(capsys, 1, "transpose plain=1, stabilized=n^(2/p)/n", "transpose_instability")
+def test_criterion_1_transpose_instability(announce):
+    run_claim(announce, 1, "transpose plain=1, stabilized=n^(2/p)/n", "transpose_instability")
 
 
-def test_criterion_2_cp_norms_unchanged_by_hermitian_restriction(capsys):
-    run_claim(capsys, 2, "CP maps: plain equals Hermitian-restricted on the full grid", "theorem1")
+def test_criterion_2_cp_norms_unchanged_by_hermitian_restriction(announce):
+    run_claim(announce, 2, "CP maps: plain equals Hermitian-restricted on the full grid", "theorem1")
 
 
-def test_criterion_3_factorization_bound(capsys):
-    run_claim(capsys, 3, "norm bounded by sqrt of CP factor norms", "lemma1")
+def test_criterion_3_factorization_bound(announce):
+    run_claim(announce, 3, "norm bounded by sqrt of CP factor norms", "lemma1")
 
 
-def test_criterion_4_counterexample_values(capsys):
+def test_criterion_4_counterexample_values(announce):
     report = run_claim(
-        capsys, 4, "non-Hermitian gap examples hit their closed forms", "prop_counterexamples"
+        announce, 4, "non-Hermitian gap examples hit their closed forms", "prop_counterexamples"
     )
     oracle_cases = [d for d in report.details if "oracle" in d["case"]]
     assert len(oracle_cases) == 1
     assert oracle_cases[0]["residual"] <= 1e-3, oracle_cases[0]
 
 
-def test_criterion_5_stability_region(capsys):
-    run_claim(capsys, 5, "ancillas are free once p >= 2 >= q", "theorem2")
+def test_criterion_5_stability_region(announce):
+    run_claim(announce, 5, "ancillas are free once p >= 2 >= q", "theorem2")
 
 
-def test_criterion_6_ancilla_cap(capsys):
-    run_claim(capsys, 6, "ancilla of the input dimension saturates", "theorem3")
+def test_criterion_6_ancilla_cap(announce):
+    run_claim(announce, 6, "ancilla of the input dimension saturates", "theorem3")
 
 
-def test_criterion_7_cp_hermitian_stability(capsys):
-    run_claim(capsys, 7, "CP Hermitian 1->p norms ignore added identities", "ahw_fact")
+def test_criterion_7_cp_hermitian_stability(announce):
+    run_claim(announce, 7, "CP Hermitian 1->p norms ignore added identities", "ahw_fact")
 
 
-def test_criterion_8_exact_identities(capsys):
+def test_criterion_8_exact_identities(announce):
     reports = [
         verify(claim, seed=SEED, trials=200, restarts=RESTARTS)
         for claim in ("duality", "hoelder", "block_bounds", "monotone_p")
@@ -123,13 +132,13 @@ def test_criterion_8_exact_identities(capsys):
         f"svd {worst_svd:.1e}, schmidt {worst_schmidt:.1e}, psd {worst_psd:.1e}, "
         f"{n_checks} checks"
     )
-    announce(capsys, 8, "exact identities at 1e-9 scale", direct_ok and suites_ok, detail)
+    announce(8, "exact identities at 1e-9 scale", direct_ok and suites_ok, detail)
     for r in reports:
         assert r.passed, f"{r.claim_id}: worst residual {r.worst_residual}"
     assert direct_ok, detail
 
 
-def test_criterion_9_optimizer_vs_dense_oracle(capsys):
+def test_criterion_9_optimizer_vs_dense_oracle(announce):
     pairs = [(q, p) for q in (1.0, 2.0, math.inf) for p in (1.0, 2.0, math.inf)]
     roster = []
     for j, (q, p) in enumerate(pairs):
@@ -151,7 +160,6 @@ def test_criterion_9_optimizer_vs_dense_oracle(capsys):
         worst_above = max(worst_above, value - oracle)
     passed = worst_below <= 1e-3 and worst_above <= 5e-3
     announce(
-        capsys,
         9,
         "optimizer within the dense-grid oracle window on 20 qubit instances",
         passed,

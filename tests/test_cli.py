@@ -65,6 +65,30 @@ def test_schatten_missing_file_exits_2(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("schatten", "[" * 200000),
+        ("norm", "[" * 200000),
+        ("schatten", '{"rows": true, "cols": true, "entries": [[2.0, 0.0]]}'),
+        (
+            "norm",
+            '{"dim_in": true, "dim_out": true,'
+            ' "kraus_left": [{"rows": 1, "cols": 1, "entries": [[1.0, 0.0]]}]}',
+        ),
+    ],
+    ids=["deeply-nested-matrix", "deeply-nested-channel", "boolean-rows-cols", "boolean-dims"],
+)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, command, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text, encoding="utf-8")
+    flags = ("--p", "2") if command == "schatten" else ("--q", "1", "--p", "1")
+    code, out, err = run_cli(capsys, command, str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_norm_output_contract(tmp_path, capsys):
     path = write_channel(tmp_path, "phi.json", random_superop(2, 2, 2, 6))
     args = ("norm", path, "--q", "1", "--p", "2", "--seed", "3", "--restarts", "8")
@@ -177,6 +201,27 @@ def test_verify_single_suite(capsys):
     obj = json.loads(lines[0])
     assert obj["claim_id"] == "monotone_p"
     assert obj["passed"] is True
+
+
+def test_broken_worker_pool_exits_2_with_one_line(capsys, monkeypatch):
+    from concurrent.futures.process import BrokenProcessPool
+
+    def died(*args, **kwargs):
+        raise BrokenProcessPool("a worker was killed")
+
+    monkeypatch.setattr("supernorms.cli.verify", died)
+    code, out, err = run_cli(capsys, "verify", "--suite", "theorem1", "--trials", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: worker process failed: a worker was killed\n"
+
+
+def test_other_runtime_errors_still_raise(capsys, monkeypatch):
+    def bug(*args, **kwargs):
+        raise RuntimeError("not a worker failure")
+
+    monkeypatch.setattr("supernorms.cli.verify", bug)
+    with pytest.raises(RuntimeError, match="not a worker failure"):
+        main(["verify", "--suite", "theorem1"])
 
 
 def test_verify_unknown_suite(capsys):

@@ -80,6 +80,7 @@ def test_matrix_from_json_rejects_malformed_text():
         {"rows": 1, "cols": 1, "entries": [[0.0, "x"]]},
         {"rows": 1, "cols": 1, "entries": [[0.0, True]]},
         {"rows": 1, "cols": 1, "entries": [0.0]},
+        {"rows": True, "cols": True, "entries": [[2.0, 0.0]]},
     ],
 )
 def test_matrix_from_obj_rejects_bad_objects(obj):
@@ -128,6 +129,23 @@ def test_channel_from_obj_rejects_bad_objects(mutate):
     mutate(obj)
     with pytest.raises(InvalidInputError):
         channel_from_obj(obj)
+
+
+def test_channel_dimensions_must_not_be_booleans():
+    # a 1 -> 1 map, so the Kraus shapes alone would accept true == 1
+    obj = {"dim_in": 1, "dim_out": 1, "kraus_left": [matrix_to_obj(np.eye(1))]}
+    assert channel_from_obj(obj).dim_in == 1
+    for key in ("dim_in", "dim_out"):
+        with pytest.raises(InvalidInputError):
+            channel_from_obj(dict(obj, **{key: True}))
+
+
+def test_deeply_nested_json_is_invalid_input():
+    text = "[" * 200000
+    with pytest.raises(InvalidInputError, match="nested too deeply"):
+        matrix_from_json(text)
+    with pytest.raises(InvalidInputError, match="nested too deeply"):
+        channel_from_json(text)
 
 
 def test_channel_right_list_length_must_match():

@@ -1,5 +1,8 @@
+import concurrent.futures
+import importlib
 import json
 import math
+import multiprocessing
 
 import pytest
 
@@ -22,6 +25,11 @@ ALL_CLAIMS = (
 # claims whose residuals come from plain linear algebra run at full trial
 # counts in the acceptance module; here every suite gets a smoke budget
 FAST = dict(trials=2, restarts=16)
+
+# the claims whose seeded trials may run in worker processes
+TRIAL_CLAIMS = ("theorem1", "lemma1", "theorem2", "theorem3", "ahw_fact")
+
+verify_module = importlib.import_module("supernorms.verify")
 
 
 def test_claim_registry():
@@ -93,3 +101,56 @@ def test_verify_is_deterministic_in_the_seed():
     c = verify("hoelder", seed=6, trials=3)
     assert a.to_json() == b.to_json()
     assert a.to_json() != c.to_json()
+
+
+@pytest.mark.parametrize("claim", TRIAL_CLAIMS)
+def test_fan_out_matches_the_in_process_run(claim, monkeypatch):
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    reports = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify_module, "_usable_cpus", lambda: cpus)
+        reports[cpus] = verify(claim, seed=7, trials=3, restarts=8).to_json()
+        assert multiprocessing.active_children() == []
+    assert pools == [2]
+    assert reports[1] == reports[2]
+    assert [d["trial"] for d in json.loads(reports[2])["details"]] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("claim", [c for c in ALL_CLAIMS if c not in TRIAL_CLAIMS])
+def test_exact_and_fixed_case_claims_start_no_pool(claim, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was constructed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
+    assert verify(claim, seed=3, trials=3, restarts=8).passed
+
+
+@pytest.mark.parametrize("fails_at", ["construction", "submission"])
+def test_pool_start_failure_runs_in_process(fails_at, monkeypatch):
+    class NoWorkers:
+        def __init__(self, max_workers):
+            if fails_at == "construction":
+                raise OSError(11, "Resource temporarily unavailable")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, *args):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
+    serial = verify("ahw_fact", seed=4, trials=2, restarts=8).to_json()
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoWorkers)
+    assert verify("ahw_fact", seed=4, trials=2, restarts=8).to_json() == serial
