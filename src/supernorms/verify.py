@@ -12,7 +12,9 @@ optimizations carry restart variance); claims that reduce to plain linear
 algebra use 1e-8 .. 1e-10.
 
 The seeded trials of the five claims on random maps run on up to the usable
-CPUs in worker processes; the reports are identical to a serial run.
+CPUs, in the calling process and in forked worker processes, where fork is
+the start method and no other thread runs; the reports are identical to a
+serial run.
 """
 
 from __future__ import annotations
@@ -98,26 +100,60 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _can_fork() -> bool:
+    """Whether trials may run in forked worker processes.
+
+    Only where fork is the start method (the platform default on Linux up to
+    Python 3.13): a spawn or forkserver worker re-imports numpy, which makes
+    the fan-out slower than the serial loop.  And only while no other Python
+    thread runs, since a forked child gets copies of the locks it may hold.
+    """
+    import multiprocessing
+    import threading
+
+    method = multiprocessing.get_start_method(allow_none=True)
+    if method is None:
+        method = multiprocessing.get_all_start_methods()[0]  # the default
+    return method == "fork" and threading.active_count() == 1
+
+
 def _run_trials(salt, trial, seed, trials, restarts):
     """``trial(i, seed_i, restarts)`` for ``i < trials``, in trial order.
 
-    A trial is a pure function of its arguments, so the trials may run in a
-    pool of worker processes that lives only inside this call, or, if no
-    worker can start, in-process: the details are the same bit for bit.
+    A trial is a pure function of its arguments.  Where several CPUs are
+    usable and ``_can_fork`` allows it, the calling process runs trial 0
+    while ``min(trials, usable CPUs) - 1`` forked workers, which live only
+    inside this call, take trials 1, 2, ... in order; the caller then takes
+    trials from the back of the queue until it meets one a worker has
+    started.  The details are the same bit for bit as in a serial run.
     """
     seeds = _trial_seeds(seed, salt, trials)
-    args = (range(trials), seeds, [restarts] * trials)
-    workers = min(trials, _usable_cpus())
-    if workers >= 2:
-        # the default start method: fork on Linux; a spawned worker re-imports numpy
+    workers = min(trials, _usable_cpus()) - 1
+    if workers >= 1 and _can_fork():
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        before = set(multiprocessing.active_children())
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(trial, *args))
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            # the first submission forks every worker
+            queued = [pool.submit(trial, i, seeds[i], restarts) for i in range(1, trials)]
         except OSError:
-            pass  # a trial does no I/O: this is a worker that could not start
-    return list(map(trial, *args))
+            # a worker could not start (a process limit): stop those that did
+            # and run every trial here
+            for child in set(multiprocessing.active_children()) - before:
+                child.terminate()
+                child.join()
+        else:
+            with pool:
+                details = {0: trial(0, seeds[0], restarts)}
+                for i in range(trials - 1, 0, -1):
+                    if not queued[i - 1].cancel():
+                        break  # a worker has this trial and every one before it
+                    details[i] = trial(i, seeds[i], restarts)
+                return [details[i] if i in details else queued[i - 1].result()
+                        for i in range(trials)]
+    return [trial(i, s, restarts) for i, s in enumerate(seeds)]
 
 
 def _trial_map(factory, i, seed, restarts):

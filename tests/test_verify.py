@@ -3,6 +3,9 @@ import importlib
 import json
 import math
 import multiprocessing
+import os
+import threading
+import time
 
 import pytest
 
@@ -108,19 +111,56 @@ def test_fan_out_matches_the_in_process_run(claim, monkeypatch):
     pools = []
 
     class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers, mp_context=mp_context)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
     reports = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(verify_module, "_usable_cpus", lambda: cpus)
         reports[cpus] = verify(claim, seed=7, trials=3, restarts=8).to_json()
         assert multiprocessing.active_children() == []
-    assert pools == [2]
-    assert reports[1] == reports[2]
+        assert threading.active_count() == 1
+    # the calling process runs trials too, so n usable CPUs take n - 1 workers
+    assert pools == [1, 2]
+    assert reports[1] == reports[2] == reports[3]
     assert [d["trial"] for d in json.loads(reports[2])["details"]] == [0, 1, 2]
+
+
+def _pid_trial(i, seed, restarts):
+    time.sleep(0.1)
+    return {"trial": i, "seed": seed, "pid": os.getpid()}
+
+
+def test_the_calling_process_takes_trials_from_both_ends(monkeypatch):
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
+    details = verify_module._run_trials(1, _pid_trial, 9, 8, 4)
+    assert [d["trial"] for d in details] == list(range(8))
+    assert [d["seed"] for d in details] == verify_module._trial_seeds(9, 1, 8)
+    here = [d["trial"] for d in details if d["pid"] == os.getpid()]
+    # trial 0, then trials from the back until one a worker already holds
+    assert here[0] == 0 and here[1:] == list(range(8 - len(here) + 1, 8))
+    assert 2 <= len(here) <= 6
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize(
+    "method, threads",
+    [("spawn", 1), ("forkserver", 1), (None, 1), ("fork", 2)],
+    ids=["spawn", "forkserver", "default-spawn", "fork-with-a-thread"],
+)
+def test_no_pool_unless_fork_is_safe(method, threads, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was constructed")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: method)
+    # None: no method was set, so the first listed (the platform default) applies
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "fork"])
+    monkeypatch.setattr(threading, "active_count", lambda: threads)
+    assert verify("ahw_fact", seed=4, trials=2, restarts=8).passed
 
 
 @pytest.mark.parametrize("claim", [c for c in ALL_CLAIMS if c not in TRIAL_CLAIMS])
@@ -136,17 +176,11 @@ def test_exact_and_fixed_case_claims_start_no_pool(claim, monkeypatch):
 @pytest.mark.parametrize("fails_at", ["construction", "submission"])
 def test_pool_start_failure_runs_in_process(fails_at, monkeypatch):
     class NoWorkers:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
             if fails_at == "construction":
                 raise OSError(11, "Resource temporarily unavailable")
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, *args):
+        def submit(self, *args):
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
@@ -154,3 +188,23 @@ def test_pool_start_failure_runs_in_process(fails_at, monkeypatch):
     monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoWorkers)
     assert verify("ahw_fact", seed=4, trials=2, restarts=8).to_json() == serial
+
+
+def test_partly_started_pool_leaves_no_worker(monkeypatch):
+    # the real executor forks its first worker, then the second fork fails
+    spawn = concurrent.futures.ProcessPoolExecutor._spawn_process
+    spawned = []
+
+    def second_fork_fails(pool):
+        spawned.append(pool)
+        if len(spawned) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        spawn(pool)
+
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
+    serial = verify("ahw_fact", seed=4, trials=3, restarts=8).to_json()
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "_spawn_process", second_fork_fails)
+    assert verify("ahw_fact", seed=4, trials=3, restarts=8).to_json() == serial
+    assert len(spawned) == 2
+    assert multiprocessing.active_children() == []
