@@ -12,9 +12,8 @@ optimizations carry restart variance); claims that reduce to plain linear
 algebra use 1e-8 .. 1e-10.
 
 The seeded trials of the five claims on random maps run on up to the usable
-CPUs, in the calling process and in forked worker processes, where fork is
-the start method and no other thread runs; the reports are identical to a
-serial run.
+CPUs, in the calling process and in forked workers, where fork is the start
+method and no other thread runs; the reports are identical to a serial run.
 """
 
 from __future__ import annotations
@@ -101,58 +100,49 @@ def _usable_cpus() -> int:
 
 
 def _can_fork() -> bool:
-    """Whether trials may run in forked worker processes.
+    """Fork is the start method and no other Python thread runs.
 
-    Only where fork is the start method (the platform default on Linux up to
-    Python 3.13): a spawn or forkserver worker re-imports numpy, which makes
-    the fan-out slower than the serial loop.  And only while no other Python
-    thread runs, since a forked child gets copies of the locks it may hold.
+    A spawn or forkserver worker re-imports numpy, which makes the fan-out
+    slower than the serial loop; a fork beside a running thread can copy a
+    lock that thread holds.
     """
     import multiprocessing
     import threading
 
     method = multiprocessing.get_start_method(allow_none=True)
-    if method is None:
-        method = multiprocessing.get_all_start_methods()[0]  # the default
-    return method == "fork" and threading.active_count() == 1
+    default = multiprocessing.get_all_start_methods()[0]
+    return (method or default) == "fork" and threading.active_count() == 1
 
 
 def _run_trials(salt, trial, seed, trials, restarts):
     """``trial(i, seed_i, restarts)`` for ``i < trials``, in trial order.
 
-    A trial is a pure function of its arguments.  Where several CPUs are
-    usable and ``_can_fork`` allows it, the calling process runs trial 0
-    while ``min(trials, usable CPUs) - 1`` forked workers, which live only
-    inside this call, take trials 1, 2, ... in order; the caller then takes
-    trials from the back of the queue until it meets one a worker has
-    started.  The details are the same bit for bit as in a serial run.
+    A trial is a pure function of its arguments.  Where ``n = min(trials,
+    usable CPUs) >= 2`` and ``_can_fork()``, the calling process runs the
+    last ``trials // n`` trials while ``n - 1`` forked workers, which live
+    only inside this call, share the others.  The details are the same bit
+    for bit as in a serial run.
     """
     seeds = _trial_seeds(seed, salt, trials)
-    workers = min(trials, _usable_cpus()) - 1
-    if workers >= 1 and _can_fork():
+    share = min(trials, _usable_cpus())
+    if share >= 2 and _can_fork():
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        split = trials - trials // share
         before = set(multiprocessing.active_children())
         try:
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            # the first submission forks every worker
-            queued = [pool.submit(trial, i, seeds[i], restarts) for i in range(1, trials)]
+            pool = ProcessPoolExecutor(share - 1, mp_context=multiprocessing.get_context("fork"))
+            theirs = pool.map(trial, range(split), seeds[:split], [restarts] * split)  # forks
         except OSError:
             # a worker could not start (a process limit): stop those that did
-            # and run every trial here
             for child in set(multiprocessing.active_children()) - before:
                 child.terminate()
                 child.join()
         else:
             with pool:
-                details = {0: trial(0, seeds[0], restarts)}
-                for i in range(trials - 1, 0, -1):
-                    if not queued[i - 1].cancel():
-                        break  # a worker has this trial and every one before it
-                    details[i] = trial(i, seeds[i], restarts)
-                return [details[i] if i in details else queued[i - 1].result()
-                        for i in range(trials)]
+                mine = [trial(i, seeds[i], restarts) for i in range(split, trials)]
+                return list(theirs) + mine
     return [trial(i, s, restarts) for i, s in enumerate(seeds)]
 
 
@@ -231,15 +221,17 @@ def _ahw_fact_trial(i, seed, restarts):
     return _trial_detail(i, seed, phi, cases)
 
 
+def _fixed_case(details, name, got, want):
+    """Append a fixed case's record: its value against the closed form."""
+    details.append({"case": name, "value": got, "expected": want, "residual": abs(got - want)})
+
+
 def _run_prop_counterexamples(seed, trials, restarts):
     """The fixed maps where the Hermitian restriction strictly loses value."""
     seeds = _trial_seeds(seed, 3, 1)
     cfg = OptimizerConfig(restarts=restarts, seed=seeds[0])
     details = []
-
-    def case(name, got, want):
-        details.append({"case": name, "value": got, "expected": want, "residual": abs(got - want)})
-
+    case = partial(_fixed_case, details)
     simple = build_example("simple_nonhermitian")
     for q in (1.0, 2.0, 4.0):
         for p in (1.0, math.inf):
@@ -285,28 +277,14 @@ def _run_transpose_instability(seed, trials, restarts):
     seeds = _trial_seeds(seed, 6, 1)
     cfg = OptimizerConfig(restarts=restarts, seed=seeds[0])
     details = []
+    case = partial(_fixed_case, details)
     for n in (2, 3):
         T = build_example(f"transpose({n})")
         for p in (1.0, 1.5, 2.0):
-            plain = norm_1_to_p(T, p, config=cfg).value
-            stab = stabilized_norm(T, p, config=cfg).value
+            at = f"p={format_exponent(p)}"
+            case(f"transpose({n}) plain {at}", norm_1_to_p(T, p, config=cfg).value, 1.0)
             want = n ** (2.0 / p) / n
-            details.append(
-                {
-                    "case": f"transpose({n}) plain p={format_exponent(p)}",
-                    "value": plain,
-                    "expected": 1.0,
-                    "residual": abs(plain - 1.0),
-                }
-            )
-            details.append(
-                {
-                    "case": f"transpose({n}) stabilized p={format_exponent(p)}",
-                    "value": stab,
-                    "expected": want,
-                    "residual": abs(stab - want),
-                }
-            )
+            case(f"transpose({n}) stabilized {at}", stabilized_norm(T, p, config=cfg).value, want)
     return details
 
 

@@ -5,7 +5,6 @@ import math
 import multiprocessing
 import os
 import threading
-import time
 
 import pytest
 
@@ -129,19 +128,17 @@ def test_fan_out_matches_the_in_process_run(claim, monkeypatch):
 
 
 def _pid_trial(i, seed, restarts):
-    time.sleep(0.1)
     return {"trial": i, "seed": seed, "pid": os.getpid()}
 
 
-def test_the_calling_process_takes_trials_from_both_ends(monkeypatch):
-    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 2)
-    details = verify_module._run_trials(1, _pid_trial, 9, 8, 4)
-    assert [d["trial"] for d in details] == list(range(8))
-    assert [d["seed"] for d in details] == verify_module._trial_seeds(9, 1, 8)
-    here = [d["trial"] for d in details if d["pid"] == os.getpid()]
-    # trial 0, then trials from the back until one a worker already holds
-    assert here[0] == 0 and here[1:] == list(range(8 - len(here) + 1, 8))
-    assert 2 <= len(here) <= 6
+@pytest.mark.parametrize("cpus, here", [(2, [3, 4]), (3, [4])])
+def test_the_calling_process_runs_the_last_trials(cpus, here, monkeypatch):
+    # trials // min(trials, cpus) of them, while cpus - 1 workers share the rest
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: cpus)
+    details = verify_module._run_trials(1, _pid_trial, 9, 5, 4)
+    assert [d["trial"] for d in details] == list(range(5))
+    assert [d["seed"] for d in details] == verify_module._trial_seeds(9, 1, 5)
+    assert [d["trial"] for d in details if d["pid"] == os.getpid()] == here
     assert multiprocessing.active_children() == []
 
 
@@ -173,14 +170,14 @@ def test_exact_and_fixed_case_claims_start_no_pool(claim, monkeypatch):
     assert verify(claim, seed=3, trials=3, restarts=8).passed
 
 
-@pytest.mark.parametrize("fails_at", ["construction", "submission"])
+@pytest.mark.parametrize("fails_at", ["construction", "map"])
 def test_pool_start_failure_runs_in_process(fails_at, monkeypatch):
     class NoWorkers:
         def __init__(self, max_workers, mp_context):
             if fails_at == "construction":
                 raise OSError(11, "Resource temporarily unavailable")
 
-        def submit(self, *args):
+        def map(self, *args):
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
