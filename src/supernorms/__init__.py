@@ -18,13 +18,10 @@ from .linalg import (
     as_matrix,
     inner,
     is_hermitian,
-    is_psd,
     left_right_absolutes,
-    operator_abs,
     psd_sqrt,
     schmidt,
     svd,
-    tensor,
 )
 from .schatten import (
     block_norm_bounds,

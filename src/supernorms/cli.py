@@ -44,7 +44,6 @@ def _print_estimate(est, seed: int) -> None:
             {
                 "value": est.value,
                 "converged": est.converged,
-                "restarts_used": est.restarts_used,
                 "seed": seed,
             }
         )

@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Singular values at or below SVD_RANK_CUTOFF * s_1 do not count toward the rank.
-SVD_RANK_CUTOFF = 1e-12
-
 
 def as_matrix(data) -> np.ndarray:
     """Validate ``data`` and return it as a fresh 2-D complex128 array."""
@@ -51,14 +48,6 @@ class SpectralData:
     left_vectors: np.ndarray
     right_vectors: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        """Number of singular values above ``SVD_RANK_CUTOFF`` relative to the largest."""
-        s = self.singular_values
-        if s.size == 0 or s[0] <= 0.0:
-            return 0
-        return int(np.count_nonzero(s > SVD_RANK_CUTOFF * s[0]))
-
     def reconstruct(self) -> np.ndarray:
         """Rebuild the decomposed matrix as ``sum_i s_i left_i right_i^*``."""
         return (self.left_vectors * self.singular_values) @ self.right_vectors.conj().T
@@ -75,7 +64,7 @@ def schmidt(state, dim_left: int, dim_right: int) -> SpectralData:
     """Schmidt decomposition of a unit vector on a bipartite space.
 
     The vector is indexed so that the left factor is the slow index
-    (``index = i_left * dim_right + i_right``, the same layout :func:`tensor`
+    (``index = i_left * dim_right + i_right``, the same layout ``np.kron``
     produces).  Returned coefficients satisfy ``sum s_i^2 == 1`` and the
     vector is recovered as ``sum_i s_i kron(left_i, right_i)``.
     """
@@ -97,11 +86,6 @@ def schmidt(state, dim_left: int, dim_right: int) -> SpectralData:
     U, s, Vh = np.linalg.svd(M, full_matrices=False)
     # Unconjugated rows of Vh make the kron reconstruction identity exact.
     return SpectralData(s, U, Vh.T)
-
-
-def tensor(A, B) -> np.ndarray:
-    """Kronecker product with the left factor as the slow (block) index."""
-    return np.kron(as_matrix(A), as_matrix(B))
 
 
 def inner(X, Y) -> complex:
@@ -126,13 +110,6 @@ def psd_sqrt(H) -> np.ndarray:
     return (U * np.sqrt(lam)) @ U.conj().T
 
 
-def operator_abs(X) -> np.ndarray:
-    """Operator absolute value ``sqrt(X^* X)``."""
-    A = as_matrix(X)
-    _require_square(A, "operator_abs")
-    return psd_sqrt(A.conj().T @ A)
-
-
 def left_right_absolutes(X) -> tuple[np.ndarray, np.ndarray]:
     """The pair ``(sqrt(X X^*), sqrt(X^* X))``.
 
@@ -152,13 +129,3 @@ def is_hermitian(X, tol: float = 1e-10) -> bool:
     if tol < 0:
         raise InvalidInputError("tolerance must be non-negative")
     return bool(np.linalg.norm(A - A.conj().T, 2) <= tol)
-
-
-def is_psd(X, tol: float = 1e-10) -> bool:
-    """True iff ``X`` is Hermitian within ``tol`` and its spectrum is above ``-tol``."""
-    A = as_matrix(X)
-    _require_square(A, "is_psd")
-    if not is_hermitian(A, tol):
-        return False
-    lam = np.linalg.eigvalsh((A + A.conj().T) / 2)
-    return bool(lam.min() >= -tol)

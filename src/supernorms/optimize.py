@@ -86,6 +86,8 @@ class OptimizerConfig:
             raise InvalidInputError("max_iterations must be >= 1")
         if not (self.step_tolerance > 0.0 and self.objective_tolerance > 0.0):
             raise InvalidInputError("tolerances must be positive")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -95,13 +97,12 @@ class NormEstimate:
     ``value`` is recomputed from ``achiever`` after post-processing, so
     re-evaluating the achiever reproduces it exactly; the achiever has unit
     q-norm and is Hermitian when the query was Hermitian-restricted.
-    ``best_restart`` is the lowest restart index attaining the maximum.
+    ``converged`` tells whether the restart that attained the maximum (the
+    lowest such index) met a tolerance before ``max_iterations`` ran out.
     """
 
     value: float
     achiever: np.ndarray
-    restarts_used: int
-    best_restart: int
     converged: bool
 
     def __post_init__(self):
@@ -212,7 +213,7 @@ def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: Opti
                 break
     final = pnorm(np.linalg.svd(_kraus_act(left, right, X, k), compute_uv=False), p, axis=-1)
     best = int(np.argmax(final))
-    return X[best], best, bool(converged[best])
+    return X[best], bool(converged[best])
 
 
 def _polish_achiever(X: np.ndarray, q: float, constraint: str) -> np.ndarray:
@@ -243,7 +244,7 @@ def _estimate(phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerCon
             f"needs {cfg.restarts} x {side} x {side} iterates, over the limit of "
             f"{_MAX_STACK_ENTRIES} entries"
         )
-    Xbest, best, conv = _ascend(phi, max(k, 1), query.q, query.p, constraint, cfg)
+    Xbest, conv = _ascend(phi, max(k, 1), query.q, query.p, constraint, cfg)
     achiever = _polish_achiever(Xbest, query.q, constraint)
     # the reference map, so that re-evaluating the achiever reproduces ``value``
     phi_eff = tensor_identity(phi, k) if k else phi
@@ -251,8 +252,6 @@ def _estimate(phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerCon
     return NormEstimate(
         value=value,
         achiever=achiever,
-        restarts_used=cfg.restarts,
-        best_restart=best,
         converged=conv,
     )
 
@@ -525,13 +524,16 @@ def explore_open_question(
     q = require_exponent(q)
     p = require_exponent(p)
     question = int(question)
+    samples = int(samples)
+    if samples < 1:
+        raise InvalidInputError("samples must be >= 1")
     if question == 1:
         stab = stabilized_norm(phi, p, hermitian_restricted=False, config=cfg).value
         herm = NormQuery(1.0, p, hermitian_restricted=True)
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 101]))
         n = phi.n_terms
         records = []
-        for i in range(max(1, int(samples))):
+        for i in range(samples):
             if i == 0:
                 mixer = np.eye(n, dtype=np.complex128)
             else:

@@ -152,12 +152,18 @@ def _trial_map(factory, i, seed, restarts):
     return factory(din, dout, 2 + i % 2, seed), OptimizerConfig(restarts=restarts, seed=seed)
 
 
-def _trial_detail(i, seed, phi, cases) -> dict:
-    """Trial i's record: the first largest residual over ``(residual, label)`` cases."""
+def _worst(cases) -> tuple[float, str]:
+    """The first largest residual over ``(residual, label)`` cases and its label."""
     worst, at = 0.0, ""
     for r, label in cases:
         if r > worst:
             worst, at = r, label
+    return worst, at
+
+
+def _trial_detail(i, seed, phi, cases) -> dict:
+    """Trial i's record on its map."""
+    worst, at = _worst(cases)
     dims = [phi.dim_in, phi.dim_out]
     return {"trial": i, "dims": dims, "seed": seed, "residual": worst, "worst_case": at}
 
@@ -288,87 +294,67 @@ def _run_transpose_instability(seed, trials, restarts):
     return details
 
 
-def _run_duality(seed, trials, restarts):
+def _run_exact(salt, trial, seed, trials, restarts):
+    """``trial(rng) -> (shape_fields, cases)`` for ``i < trials`` on one seeded stream."""
+    rng = _rng(seed, salt)
+    details = []
+    for i in range(trials):
+        fields, cases = trial(rng)
+        worst, at = _worst(cases)
+        details.append({"trial": i, **fields, "residual": worst, "worst_case": at})
+    return details
+
+
+def _duality_trial(rng):
     """The dual-norm witness attains ||X||_p with a unit dual-norm certificate."""
-    rng = _rng(seed, 8)
-    details = []
-    for i in range(trials):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(2, 7))
-        X = _random_matrix(rng, n, m)
-        worst, at = 0.0, ""
-        for p in _EXPONENT_GRID:
-            Y = duality_witness(X, p)
-            r = max(
-                abs(inner(Y, X) - schatten_norm(X, p)),
-                abs(schatten_norm(Y, dual_exponent(p)) - 1.0),
-            )
-            if r > worst:
-                worst, at = r, f"p={format_exponent(p)}"
-        details.append({"trial": i, "shape": [n, m], "residual": worst, "worst_case": at})
-    return details
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(2, 7))
+    X = _random_matrix(rng, n, m)
+    cases = []
+    for p in _EXPONENT_GRID:
+        Y = duality_witness(X, p)
+        attained = abs(inner(Y, X) - schatten_norm(X, p))
+        unit = abs(schatten_norm(Y, dual_exponent(p)) - 1.0)
+        cases.append((max(attained, unit), f"p={format_exponent(p)}"))
+    return {"shape": [n, m]}, cases
 
 
-def _run_hoelder(seed, trials, restarts):
-    rng = _rng(seed, 9)
-    details = []
-    for i in range(trials):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(2, 7))
-        X = _random_matrix(rng, n, m)
-        Y = _random_matrix(rng, n, m)
-        worst, at = 0.0, ""
-        for p in _EXPONENT_GRID:
-            r = max(0.0, -hoelder_gap(X, Y, p))
-            if r > worst:
-                worst, at = r, f"p={format_exponent(p)}"
-        details.append({"trial": i, "shape": [n, m], "residual": worst, "worst_case": at})
-    return details
+def _hoelder_trial(rng):
+    """|<X, Y>| <= ||X||_p ||Y||_p* for X and Y of one shape."""
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(2, 7))
+    X = _random_matrix(rng, n, m)
+    Y = _random_matrix(rng, n, m)
+    cases = [(max(0.0, -hoelder_gap(X, Y, p)), f"p={format_exponent(p)}") for p in _EXPONENT_GRID]
+    return {"shape": [n, m]}, cases
 
 
-def _run_block_bounds(seed, trials, restarts):
+def _block_bounds_trial(rng):
     """Squared block norms bound the squared full norm from the p-dependent side."""
-    rng = _rng(seed, 10)
-    details = []
-    for i in range(trials):
-        br = int(rng.integers(1, 4))
-        bc = int(rng.integers(1, 4))
-        h = int(rng.integers(1, 4))
-        w = int(rng.integers(1, 4))
-        X = _random_matrix(rng, br * h, bc * w)
-        worst, at = 0.0, ""
-        for p in _EXPONENT_GRID:
-            lhs, rhs = block_norm_bounds(X, br, bc, p)
-            if p <= 2.0:
-                r = max(0.0, lhs - rhs)
-            else:
-                r = max(0.0, rhs - lhs)
-            if p == 2.0:
-                r = abs(lhs - rhs)
-            if r > worst:
-                worst, at = r, f"p={format_exponent(p)}"
-        details.append(
-            {"trial": i, "blocks": [br, bc], "block_shape": [h, w], "residual": worst, "worst_case": at}
-        )
-    return details
+    br = int(rng.integers(1, 4))
+    bc = int(rng.integers(1, 4))
+    h = int(rng.integers(1, 4))
+    w = int(rng.integers(1, 4))
+    X = _random_matrix(rng, br * h, bc * w)
+    cases = []
+    for p in _EXPONENT_GRID:
+        lhs, rhs = block_norm_bounds(X, br, bc, p)
+        slack = lhs - rhs if p <= 2.0 else rhs - lhs
+        r = abs(slack) if p == 2.0 else max(0.0, slack)
+        cases.append((r, f"p={format_exponent(p)}"))
+    return {"blocks": [br, bc], "block_shape": [h, w]}, cases
 
 
-def _run_monotone_p(seed, trials, restarts):
+def _monotone_p_trial(rng):
     """||A||_p <= ||A||_q whenever p >= q."""
-    rng = _rng(seed, 11)
-    details = []
-    for i in range(trials):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(2, 7))
-        A = _random_matrix(rng, n, m)
-        worst, at = 0.0, ""
-        for qi, q in enumerate(_EXPONENT_GRID):
-            for p in _EXPONENT_GRID[qi:]:
-                r = max(0.0, schatten_norm(A, p) - schatten_norm(A, q))
-                if r > worst:
-                    worst, at = r, _label(q, p)
-        details.append({"trial": i, "shape": [n, m], "residual": worst, "worst_case": at})
-    return details
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(2, 7))
+    A = _random_matrix(rng, n, m)
+    cases = []
+    for qi, q in enumerate(_EXPONENT_GRID):
+        for p in _EXPONENT_GRID[qi:]:
+            cases.append((max(0.0, schatten_norm(A, p) - schatten_norm(A, q)), _label(q, p)))
+    return {"shape": [n, m]}, cases
 
 
 # claim id -> (tolerance, runner); order fixes the "all" iteration order
@@ -380,10 +366,10 @@ _REGISTRY = {
     "theorem3": (2e-3, partial(_run_trials, 5, _theorem3_trial)),
     "transpose_instability": (2e-3, _run_transpose_instability),
     "ahw_fact": (2e-3, partial(_run_trials, 7, _ahw_fact_trial)),
-    "duality": (1e-8, _run_duality),
-    "hoelder": (1e-9, _run_hoelder),
-    "block_bounds": (1e-9, _run_block_bounds),
-    "monotone_p": (1e-10, _run_monotone_p),
+    "duality": (1e-8, partial(_run_exact, 8, _duality_trial)),
+    "hoelder": (1e-9, partial(_run_exact, 9, _hoelder_trial)),
+    "block_bounds": (1e-9, partial(_run_exact, 10, _block_bounds_trial)),
+    "monotone_p": (1e-10, partial(_run_exact, 11, _monotone_p_trial)),
 }
 
 

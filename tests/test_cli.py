@@ -95,8 +95,7 @@ def test_norm_output_contract(tmp_path, capsys):
     code, out1, _ = run_cli(capsys, *args)
     assert code == 0
     obj = json.loads(out1)
-    assert list(obj) == ["value", "converged", "restarts_used", "seed"]
-    assert obj["restarts_used"] == 8
+    assert list(obj) == ["value", "converged", "seed"]
     assert obj["seed"] == 3
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
@@ -242,6 +241,27 @@ def test_explore_question_two(tmp_path, capsys):
     values = [row["value"] for row in obj["profile"]]
     assert values[0] == pytest.approx(1.0, abs=2e-3)
     assert values[1] == pytest.approx(2.0, abs=2e-3)
+
+
+@pytest.mark.parametrize("command", ["norm", "stabilized", "explore"])
+def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, command):
+    path = write_channel(tmp_path, "phi.json", random_superop(2, 2, 2, 6))
+    flags = {
+        "norm": ("--q", "1", "--p", "2"),
+        "stabilized": ("--p", "1"),
+        "explore": ("--question", "2"),
+    }
+    code, out, err = run_cli(capsys, command, path, *flags[command], "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_explore_samples_below_one_exit_2(tmp_path, capsys, samples):
+    path = write_channel(tmp_path, "phi.json", random_superop(2, 2, 2, 6))
+    code, out, err = run_cli(capsys, "explore", path, "--question", "1", "--samples", samples)
+    assert (code, out) == (2, "")
+    assert err == "error: samples must be >= 1\n"
 
 
 def test_usage_error_exits_2(capsys):

@@ -105,6 +105,40 @@ def test_verify_is_deterministic_in_the_seed():
     assert a.to_json() != c.to_json()
 
 
+# the exact claims' records at seed 42 and 3 trials, residuals left out: the
+# fields that show each trial drew the same shape from the claim's stream
+EXACT_RECORDS = {
+    "duality": [
+        {"trial": 0, "shape": [4, 6]},
+        {"trial": 1, "shape": [2, 4]},
+        {"trial": 2, "shape": [5, 2]},
+    ],
+    "hoelder": [
+        {"trial": 0, "shape": [6, 4]},
+        {"trial": 1, "shape": [4, 3]},
+        {"trial": 2, "shape": [3, 4]},
+    ],
+    "block_bounds": [
+        {"trial": 0, "blocks": [3, 2], "block_shape": [2, 3]},
+        {"trial": 1, "blocks": [3, 1], "block_shape": [3, 3]},
+        {"trial": 2, "blocks": [3, 3], "block_shape": [1, 2]},
+    ],
+    "monotone_p": [
+        {"trial": 0, "shape": [4, 2]},
+        {"trial": 1, "shape": [3, 6]},
+        {"trial": 2, "shape": [6, 4]},
+    ],
+}
+
+
+@pytest.mark.parametrize("claim", EXACT_RECORDS)
+def test_exact_claim_records_are_pinned(claim):
+    details = json.loads(verify(claim, seed=42, trials=3).to_json())["details"]
+    for got, want in zip(details, EXACT_RECORDS[claim], strict=True):
+        assert list(got) == [*want, "residual", "worst_case"]
+        assert {k: got[k] for k in want} == want
+
+
 @pytest.mark.parametrize("claim", TRIAL_CLAIMS)
 def test_fan_out_matches_the_in_process_run(claim, monkeypatch):
     pools = []
