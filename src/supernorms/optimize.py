@@ -37,13 +37,25 @@ from .superop import (
     tensor_identity,
 )
 
-# grid points evaluated per vectorized sweep of the brute-force oracle
-_ORACLE_CHUNK = 1 << 18
+# output entries one vectorized sweep of the brute-force oracle may hold
+_ORACLE_CHUNK_ENTRIES = 1 << 20
 
 # complex entries one stacked ascent iterate may hold (2^26 entries = 1 GiB)
 _MAX_STACK_ENTRIES = 1 << 26
 
 _CONSTRAINTS = ("full", "hermitian", "psd")
+
+
+def _require_count(value, name: str) -> int:
+    """``value`` as an int; booleans and fractional numbers are refused."""
+    try:
+        count = int(value)
+        whole = count == value and not isinstance(value, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise InvalidInputError(f"{name} must be a whole number, got {value!r}")
+    return count
 
 
 @dataclass(frozen=True)
@@ -60,7 +72,7 @@ class NormQuery:
         object.__setattr__(self, "q", require_exponent(self.q))
         object.__setattr__(self, "p", require_exponent(self.p))
         object.__setattr__(self, "hermitian_restricted", bool(self.hermitian_restricted))
-        k = int(self.stabilize_dim)
+        k = _require_count(self.stabilize_dim, "stabilize_dim")
         if k < 0:
             raise InvalidInputError(f"stabilize_dim must be >= 0, got {k}")
         object.__setattr__(self, "stabilize_dim", k)
@@ -75,11 +87,11 @@ class OptimizerConfig:
     seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(self, "restarts", int(self.restarts))
-        object.__setattr__(self, "max_iterations", int(self.max_iterations))
+        object.__setattr__(self, "restarts", _require_count(self.restarts, "restarts"))
+        object.__setattr__(self, "max_iterations", _require_count(self.max_iterations, "max_iterations"))
         object.__setattr__(self, "step_tolerance", float(self.step_tolerance))
         object.__setattr__(self, "objective_tolerance", float(self.objective_tolerance))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _require_count(self.seed, "seed"))
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
         if self.max_iterations < 1:
@@ -352,26 +364,46 @@ def _flat_out_pnorm(out_flat: np.ndarray, dout: int, p: float) -> np.ndarray:
     return pnorm(s, p, axis=-1)
 
 
+# the oracle's sphere grids, keyed by (1 < q < inf, hermitian): rows are the
+# row-major 2x2 matrices B_i of the inputs sum_i x_i B_i
+_SPHERE_BASES = {
+    # Bloch sphere, sigma_z, sigma_x, sigma_y
+    (False, True): np.array([[1, 0, 0, -1], [0, 1, 1, 0], [0, -1j, 1j, 0]]),
+    # S^3 to the unitaries [[z1, -z2*], [z2, z1*]], z1 = x0 + i x1, z2 = x2 + i x3
+    (False, False): np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, -1, 1, 0], [0, 1j, 1j, 0]]),
+    # S^3 to the Hermitian [[x0, x2 + i x3], [x2 - i x3, x1]]
+    (True, True): np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0]]),
+    # S^7 to all of 2x2: real and imaginary matrix units
+    (True, False): np.kron(np.eye(4), [[1], [1j]]),
+}
+
+
 def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float:
     """Grid maximum over a dense parameterization of the feasible set.
 
     Only qubit input spaces are in scope.  ``resolution`` counts grid points
-    per angle.  For q = 1 and q = inf the grid walks the extreme points of
-    the input ball directly (rank-one matrices, reflections, unitaries), so
-    the objective stays smooth in the angles: 2 angles when Hermitian, 4 and
-    3 otherwise.  For finite q > 1 there is no such reduction and the grid
-    covers the sphere of coordinate vectors, 3 angles for the Hermitian 2x2
-    space and 7 for the full one, so the unrestricted finite-q grid is only
-    usable at very coarse resolutions.  The result is always a valid lower
-    bound and converges to the norm as the resolution grows.
+    per angle.  Five of the six grids are one sphere walk: unit real
+    coordinate vectors ``x`` on a grid of hyperspherical angles, mapped to the
+    inputs ``sum_i x_i B_i`` of a fixed basis.  On the Bloch sphere (2 angles,
+    Pauli basis) these are the reflections ``n.sigma``, which with ``I`` are
+    the extreme points of the Hermitian q = inf ball, or, shifted, the pure
+    states ``(I + n.sigma) / 2`` for Hermitian q = 1.  On S^3 (3 angles) they
+    are the unitaries for q = inf, or the Hermitian sphere for finite q; on
+    S^7 (7 angles, real and imaginary matrix units) the whole 2x2 sphere for
+    finite q, usable only at very coarse resolutions.  Finite-q points are
+    rescaled by their q-norm.  The q = 1 grid without the restriction is a
+    rank-one walk over ``u v*`` for Bloch states u and v (4 angles).  Walking
+    extreme points keeps the objective smooth in the angles.  The result is
+    always a valid lower bound and converges to the norm as the resolution
+    grows.
 
-    For even ``resolution`` only half of each sphere grid (finite q, and the
-    reflections and unitaries at q = inf) is evaluated: the grid is closed
-    under ``X -> -X``, the objective is even, and every skipped point's
-    antipode lies on the evaluated half, so the maximum is the same.
-    ``resolution`` still counts grid points per angle.
+    For even ``resolution`` only half of each sphere grid except the q = 1
+    one is evaluated: the grid is closed under ``X -> -X``, the objective is
+    even, and every skipped point's antipode lies on the evaluated half, so
+    the maximum is the same.  ``resolution`` still counts grid points per
+    angle.
     """
-    R = int(resolution)
+    R = _require_count(resolution, "resolution")
     if R < 2:
         raise InvalidInputError("resolution must be at least 2")
     if query.stabilize_dim:
@@ -380,7 +412,7 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
         raise UnsupportedInstanceError(
             f"oracle grids require dim_in <= 2, got {phi.dim_in}"
         )
-    q, p = query.q, query.p
+    q, p, herm = query.q, query.p, query.hermitian_restricted
     din, dout = phi.dim_in, phi.dim_out
     if din == 1:
         return float(pnorm(np.linalg.svd(apply(phi, np.ones((1, 1))), compute_uv=False), p))
@@ -388,96 +420,43 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     transfer_t = choi_matrix(phi).reshape(din, dout, din, dout).transpose(0, 2, 1, 3).reshape(din**2, -1)
     thetas = np.linspace(0.0, math.pi, R)
     phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
-    # sphere grids: for even R, theta index i pairs with R - 1 - i and
-    # phi_j + pi = phi_(j + R/2), so the antipode of every point with a first
-    # theta index >= R/2 is on the lower half
-    lead = R // 2 if R % 2 == 0 else R
+    chunk = max(1, _ORACLE_CHUNK_ENTRIES // dout**2)
     best = 0.0
-
-    def push(flat, dens=None, transfer=transfer_t):
-        nonlocal best
-        # real coordinates times the real view of a complex transfer give the
-        # real view of the complex outputs; on complex inputs the view is a no-op
-        vals = _flat_out_pnorm((flat @ transfer).view(np.complex128), dout, p)
-        if dens is not None:
-            vals = vals / dens
-        best = max(best, float(vals.max()))
-
-    if q == 1.0:
-        # rank-one inputs: the trace-norm ball's extreme points are u v*
-        # (v = u when restricted to the Hermitian cone, up to overall sign)
+    if q == 1.0 and not herm:
+        # rank-one inputs u v*, the trace-norm ball's extreme points
         ca, sa = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
         ph = np.exp(1j * phis)
-        if query.hermitian_restricted:
-            for i0, i1 in _chunked_indices((R, R), _ORACLE_CHUNK):
-                a, s = ca[i0], sa[i0]
-                b = s * ph[i1]
-                flat = np.empty((a.size, 4), dtype=np.complex128)
-                flat[:, 0] = a * a
-                flat[:, 1] = a * b.conj()
-                flat[:, 2] = a * b
-                flat[:, 3] = s * s
-                push(flat)
-        else:
-            for i0, i1, i2, i3 in _chunked_indices((R, R, R, R), _ORACLE_CHUNK):
-                ua, ub = ca[i0], sa[i0] * ph[i1]
-                va, vb = ca[i2], sa[i2] * ph[i3]
-                flat = np.empty((ua.size, 4), dtype=np.complex128)
-                flat[:, 0] = ua * va.conj()
-                flat[:, 1] = ua * vb.conj()
-                flat[:, 2] = ub * va.conj()
-                flat[:, 3] = ub * vb.conj()
-                push(flat)
+        for i0, i1, i2, i3 in _chunked_indices((R, R, R, R), chunk):
+            ua, ub = ca[i0], sa[i0] * ph[i1]
+            va, vb = ca[i2], sa[i2] * ph[i3]
+            flat = np.empty((ua.size, 4), dtype=np.complex128)
+            flat[:, 0] = ua * va.conj()
+            flat[:, 1] = ua * vb.conj()
+            flat[:, 2] = ub * va.conj()
+            flat[:, 3] = ub * vb.conj()
+            best = max(best, float(_flat_out_pnorm(flat @ transfer_t, dout, p).max()))
         return best
-    if math.isinf(q):
-        # extreme points of the operator-norm ball: reflections 2 psi psi* - I
-        # (plus I itself) in the Hermitian case, unitaries otherwise; sampling
-        # them directly avoids the eigenvalue-crossing kink a normalized
-        # direction grid would have to straddle
-        if query.hermitian_restricted:
-            push(np.array([[1.0, 0.0, 0.0, 1.0]], dtype=np.complex128))
-            ca, sa = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
-            ph = np.exp(1j * phis)
-            for i0, i1 in _chunked_indices((lead, R), _ORACLE_CHUNK):
-                a, s = ca[i0], sa[i0]
-                b = s * ph[i1]
-                flat = np.empty((a.size, 4), dtype=np.complex128)
-                flat[:, 0] = 2.0 * a * a - 1.0
-                flat[:, 1] = 2.0 * a * b.conj()
-                flat[:, 2] = 2.0 * a * b
-                flat[:, 3] = 1.0 - 2.0 * a * a
-                push(flat)
-            return best
-        axes = [thetas, thetas, phis]
-        cos_t = [np.cos(a) for a in axes]
-        sin_t = [np.sin(a) for a in axes]
-        for idx in _chunked_indices((lead, R, R), _ORACLE_CHUNK):
-            m = idx[0].size
-            x = np.empty((m, 4))
-            running = np.ones(m)
-            for d in range(3):
-                x[:, d] = running * cos_t[d][idx[d]]
-                running = running * sin_t[d][idx[d]]
-            x[:, 3] = running
-            z1 = x[:, 0] + 1j * x[:, 1]
-            z2 = x[:, 2] + 1j * x[:, 3]
-            flat = np.empty((m, 4), dtype=np.complex128)
-            flat[:, 0] = z1
-            flat[:, 1] = -z2.conj()
-            flat[:, 2] = z2
-            flat[:, 3] = z1.conj()
-            push(flat)
-        return best
-    # 1 < q < inf: walk the unit sphere of real coordinate vectors (4 for the
-    # Hermitian 2x2 space, 8 otherwise) and rescale by the direction's q-norm
-    n_angles = 3 if query.hermitian_restricted else 7
+    finite = not (q == 1.0 or math.isinf(q))
+    basis = _SPHERE_BASES[finite, herm]
+    n_angles = basis.shape[0] - 1
+    image = basis @ transfer_t
+    eye = transfer_t[0] + transfer_t[3]  # the image of I
+    if q == 1.0:
+        # the pure states (I + n.sigma) / 2
+        image, shift = image / 2.0, (eye / 2.0).view(np.float64)
+    elif math.isinf(q) and herm:
+        best = float(_flat_out_pnorm(eye[None], dout, p)[0])
+    # real coordinates times the real view of a complex image give the real
+    # view of the complex outputs
+    image = image.view(np.float64)
     axes = [thetas] * (n_angles - 1) + [phis]
     cos_t = [np.cos(a) for a in axes]
     sin_t = [np.sin(a) for a in axes]
-    # images of the Hermitian basis E00, E11, E01 + E10, i(E01 - E10)
-    t = transfer_t
-    herm_t = np.stack([t[0], t[3], t[1] + t[2], 1j * (t[1] - t[2])]).view(np.float64)
-    for idx in _chunked_indices((lead,) + (R,) * (n_angles - 1), _ORACLE_CHUNK):
+    # for even R, theta index i pairs with R - 1 - i and phi_j + pi =
+    # phi_(j + R/2), so the antipode of every point with a first theta index
+    # >= R/2 is on the lower half; the q = 1 states have no antipodes
+    lead = R // 2 if R % 2 == 0 and q != 1.0 else R
+    for idx in _chunked_indices((lead,) + (R,) * (n_angles - 1), chunk):
         m = idx[0].size
         x = np.empty((m, n_angles + 1))
         running = np.ones(m)
@@ -485,18 +464,22 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
             x[:, d] = running * cos_t[d][idx[d]]
             running = running * sin_t[d][idx[d]]
         x[:, n_angles] = running
-        if query.hermitian_restricted:
+        out = x @ image
+        if q == 1.0:
+            out += shift
+        vals = _flat_out_pnorm(out.view(np.complex128), dout, p)
+        # the outputs are the chunk's largest array: free them before the
+        # input norms and the next chunk's coordinates are allocated
+        del out
+        if finite and herm:
+            # eigenvalues mean +- rad: the route through the Frobenius norm and
+            # the determinant would lose the small one to cancellation
             mean = (x[:, 0] + x[:, 1]) / 2.0
             rad = np.sqrt((x[:, 0] - x[:, 1]) ** 2 / 4.0 + x[:, 2] ** 2 + x[:, 3] ** 2)
-            push(x, _pair_pnorm(np.abs(mean + rad), np.abs(mean - rad), q), herm_t)
-        else:
-            flat = x.view(np.complex128)
-            # the coordinate vector is unit, so the squared Frobenius norm is 1
-            det = flat[:, 0] * flat[:, 3] - flat[:, 1] * flat[:, 2]
-            g = np.sqrt(np.maximum(1.0 - 4.0 * np.abs(det) ** 2, 0.0))
-            hi = np.sqrt((1.0 + g) / 2.0)
-            lo = np.sqrt(np.maximum((1.0 - g) / 2.0, 0.0))
-            push(flat, _pair_pnorm(hi, lo, q))
+            vals = vals / _pair_pnorm(np.abs(mean + rad), np.abs(mean - rad), q)
+        elif finite:
+            vals = vals / _flat_out_pnorm(x.view(np.complex128), 2, q)
+        best = max(best, float(vals.max()))
     return best
 
 

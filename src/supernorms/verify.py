@@ -31,6 +31,7 @@ from .errors import InvalidInputError
 from .optimize import (
     NormQuery,
     OptimizerConfig,
+    _require_count,
     brute_force_oracle,
     factorization_bound,
     norm_1_to_p,
@@ -227,30 +228,30 @@ def _ahw_fact_trial(i, seed, restarts):
     return _trial_detail(i, seed, phi, cases)
 
 
-def _fixed_case(details, name, got, want):
-    """Append a fixed case's record: its value against the closed form."""
-    details.append({"case": name, "value": got, "expected": want, "residual": abs(got - want)})
+def _run_fixed(salt, cases, seed, trials, restarts):
+    """``cases(cfg) -> (name, value, expected)`` on the fixed example maps; ``trials`` is unused."""
+    cfg = OptimizerConfig(restarts=restarts, seed=_trial_seeds(seed, salt, 1)[0])
+    return [
+        {"case": name, "value": got, "expected": want, "residual": abs(got - want)}
+        for name, got, want in cases(cfg)
+    ]
 
 
-def _run_prop_counterexamples(seed, trials, restarts):
+def _counterexample_cases(cfg):
     """The fixed maps where the Hermitian restriction strictly loses value."""
-    seeds = _trial_seeds(seed, 3, 1)
-    cfg = OptimizerConfig(restarts=restarts, seed=seeds[0])
-    details = []
-    case = partial(_fixed_case, details)
     simple = build_example("simple_nonhermitian")
     for q in (1.0, 2.0, 4.0):
         for p in (1.0, math.inf):
-            case(f"simple plain {_label(q, p)}", norm_q_to_p(simple, NormQuery(q, p), cfg).value, 1.0)
-            case(
+            yield f"simple plain {_label(q, p)}", norm_q_to_p(simple, NormQuery(q, p), cfg).value, 1.0
+            yield (
                 f"simple hermitian {_label(q, p)}",
                 norm_q_to_p(simple, NormQuery(q, p, True), cfg).value,
                 2.0 ** (-1.0 / q),
             )
     qinf = build_example("qinf_nonhermitian")
     for p in (1.0, math.inf):
-        case(f"qinf plain {_label(math.inf, p)}", norm_q_to_p(qinf, NormQuery(math.inf, p), cfg).value, 1.0)
-        case(
+        yield f"qinf plain {_label(math.inf, p)}", norm_q_to_p(qinf, NormQuery(math.inf, p), cfg).value, 1.0
+        yield (
             f"qinf hermitian {_label(math.inf, p)}",
             norm_q_to_p(qinf, NormQuery(math.inf, p, True), cfg).value,
             1.0 / math.sqrt(2.0),
@@ -259,8 +260,8 @@ def _run_prop_counterexamples(seed, trials, restarts):
     dd = difference(ident, depol)
     for p in (1.5, 2.0, math.inf):
         inv_p = 0.0 if math.isinf(p) else 1.0 / p
-        case(f"depolarizing plain p={format_exponent(p)}", norm_1_to_p(dd, p, config=cfg).value, 1.0)
-        case(
+        yield f"depolarizing plain p={format_exponent(p)}", norm_1_to_p(dd, p, config=cfg).value, 1.0
+        yield (
             f"depolarizing hermitian p={format_exponent(p)}",
             norm_1_to_p(dd, p, True, config=cfg).value,
             2.0**inv_p / 2.0,
@@ -268,30 +269,24 @@ def _run_prop_counterexamples(seed, trials, restarts):
     phi0, phi1 = build_example("dim4_pair")
     d4 = difference(phi0, phi1)
     root2 = math.sqrt(2.0)
-    case("dim4 plain p=1", norm_1_to_p(d4, 1.0, config=cfg).value, 2.0)
-    case("dim4 hermitian p=1", norm_1_to_p(d4, 1.0, True, config=cfg).value, root2)
-    case(
+    yield "dim4 plain p=1", norm_1_to_p(d4, 1.0, config=cfg).value, 2.0
+    yield "dim4 hermitian p=1", norm_1_to_p(d4, 1.0, True, config=cfg).value, root2
+    yield (
         "dim4 hermitian p=1 oracle res=400",
         brute_force_oracle(d4, NormQuery(1.0, 1.0, True), 400),
         root2,
     )
-    return details
 
 
-def _run_transpose_instability(seed, trials, restarts):
+def _transpose_cases(cfg):
     """||T||_p = 1 but ||T (x) I_n||_{1->p} = n^(2/p)/n on n-dimensional inputs."""
-    seeds = _trial_seeds(seed, 6, 1)
-    cfg = OptimizerConfig(restarts=restarts, seed=seeds[0])
-    details = []
-    case = partial(_fixed_case, details)
     for n in (2, 3):
         T = build_example(f"transpose({n})")
         for p in (1.0, 1.5, 2.0):
             at = f"p={format_exponent(p)}"
-            case(f"transpose({n}) plain {at}", norm_1_to_p(T, p, config=cfg).value, 1.0)
+            yield f"transpose({n}) plain {at}", norm_1_to_p(T, p, config=cfg).value, 1.0
             want = n ** (2.0 / p) / n
-            case(f"transpose({n}) stabilized {at}", stabilized_norm(T, p, config=cfg).value, want)
-    return details
+            yield f"transpose({n}) stabilized {at}", stabilized_norm(T, p, config=cfg).value, want
 
 
 def _run_exact(salt, trial, seed, trials, restarts):
@@ -361,10 +356,10 @@ def _monotone_p_trial(rng):
 _REGISTRY = {
     "theorem1": (2e-3, partial(_run_trials, 1, _theorem1_trial)),
     "lemma1": (2e-3, partial(_run_trials, 2, _lemma1_trial)),
-    "prop_counterexamples": (2e-3, _run_prop_counterexamples),
+    "prop_counterexamples": (2e-3, partial(_run_fixed, 3, _counterexample_cases)),
     "theorem2": (2e-3, partial(_run_trials, 4, _theorem2_trial)),
     "theorem3": (2e-3, partial(_run_trials, 5, _theorem3_trial)),
-    "transpose_instability": (2e-3, _run_transpose_instability),
+    "transpose_instability": (2e-3, partial(_run_fixed, 6, _transpose_cases)),
     "ahw_fact": (2e-3, partial(_run_trials, 7, _ahw_fact_trial)),
     "duality": (1e-8, partial(_run_exact, 8, _duality_trial)),
     "hoelder": (1e-9, partial(_run_exact, 9, _hoelder_trial)),
@@ -395,8 +390,8 @@ def verify(claim_id: str, seed: int = 42, trials: int = 50, restarts: int = 32) 
         raise InvalidInputError(
             f"unknown claim id {claim_id!r}; known: {', '.join(_REGISTRY)}"
         )
-    trials = int(trials)
-    restarts = int(restarts)
+    trials = _require_count(trials, "trials")
+    restarts = _require_count(restarts, "restarts")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if restarts < 1:

@@ -1,10 +1,18 @@
-"""The benchmark's tracer wraps library functions by name; they must still exist."""
+"""The benchmark in ``bench/`` relies on library names and recorded values; they must still hold."""
 
 import importlib
 import importlib.util
+import json
+import math
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+import pytest
+
+from supernorms import NormQuery, brute_force_oracle, random_superop
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACER = BENCH / "tracer.py"
+ORACLE_REFS = BENCH / "oracle_refs.json"
 
 
 def test_every_traced_layer_resolves():
@@ -15,3 +23,16 @@ def test_every_traced_layer_resolves():
         module = importlib.import_module(module_name)
         for name in funcs:
             assert callable(getattr(module, name, None)), f"{span}: {module_name}.{name}"
+
+
+def test_oracle_reproduces_the_recorded_references():
+    # the oracle_grid workload's roster: map random_superop(2, 2, 2, 7000 + 13 j),
+    # Hermitian-restricted, two instances per (q, p) pair and two extra at q = 1
+    refs = json.loads(ORACLE_REFS.read_text(encoding="utf-8"))
+    pairs = [(q, p) for q in (1.0, 2.0, math.inf) for p in (1.0, 2.0, math.inf)]
+    roster = [(j, *pairs[j // 2]) for j in range(18)] + [(18, 1.0, 1.0), (19, 1.0, math.inf)]
+    assert len(refs["values"]) == len(roster)
+    for j, q, p in roster:
+        phi = random_superop(2, 2, 2, 7000 + 13 * j)
+        got = brute_force_oracle(phi, NormQuery(q, p, True), refs["resolution"])
+        assert got == pytest.approx(refs["values"][str(j)], rel=0.0, abs=1e-12), j

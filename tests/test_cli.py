@@ -278,3 +278,14 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout.strip())["passed"] is True
+
+
+def test_import_loads_no_process_pool_modules():
+    # the verify fan-out and the BrokenProcessPool exit path import these lazily
+    code = (
+        "import sys, supernorms, supernorms.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -33,6 +33,7 @@ from supernorms import (
     stabilized_norm,
     tensor_identity,
 )
+from supernorms import optimize
 from supernorms.optimize import _ball_witness
 
 EXPONENTS = [1.0, 1.5, 2.0, math.inf]
@@ -51,6 +52,10 @@ def test_norm_query_validation():
         NormQuery(1.0, math.nan)
     with pytest.raises(InvalidInputError):
         NormQuery(1.0, 1.0, stabilize_dim=-1)
+    assert NormQuery(1.0, 1.0, stabilize_dim=np.int64(2)).stabilize_dim == 2
+    for bad in (2.7, True, math.nan):
+        with pytest.raises(InvalidInputError, match="stabilize_dim must be a whole number"):
+            NormQuery(1.0, 1.0, stabilize_dim=bad)
 
 
 def test_optimizer_config_validation():
@@ -67,6 +72,17 @@ def test_optimizer_config_validation():
     assert OptimizerConfig(seed=0).seed == 0
     with pytest.raises(InvalidInputError, match="seed must be >= 0, got -1"):
         OptimizerConfig(seed=-1)
+    assert OptimizerConfig(restarts=np.int32(4), seed=np.uint64(5)).seed == 5
+    for field, bad in (
+        ("restarts", 3.9),
+        ("max_iterations", 10.5),
+        ("seed", 4.2),
+        ("restarts", True),
+        ("seed", False),
+        ("max_iterations", math.inf),
+    ):
+        with pytest.raises(InvalidInputError, match=f"{field} must be a whole number"):
+            OptimizerConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -416,6 +432,30 @@ def test_oracle_matches_a_full_grid_reference(q, hermitian, resolutions):
             assert got == pytest.approx(ratios.max(), rel=1e-12)
 
 
+def test_oracle_chunk_holds_at_most_2_20_output_entries(monkeypatch):
+    # a chunk's outputs, not its grid points, bound the oracle's memory
+    phi = random_superop(2, 6, 2, 54)
+    batches = []
+    flat_out_pnorm = optimize._flat_out_pnorm
+
+    def spy(out_flat, dout, p):
+        if dout == 6:
+            batches.append(out_flat.shape[0])
+        return flat_out_pnorm(out_flat, dout, p)
+
+    monkeypatch.setattr(optimize, "_flat_out_pnorm", spy)
+    got = brute_force_oracle(phi, NormQuery(2.0, 1.0, True), 64)
+    assert len(batches) > 1
+    assert all(batch * 36 <= 2**20 for batch in batches)
+    want = 0.0
+    for X in np.array_split(_full_oracle_grid(2.0, True, 64), 8):
+        out = np.einsum("tab,nbc,tdc->nad", phi.kraus_left, X, phi.kraus_right.conj())
+        ratios = pnorm(np.linalg.svd(out, compute_uv=False), 1.0)
+        ratios = ratios / pnorm(np.linalg.svd(X, compute_uv=False), 2.0)
+        want = max(want, ratios.max())
+    assert got == pytest.approx(want, rel=1e-12)
+
+
 def test_oracle_scalar_input_space():
     phi = SuperOp.from_kraus(np.array([[[1.0], [0.0]]]))
     assert brute_force_oracle(phi, NormQuery(3.0, 2.0), 7) == pytest.approx(1.0)
@@ -425,6 +465,9 @@ def test_oracle_rejects_out_of_scope_queries():
     phi = random_superop(2, 2, 2, 39)
     with pytest.raises(InvalidInputError):
         brute_force_oracle(phi, NormQuery(1.0, 1.0), 1)
+    for bad in (10.5, True):
+        with pytest.raises(InvalidInputError, match="resolution must be a whole number"):
+            brute_force_oracle(phi, NormQuery(1.0, 1.0), bad)
     with pytest.raises(UnsupportedInstanceError):
         brute_force_oracle(phi, NormQuery(1.0, 1.0, False, 2), 10)
     with pytest.raises(UnsupportedInstanceError):

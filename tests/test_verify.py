@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from supernorms import InvalidInputError, VerificationReport, claim_ids, claim_tolerance, verify
@@ -52,6 +53,10 @@ def test_bad_budgets_rejected():
         verify("duality", trials=0)
     with pytest.raises(InvalidInputError):
         verify("duality", trials=5, restarts=0)
+    for field, bad in (("trials", 2.9), ("restarts", 8.5), ("trials", True)):
+        with pytest.raises(InvalidInputError, match=f"{field} must be a whole number"):
+            verify("duality", **{field: bad})
+    assert verify("duality", trials=np.int64(2), restarts=4.0).trials == 2
 
 
 @pytest.mark.parametrize("claim", ALL_CLAIMS)
