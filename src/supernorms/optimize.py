@@ -330,12 +330,50 @@ def factorization_bound(
     return lhs, math.sqrt(lv * rv)
 
 
-def _chunked_indices(sizes, chunk: int):
-    """Yield integer index blocks covering the cartesian grid of the sizes."""
-    total = math.prod(sizes)
-    for start in range(0, total, chunk):
-        flat = np.arange(start, min(start + chunk, total))
-        yield np.unravel_index(flat, sizes)
+def _grid_runs(rows: int, cols: int, chunk: int):
+    """Row-major runs of a ``rows x cols`` grid, at most ``chunk`` points each,
+    as (row slice, column slice) rectangles: whole rows while a row fits."""
+    per = chunk // cols
+    if per:
+        for i in range(0, rows, per):
+            yield slice(i, i + per), slice(None)
+        return
+    for i in range(rows):
+        for j in range(0, cols, chunk):
+            yield slice(i, i + 1), slice(j, j + chunk)
+
+
+def _sphere_coords(axes) -> np.ndarray:
+    """Unit vectors on the row-major grid of the hyperspherical angles
+    ``axes`` (first angle slowest); each angle splits the last coordinate into
+    its cosine and sine parts, so no angles give the single point ``[1]``."""
+    x = np.ones((1, 1))
+    for a in axes:
+        head, run = np.repeat(x[:, :-1], a.size, axis=0), x[:, -1:]
+        x = np.column_stack([head, (run * np.cos(a)).ravel(), (run * np.sin(a)).ravel()])
+    return x
+
+
+def _sphere_chunks(axes, chunk: int):
+    """``_sphere_coords(axes)`` in row-major runs of at most ``chunk`` points.
+
+    A point is its leading coordinates followed by the product of the leading
+    sines times a point of the trailing sub-sphere.  The longest run of
+    trailing angles whose grid fits in one chunk, or else the last angle
+    alone, is built once, and each chunk broadcasts a run of leading-angle
+    prefixes against it (or one prefix against a run of the last angle), so
+    the prefix table holds at most a (last angle's size)-th of the grid.
+    """
+    fits = next(i for i in range(len(axes) + 1) if math.prod(a.size for a in axes[i:]) <= chunk)
+    split = min(fits, len(axes) - 1)
+    head, tail = _sphere_coords(axes[:split]), _sphere_coords(axes[split:])
+    for rows, cols in _grid_runs(len(head), len(tail), chunk):
+        h, t = head[rows], tail[cols]
+        x = np.empty((len(h), len(t), len(axes) + 1))
+        x[:, :, :split] = h[:, None, :split]
+        # the last column of a prefix is the product of its sines
+        np.multiply(h[:, None, split:], t, out=x[:, :, split:])
+        yield x.reshape(-1, len(axes) + 1)
 
 
 def _pair_pnorm(hi: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
@@ -352,13 +390,19 @@ def _pair_pnorm(hi: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
 def _flat_out_pnorm(out_flat: np.ndarray, dout: int, p: float) -> np.ndarray:
     """Schatten p-norms of a stack of row-major flattened square outputs."""
     if dout == 2:
-        f = (np.abs(out_flat) ** 2).sum(axis=-1)
+        # squared moduli from the real views: np.abs would take a hypot per entry
+        r = out_flat.view(np.float64)
+        f = np.einsum("ij,ij->i", r, r)
         if p == 2.0:
             return np.sqrt(f)
         det = out_flat[:, 0] * out_flat[:, 3] - out_flat[:, 1] * out_flat[:, 2]
-        g = np.sqrt(np.maximum(f * f - 4.0 * np.abs(det) ** 2, 0.0))
-        hi = np.sqrt((f + g) / 2.0)
-        lo = np.sqrt(np.maximum((f - g) / 2.0, 0.0))
+        d = det.view(np.float64).reshape(-1, 2)
+        det2 = np.einsum("ij,ij->i", d, d)
+        # singular values hi >= lo: hi^2 + lo^2 = f and hi lo = |det|; lo is
+        # |det| / hi, because f - hi^2 would lose a small lo to cancellation
+        hi2 = (f + np.sqrt(np.maximum(f * f - 4.0 * det2, 0.0))) / 2.0
+        lo = np.sqrt(det2 / np.maximum(hi2, np.finfo(np.float64).tiny))
+        hi = np.sqrt(hi2)
         return _pair_pnorm(hi, lo, p)
     s = np.linalg.svd(out_flat.reshape(-1, dout, dout), compute_uv=False)
     return pnorm(s, p, axis=-1)
@@ -423,17 +467,15 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     chunk = max(1, _ORACLE_CHUNK_ENTRIES // dout**2)
     best = 0.0
     if q == 1.0 and not herm:
-        # rank-one inputs u v*, the trace-norm ball's extreme points
-        ca, sa = np.cos(thetas / 2.0), np.sin(thetas / 2.0)
-        ph = np.exp(1j * phis)
-        for i0, i1, i2, i3 in _chunked_indices((R, R, R, R), chunk):
-            ua, ub = ca[i0], sa[i0] * ph[i1]
-            va, vb = ca[i2], sa[i2] * ph[i3]
-            flat = np.empty((ua.size, 4), dtype=np.complex128)
-            flat[:, 0] = ua * va.conj()
-            flat[:, 1] = ua * vb.conj()
-            flat[:, 2] = ub * va.conj()
-            flat[:, 3] = ub * vb.conj()
+        # rank-one inputs u v*, the trace-norm ball's extreme points, for the
+        # Bloch states u, v = (cos(theta/2), sin(theta/2) e^(i phi)), theta slowest
+        states = np.empty((R, R, 2), dtype=np.complex128)
+        states[:, :, 0] = np.cos(thetas / 2.0)[:, None]
+        states[:, :, 1] = np.sin(thetas / 2.0)[:, None] * np.exp(1j * phis)
+        states = states.reshape(-1, 2)
+        conj = states.conj()
+        for rows, cols in _grid_runs(len(states), len(states), chunk):
+            flat = (states[rows, None, :, None] * conj[None, cols, None, :]).reshape(-1, 4)
             best = max(best, float(_flat_out_pnorm(flat @ transfer_t, dout, p).max()))
         return best
     finite = not (q == 1.0 or math.isinf(q))
@@ -449,21 +491,12 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     # real coordinates times the real view of a complex image give the real
     # view of the complex outputs
     image = image.view(np.float64)
-    axes = [thetas] * (n_angles - 1) + [phis]
-    cos_t = [np.cos(a) for a in axes]
-    sin_t = [np.sin(a) for a in axes]
     # for even R, theta index i pairs with R - 1 - i and phi_j + pi =
     # phi_(j + R/2), so the antipode of every point with a first theta index
     # >= R/2 is on the lower half; the q = 1 states have no antipodes
     lead = R // 2 if R % 2 == 0 and q != 1.0 else R
-    for idx in _chunked_indices((lead,) + (R,) * (n_angles - 1), chunk):
-        m = idx[0].size
-        x = np.empty((m, n_angles + 1))
-        running = np.ones(m)
-        for d in range(n_angles):
-            x[:, d] = running * cos_t[d][idx[d]]
-            running = running * sin_t[d][idx[d]]
-        x[:, n_angles] = running
+    axes = [thetas[:lead]] + [thetas] * (n_angles - 2) + [phis]
+    for x in _sphere_chunks(axes, chunk):
         out = x @ image
         if q == 1.0:
             out += shift
@@ -506,8 +539,8 @@ def explore_open_question(
         raise UnsupportedInstanceError("exploration is limited to dimensions <= 3")
     q = require_exponent(q)
     p = require_exponent(p)
-    question = int(question)
-    samples = int(samples)
+    question = _require_count(question, "question")
+    samples = _require_count(samples, "samples")
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
     if question == 1:

@@ -390,6 +390,7 @@ def verify(claim_id: str, seed: int = 42, trials: int = 50, restarts: int = 32) 
         raise InvalidInputError(
             f"unknown claim id {claim_id!r}; known: {', '.join(_REGISTRY)}"
         )
+    seed = _require_count(seed, "seed")
     trials = _require_count(trials, "trials")
     restarts = _require_count(restarts, "restarts")
     if trials < 1:
@@ -397,7 +398,7 @@ def verify(claim_id: str, seed: int = 42, trials: int = 50, restarts: int = 32) 
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
     tolerance, runner = _REGISTRY[claim_id]
-    details = runner(int(seed), trials, restarts)
+    details = runner(seed, trials, restarts)
     worst = max((d["residual"] for d in details), default=0.0)
     return VerificationReport(
         claim_id=claim_id,
@@ -405,6 +406,6 @@ def verify(claim_id: str, seed: int = 42, trials: int = 50, restarts: int = 32) 
         worst_residual=float(worst),
         tolerance=tolerance,
         passed=bool(worst <= tolerance),
-        seed=int(seed),
+        seed=seed,
         details=tuple(details),
     )

@@ -256,6 +256,12 @@ def test_negative_seed_exits_2_with_one_line(tmp_path, capsys, command):
     assert err == "error: seed must be >= 0, got -1\n"
 
 
+def test_verify_accepts_a_negative_seed(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "duality", "--trials", "2", "--seed", "-3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["seed"] == -3
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_explore_samples_below_one_exit_2(tmp_path, capsys, samples):
     path = write_channel(tmp_path, "phi.json", random_superop(2, 2, 2, 6))

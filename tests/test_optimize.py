@@ -456,6 +456,67 @@ def test_oracle_chunk_holds_at_most_2_20_output_entries(monkeypatch):
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_oracle_rank_one_walk_splits_a_state_grid_larger_than_a_chunk(monkeypatch):
+    # 36 Bloch states against a 20-point chunk: each chunk is one u times a run of v
+    phi = random_superop(2, 2, 2, 55)
+    batches = []
+    flat_out_pnorm = optimize._flat_out_pnorm
+
+    def spy(out_flat, dout, p):
+        batches.append(out_flat.shape[0])
+        return flat_out_pnorm(out_flat, dout, p)
+
+    monkeypatch.setattr(optimize, "_ORACLE_CHUNK_ENTRIES", 80)
+    monkeypatch.setattr(optimize, "_flat_out_pnorm", spy)
+    got = brute_force_oracle(phi, NormQuery(1.0, 3.0), 6)
+    assert sum(batches) == 6**4 and max(batches) == 20
+    X = _full_oracle_grid(1.0, False, 6)
+    out = np.einsum("tab,nbc,tdc->nad", phi.kraus_left, X, phi.kraus_right.conj())
+    want = pnorm(np.linalg.svd(out, compute_uv=False), 3.0).max()
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "R, n_polar, lead, chunk",
+    [
+        (7, 2, 7, 1 << 18),  # the whole grid in one chunk
+        (5, 6, 5, 100),  # S^7: a 25-point trailing slab, four prefixes per chunk
+        (8, 2, 4, 50),  # the even-R half grid
+        (5, 2, 5, 3),  # the last angle alone exceeds a chunk: one prefix per chunk
+    ],
+)
+def test_sphere_chunks_walk_the_meshgrid_in_row_major_order(R, n_polar, lead, chunk):
+    thetas = np.linspace(0.0, math.pi, R)
+    axes = [thetas[:lead]] + [thetas] * (n_polar - 1) + [np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)]
+    chunks = list(optimize._sphere_chunks(axes, chunk))
+    assert all(len(x) <= chunk for x in chunks)
+    if chunk >= R ** (n_polar + 1):
+        assert len(chunks) == 1
+    want = _sphere_points(R, n_polar)[: lead * R**n_polar]
+    np.testing.assert_allclose(np.concatenate(chunks), want, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_two_by_two_output_norms_match_the_svd(p):
+    rng = np.random.default_rng(56)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    rank_one = np.einsum("na,nb->nab", cplx(200, 2), cplx(200, 2).conj())
+    stacks = {
+        "random": cplx(200, 2, 2),
+        "rank one": rank_one,
+        "nearly rank one": rank_one + 1e-9 * cplx(200, 2, 2),
+    }
+    for name, M in stacks.items():
+        got = optimize._flat_out_pnorm(M.reshape(-1, 4), 2, p)
+        want = pnorm(np.linalg.svd(M, compute_uv=False), p)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
+    zero = optimize._flat_out_pnorm(np.zeros((5, 4), dtype=np.complex128), 2, p)
+    np.testing.assert_allclose(zero, 0.0, rtol=0.0, atol=1e-15)
+
+
 def test_oracle_scalar_input_space():
     phi = SuperOp.from_kraus(np.array([[[1.0], [0.0]]]))
     assert brute_force_oracle(phi, NormQuery(3.0, 2.0), 7) == pytest.approx(1.0)
@@ -514,6 +575,9 @@ def test_explore_validation(quick_cfg):
     for samples in (0, -5):
         with pytest.raises(InvalidInputError, match="samples must be >= 1"):
             explore_open_question(identity_superop(2), 1, samples=samples, config=quick_cfg)
+    for field, bad in (("question", 2.9), ("question", True), ("samples", 2.7), ("samples", False)):
+        with pytest.raises(InvalidInputError, match=f"{field} must be a whole number"):
+            explore_open_question(identity_superop(2), **{"question": 2, field: bad}, config=quick_cfg)
 
 
 def test_norm_wrapper_routes_match(quick_cfg):

@@ -59,6 +59,19 @@ def test_bad_budgets_rejected():
     assert verify("duality", trials=np.int64(2), restarts=4.0).trials == 2
 
 
+def test_seed_must_be_a_whole_number():
+    for bad in (4.2, True, np.bool_(False), "4"):
+        with pytest.raises(InvalidInputError, match="seed must be a whole number"):
+            verify("duality", seed=bad, trials=2)
+    assert verify("duality", seed=4.0, trials=2).to_json() == verify("duality", seed=4, trials=2).to_json()
+
+
+def test_any_integer_seed_is_masked_to_64_bits():
+    negative = verify("duality", seed=np.int64(-1), trials=2)
+    assert negative.seed == -1
+    assert negative.details == verify("duality", seed=2**64 - 1, trials=2).details
+
+
 @pytest.mark.parametrize("claim", ALL_CLAIMS)
 def test_each_suite_passes_at_smoke_budget(claim):
     report = verify(claim, seed=42, **FAST)
