@@ -37,8 +37,10 @@ from .superop import (
     tensor_identity,
 )
 
-# output entries one vectorized sweep of the brute-force oracle may hold
-_ORACLE_CHUNK_ENTRIES = 1 << 20
+# complex output entries one chunk of the brute-force oracle holds; each call
+# refills the same chunk buffers, so they stay in cache (2^16 ran fastest in a
+# sweep of 2^14 .. 2^18, see BENCH_2026-10-18-oracle-workspace.json)
+_ORACLE_CHUNK_ENTRIES = 1 << 16
 
 # complex entries one stacked ascent iterate may hold (2^26 entries = 1 GiB)
 _MAX_STACK_ENTRIES = 1 << 26
@@ -363,49 +365,85 @@ def _sphere_chunks(axes, chunk: int):
     alone, is built once, and each chunk broadcasts a run of leading-angle
     prefixes against it (or one prefix against a run of the last angle), so
     the prefix table holds at most a (last angle's size)-th of the grid.
+    Every chunk is a view of one coordinate buffer, which the next overwrites;
+    the buffer is column-major, so each coordinate is filled as one
+    contiguous run.
     """
     fits = next(i for i in range(len(axes) + 1) if math.prod(a.size for a in axes[i:]) <= chunk)
     split = min(fits, len(axes) - 1)
-    head, tail = _sphere_coords(axes[:split]), _sphere_coords(axes[split:])
-    for rows, cols in _grid_runs(len(head), len(tail), chunk):
-        h, t = head[rows], tail[cols]
-        x = np.empty((len(h), len(t), len(axes) + 1))
-        x[:, :, :split] = h[:, None, :split]
-        # the last column of a prefix is the product of its sines
-        np.multiply(h[:, None, split:], t, out=x[:, :, split:])
-        yield x.reshape(-1, len(axes) + 1)
+    head, tail = _sphere_coords(axes[:split]).T, _sphere_coords(axes[split:]).T.copy()
+    buf = np.empty((len(axes) + 1, min(chunk, head.shape[1] * tail.shape[1])))
+    for rows, cols in _grid_runs(head.shape[1], tail.shape[1], chunk):
+        h, t = head[:, rows], tail[:, cols]
+        x = buf[:, : h.shape[1] * t.shape[1]]
+        blocks = x.reshape(-1, h.shape[1], t.shape[1])
+        blocks[:split] = h[:split, :, None]
+        # the last coordinate of a prefix is the product of its sines
+        np.multiply(h[split:, :, None], t[:, None, :], out=blocks[split:])
+        yield x.T
 
 
-def _pair_pnorm(hi: np.ndarray, lo: np.ndarray, p: float) -> np.ndarray:
-    """p-norm of two-entry non-negative spectra, fast paths for 1, 2, inf."""
-    if p == 1.0:
-        return hi + lo
+class _Workspace:
+    """Per-point buffers of one oracle call, sized for one chunk: every chunk
+    fills views of the same arrays, so the walk allocates nothing per chunk."""
+
+    def __init__(self, points: int, dout: int):
+        self.out = np.empty((points, 2 * dout * dout))  # real view of the outputs
+        self.sq, self.f, self.det2, self.tmp = np.empty((4, points))
+        self.det, self.cross = np.empty((2, points), dtype=np.complex128)
+        self.near = np.empty(points, dtype=bool)
+
+
+def _flat_sq_pnorm(flat: np.ndarray, d: int, p: float, ws: _Workspace) -> np.ndarray:
+    """Squared Schatten p-norms of a stack of row-major flattened d x d
+    matrices, as a view of ``ws`` that the next call with ``ws`` overwrites."""
+    n = len(flat)
+    sq = ws.sq[:n]
+    if d != 2:
+        return np.square(pnorm(np.linalg.svd(flat.reshape(-1, d, d), compute_uv=False), p), out=sq)
+    # squared moduli from the real views: np.abs would take a hypot per entry
+    r = flat.view(np.float64)
+    f = np.einsum("ij,ij->i", r, r, out=ws.f[:n])
     if p == 2.0:
-        return np.sqrt(hi * hi + lo * lo)
+        return f
+    det, cross = ws.det[:n], ws.cross[:n]
+    np.multiply(flat[:, 0], flat[:, 3], out=det)
+    np.multiply(flat[:, 1], flat[:, 2], out=cross)
+    det -= cross
+    det2, tmp = ws.det2[:n], ws.tmp[:n]
+    np.multiply(det.real, det.real, out=det2)
+    np.multiply(det.imag, det.imag, out=tmp)
+    det2 += tmp
+    # singular values hi >= lo: hi^2 + lo^2 = f and hi lo = |det|
+    if p == 1.0:
+        np.sqrt(det2, out=sq)
+        sq *= 2.0
+        sq += f
+        return sq
+    # hi^2 = (f + g) / 2 with g^2 = f^2 - 4 |det|^2, which cancels when hi is
+    # near lo; there g^2 = (a - c)^2 + 4 |b|^2 from M M* = [[a, b], [b*, c]]
+    near = ws.near[:n]
+    np.multiply(f, f, out=tmp)
+    np.multiply(det2, -4.0, out=sq)
+    sq += tmp
+    tmp *= 1e-4
+    np.less(sq, tmp, out=near)
+    np.maximum(sq, 0.0, out=sq)
+    np.sqrt(sq, out=sq)
+    sq += f
+    sq *= 0.5
+    idx = np.flatnonzero(near)
+    if idx.size:
+        m = r[idx]
+        a = np.einsum("ij,ij->i", m[:, :4], m[:, :4])
+        c = np.einsum("ij,ij->i", m[:, 4:], m[:, 4:])
+        b = flat[idx, 0] * flat[idx, 2].conj() + flat[idx, 1] * flat[idx, 3].conj()
+        sq[idx] = f[idx] / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + (b * b.conj()).real)
     if math.isinf(p):
-        return np.maximum(hi, lo)
-    return pnorm(np.stack([hi, lo], axis=-1), p, axis=-1)
-
-
-def _flat_out_pnorm(out_flat: np.ndarray, dout: int, p: float) -> np.ndarray:
-    """Schatten p-norms of a stack of row-major flattened square outputs."""
-    if dout == 2:
-        # squared moduli from the real views: np.abs would take a hypot per entry
-        r = out_flat.view(np.float64)
-        f = np.einsum("ij,ij->i", r, r)
-        if p == 2.0:
-            return np.sqrt(f)
-        det = out_flat[:, 0] * out_flat[:, 3] - out_flat[:, 1] * out_flat[:, 2]
-        d = det.view(np.float64).reshape(-1, 2)
-        det2 = np.einsum("ij,ij->i", d, d)
-        # singular values hi >= lo: hi^2 + lo^2 = f and hi lo = |det|; lo is
-        # |det| / hi, because f - hi^2 would lose a small lo to cancellation
-        hi2 = (f + np.sqrt(np.maximum(f * f - 4.0 * det2, 0.0))) / 2.0
-        lo = np.sqrt(det2 / np.maximum(hi2, np.finfo(np.float64).tiny))
-        hi = np.sqrt(hi2)
-        return _pair_pnorm(hi, lo, p)
-    s = np.linalg.svd(out_flat.reshape(-1, dout, dout), compute_uv=False)
-    return pnorm(s, p, axis=-1)
+        return sq
+    # lo is |det| / hi, because f - hi^2 would lose a small lo to cancellation
+    lo = np.sqrt(det2 / np.maximum(sq, np.finfo(np.float64).tiny))
+    return np.square(pnorm(np.stack([np.sqrt(sq), lo], axis=-1), p), out=sq)
 
 
 # the oracle's sphere grids, keyed by (1 < q < inf, hermitian): rows are the
@@ -465,6 +503,7 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     thetas = np.linspace(0.0, math.pi, R)
     phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
     chunk = max(1, _ORACLE_CHUNK_ENTRIES // dout**2)
+    # every objective is compared squared; one square root of the maximum ends the walk
     best = 0.0
     if q == 1.0 and not herm:
         # rank-one inputs u v*, the trace-norm ball's extreme points, for the
@@ -474,46 +513,64 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
         states[:, :, 1] = np.sin(thetas / 2.0)[:, None] * np.exp(1j * phis)
         states = states.reshape(-1, 2)
         conj = states.conj()
+        points = min(chunk, len(states) ** 2)
+        ws, inputs = _Workspace(points, dout), np.empty((points, 4), dtype=np.complex128)
         for rows, cols in _grid_runs(len(states), len(states), chunk):
-            flat = (states[rows, None, :, None] * conj[None, cols, None, :]).reshape(-1, 4)
-            best = max(best, float(_flat_out_pnorm(flat @ transfer_t, dout, p).max()))
-        return best
+            u, v = states[rows], conj[cols]
+            flat = inputs[: len(u) * len(v)]
+            np.multiply(u[:, None, :, None], v[None, :, None, :], out=flat.reshape(len(u), len(v), 2, 2))
+            out = np.matmul(flat, transfer_t, out=ws.out[: len(flat)].view(np.complex128))
+            best = max(best, float(_flat_sq_pnorm(out, dout, p, ws).max()))
+        return math.sqrt(best)
     finite = not (q == 1.0 or math.isinf(q))
     basis = _SPHERE_BASES[finite, herm]
     n_angles = basis.shape[0] - 1
     image = basis @ transfer_t
     eye = transfer_t[0] + transfer_t[3]  # the image of I
-    if q == 1.0:
-        # the pure states (I + n.sigma) / 2
-        image, shift = image / 2.0, (eye / 2.0).view(np.float64)
-    elif math.isinf(q) and herm:
-        best = float(_flat_out_pnorm(eye[None], dout, p)[0])
-    # real coordinates times the real view of a complex image give the real
-    # view of the complex outputs
-    image = image.view(np.float64)
     # for even R, theta index i pairs with R - 1 - i and phi_j + pi =
     # phi_(j + R/2), so the antipode of every point with a first theta index
     # >= R/2 is on the lower half; the q = 1 states have no antipodes
     lead = R // 2 if R % 2 == 0 and q != 1.0 else R
     axes = [thetas[:lead]] + [thetas] * (n_angles - 2) + [phis]
+    ws = _Workspace(min(chunk, lead * R ** (n_angles - 1)), dout)
+    if q == 1.0:
+        # the pure states (I + n.sigma) / 2
+        image, shift = image / 2.0, (eye / 2.0).view(np.float64)
+    elif math.isinf(q) and herm:
+        best = float(_flat_sq_pnorm(eye[None], dout, p, ws)[0])
+    elif finite and not herm:
+        # the inputs' own norms, taken while the outputs' are still held
+        ws_in = _Workspace(len(ws.sq), 2)
+    # real coordinates times the real view of a complex image give the real
+    # view of the complex outputs
+    image = image.view(np.float64)
     for x in _sphere_chunks(axes, chunk):
-        out = x @ image
+        out = np.matmul(x, image, out=ws.out[: len(x)])
         if q == 1.0:
             out += shift
-        vals = _flat_out_pnorm(out.view(np.complex128), dout, p)
-        # the outputs are the chunk's largest array: free them before the
-        # input norms and the next chunk's coordinates are allocated
-        del out
+        vals = _flat_sq_pnorm(out.view(np.complex128), dout, p, ws)
         if finite and herm:
-            # eigenvalues mean +- rad: the route through the Frobenius norm and
-            # the determinant would lose the small one to cancellation
-            mean = (x[:, 0] + x[:, 1]) / 2.0
-            rad = np.sqrt((x[:, 0] - x[:, 1]) ** 2 / 4.0 + x[:, 2] ** 2 + x[:, 3] ** 2)
-            vals = vals / _pair_pnorm(np.abs(mean + rad), np.abs(mean - rad), q)
+            # the input [[x0, x2 + i x3], [x2 - i x3, x1]] depends on the last
+            # angle only through x2^2 + x3^2, the squared product of the polar
+            # sines, so its norm holds along each run of the last angle; a
+            # chunk is whole runs, or part of one when R exceeds the chunk
+            run = min(R, len(x))
+            vals = vals.reshape(-1, run).max(axis=1)
+            x0, x1, x2, x3 = x[::run].T
+            s2 = x2 * x2 + x3 * x3
+            if q == 2.0:
+                vals /= x0 * x0 + x1 * x1 + 2.0 * s2
+            else:
+                # eigenvalues mean +- rad: the route through the Frobenius norm
+                # and the determinant would lose the small one to cancellation
+                mean, rad = (x0 + x1) / 2.0, np.sqrt((x0 - x1) ** 2 / 4.0 + s2)
+                vals /= pnorm(np.stack([mean + rad, mean - rad], axis=-1), q) ** 2
         elif finite:
-            vals = vals / _flat_out_pnorm(x.view(np.complex128), 2, q)
+            inputs = ws_in.out[: len(x)]
+            inputs[...] = x  # row-major, so that the complex view holds the entries
+            vals /= _flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws_in)
         best = max(best, float(vals.max()))
-    return best
+    return math.sqrt(best)
 
 
 def explore_open_question(

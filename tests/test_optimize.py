@@ -411,6 +411,8 @@ def _full_oracle_grid(q: float, hermitian: bool, R: int) -> np.ndarray:
         # the rank-one q = 1 grids have no antipodes and are walked whole
         (1.0, True, (12, 11)),
         (1.0, False, (6, 5)),
+        # the q = 2 Hermitian walk compares squared norms, with x0^2 + x1^2 + 2(x2^2 + x3^2) inputs
+        (2.0, True, (12, 11)),
     ],
 )
 def test_oracle_matches_a_full_grid_reference(q, hermitian, resolutions):
@@ -432,21 +434,21 @@ def test_oracle_matches_a_full_grid_reference(q, hermitian, resolutions):
             assert got == pytest.approx(ratios.max(), rel=1e-12)
 
 
-def test_oracle_chunk_holds_at_most_2_20_output_entries(monkeypatch):
+def test_oracle_chunk_holds_at_most_2_16_output_entries(monkeypatch):
     # a chunk's outputs, not its grid points, bound the oracle's memory
     phi = random_superop(2, 6, 2, 54)
     batches = []
-    flat_out_pnorm = optimize._flat_out_pnorm
+    flat_sq_pnorm = optimize._flat_sq_pnorm
 
-    def spy(out_flat, dout, p):
-        if dout == 6:
-            batches.append(out_flat.shape[0])
-        return flat_out_pnorm(out_flat, dout, p)
+    def spy(flat, d, p, ws):
+        if d == 6:
+            batches.append(flat.shape[0])
+        return flat_sq_pnorm(flat, d, p, ws)
 
-    monkeypatch.setattr(optimize, "_flat_out_pnorm", spy)
+    monkeypatch.setattr(optimize, "_flat_sq_pnorm", spy)
     got = brute_force_oracle(phi, NormQuery(2.0, 1.0, True), 64)
     assert len(batches) > 1
-    assert all(batch * 36 <= 2**20 for batch in batches)
+    assert all(batch * 36 <= 2**16 for batch in batches)
     want = 0.0
     for X in np.array_split(_full_oracle_grid(2.0, True, 64), 8):
         out = np.einsum("tab,nbc,tdc->nad", phi.kraus_left, X, phi.kraus_right.conj())
@@ -460,14 +462,14 @@ def test_oracle_rank_one_walk_splits_a_state_grid_larger_than_a_chunk(monkeypatc
     # 36 Bloch states against a 20-point chunk: each chunk is one u times a run of v
     phi = random_superop(2, 2, 2, 55)
     batches = []
-    flat_out_pnorm = optimize._flat_out_pnorm
+    flat_sq_pnorm = optimize._flat_sq_pnorm
 
-    def spy(out_flat, dout, p):
-        batches.append(out_flat.shape[0])
-        return flat_out_pnorm(out_flat, dout, p)
+    def spy(flat, d, p, ws):
+        batches.append(flat.shape[0])
+        return flat_sq_pnorm(flat, d, p, ws)
 
     monkeypatch.setattr(optimize, "_ORACLE_CHUNK_ENTRIES", 80)
-    monkeypatch.setattr(optimize, "_flat_out_pnorm", spy)
+    monkeypatch.setattr(optimize, "_flat_sq_pnorm", spy)
     got = brute_force_oracle(phi, NormQuery(1.0, 3.0), 6)
     assert sum(batches) == 6**4 and max(batches) == 20
     X = _full_oracle_grid(1.0, False, 6)
@@ -488,7 +490,8 @@ def test_oracle_rank_one_walk_splits_a_state_grid_larger_than_a_chunk(monkeypatc
 def test_sphere_chunks_walk_the_meshgrid_in_row_major_order(R, n_polar, lead, chunk):
     thetas = np.linspace(0.0, math.pi, R)
     axes = [thetas[:lead]] + [thetas] * (n_polar - 1) + [np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)]
-    chunks = list(optimize._sphere_chunks(axes, chunk))
+    # each chunk is a view of one buffer that the next chunk overwrites
+    chunks = [x.copy() for x in optimize._sphere_chunks(axes, chunk)]
     assert all(len(x) <= chunk for x in chunks)
     if chunk >= R ** (n_polar + 1):
         assert len(chunks) == 1
@@ -504,17 +507,45 @@ def test_two_by_two_output_norms_match_the_svd(p):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     rank_one = np.einsum("na,nb->nab", cplx(200, 2), cplx(200, 2).conj())
+    # equal singular values: hi^2 from f and |det| alone would cancel
+    unitaries = np.linalg.qr(cplx(200, 2, 2))[0] * rng.uniform(0.1, 10.0, (200, 1, 1))
     stacks = {
         "random": cplx(200, 2, 2),
         "rank one": rank_one,
         "nearly rank one": rank_one + 1e-9 * cplx(200, 2, 2),
+        "scaled unitaries": unitaries,
     }
+    ws = optimize._Workspace(200, 2)
     for name, M in stacks.items():
-        got = optimize._flat_out_pnorm(M.reshape(-1, 4), 2, p)
+        got = optimize._flat_sq_pnorm(M.reshape(-1, 4), 2, p, ws)
         want = pnorm(np.linalg.svd(M, compute_uv=False), p)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0, err_msg=name)
-    zero = optimize._flat_out_pnorm(np.zeros((5, 4), dtype=np.complex128), 2, p)
+        np.testing.assert_allclose(got, want**2, rtol=1e-12, atol=0.0, err_msg=name)
+    zero = optimize._flat_sq_pnorm(np.zeros((5, 4), dtype=np.complex128), 2, p, ws)
     np.testing.assert_allclose(zero, 0.0, rtol=0.0, atol=1e-15)
+
+
+def test_oracle_on_unitaries_stays_below_the_norm():
+    # every output of the identity on the unitary grid has equal singular
+    # values, where hi^2 = (f + sqrt(f^2 - 4 |det|^2)) / 2 loses ~sqrt(eps)
+    got = brute_force_oracle(identity_superop(2), NormQuery(math.inf, math.inf), 50)
+    assert 1.0 - 1e-15 <= got <= 1.0 + 1e-15
+
+
+@pytest.mark.parametrize("q", [2.0, 1.5])
+@pytest.mark.parametrize("entries", [4 * 5, 4 * 24])
+def test_oracle_hermitian_input_norm_holds_along_the_last_angle(monkeypatch, q, entries):
+    # chunks of 5 points are parts of one run of the last angle, chunks of
+    # 24 points whole runs of it; the input norm is taken once per run
+    monkeypatch.setattr(optimize, "_ORACLE_CHUNK_ENTRIES", entries)
+    phi = random_superop(2, 2, 2, 57)
+    for R in (12, 11):
+        X = _full_oracle_grid(q, True, R)
+        out = np.einsum("tab,nbc,tdc->nad", phi.kraus_left, X, phi.kraus_right.conj())
+        for p in (1.0, 2.5):
+            ratios = pnorm(np.linalg.svd(out, compute_uv=False), p)
+            ratios = ratios / pnorm(np.linalg.svd(X, compute_uv=False), q)
+            got = brute_force_oracle(phi, NormQuery(q, p, True), R)
+            assert got == pytest.approx(ratios.max(), rel=1e-12)
 
 
 def test_oracle_scalar_input_space():
