@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_count
 from .linalg import psd_sqrt
 from .superop import SuperOp, identity_superop
 
@@ -115,10 +115,12 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def random_superop(dim_in: int, dim_out: int, n_terms: int, seed: int) -> SuperOp:
     """Independent Gaussian left/right Kraus lists, scaled to O(1) norms."""
-    dim_in, dim_out, n_terms = int(dim_in), int(dim_out), int(n_terms)
+    dim_in = require_count(dim_in, "dim_in")
+    dim_out = require_count(dim_out, "dim_out")
+    n_terms = require_count(n_terms, "n_terms")
     if min(dim_in, dim_out, n_terms) < 1:
         raise InvalidInputError("dimensions and term count must be positive")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(require_count(seed, "seed"))
     scale = 1.0 / math.sqrt(dim_in * n_terms)
     left = scale * _complex_gaussian(rng, (n_terms, dim_out, dim_in))
     right = scale * _complex_gaussian(rng, (n_terms, dim_out, dim_in))
@@ -132,10 +134,12 @@ def random_cp_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> Sup
     then appends completion terms built from row chunks of the PSD square
     root of the deficit (one chunk when dim_out >= dim_in).
     """
-    dim_in, dim_out, n_kraus = int(dim_in), int(dim_out), int(n_kraus)
+    dim_in = require_count(dim_in, "dim_in")
+    dim_out = require_count(dim_out, "dim_out")
+    n_kraus = require_count(n_kraus, "n_kraus")
     if min(dim_in, dim_out, n_kraus) < 1:
         raise InvalidInputError("dimensions and term count must be positive")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(require_count(seed, "seed"))
     kraus = _complex_gaussian(rng, (n_kraus, dim_out, dim_in))
     gram = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
     kraus = kraus * (0.9 / math.sqrt(np.linalg.norm(gram, 2)))
@@ -150,9 +154,10 @@ def random_cp_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> Sup
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-ish random unitary from the QR decomposition of a Gaussian matrix."""
-    if int(dim) < 1:
+    dim = require_count(dim, "dim")
+    if dim < 1:
         raise InvalidInputError("dimension must be positive")
-    rng = np.random.default_rng(int(seed))
-    Q, R = np.linalg.qr(_complex_gaussian(rng, (int(dim), int(dim))))
+    rng = np.random.default_rng(require_count(seed, "seed"))
+    Q, R = np.linalg.qr(_complex_gaussian(rng, (dim, dim)))
     d = np.diagonal(R)
     return Q * (d / np.abs(d))

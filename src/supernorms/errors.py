@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number check
+every module applies to counts, sizes and seeds."""
+
+import numpy as np
 
 
 class InvalidInputError(ValueError):
@@ -15,3 +18,15 @@ class PreconditionError(InvalidInputError):
 
 class UnsupportedInstanceError(ValueError):
     """The instance is valid but outside the supported size range of the operation."""
+
+
+def require_count(value, name: str) -> int:
+    """``value`` as an int; booleans and fractional numbers are refused."""
+    try:
+        count = int(value)
+        whole = count == value and not isinstance(value, (bool, np.bool_))
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise InvalidInputError(f"{name} must be a whole number, got {value!r}")
+    return count

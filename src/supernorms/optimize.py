@@ -10,7 +10,7 @@ decreases along the iteration, every iterate is feasible, and the reported
 value is therefore a certified lower bound whatever the convergence status.
 
 All restarts advance together as one stacked array; a restart drops out of
-the stack once its gain or step falls under the configured tolerances.
+the stack once its gain or step falls under fixed tolerances.
 The ascent applies ``Phi (x) I_k`` and its adjoint through the one Kraus
 kernel of :mod:`.superop` and never materializes the enlarged map.
 """
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, UnsupportedInstanceError
+from .errors import InvalidInputError, PreconditionError, UnsupportedInstanceError, require_count
 from .schatten import dual_exponent, format_exponent, holder_weights, pnorm, require_exponent
 from .superop import (
     SuperOp,
@@ -45,19 +45,11 @@ _ORACLE_CHUNK_ENTRIES = 1 << 16
 # complex entries one stacked ascent iterate may hold (2^26 entries = 1 GiB)
 _MAX_STACK_ENTRIES = 1 << 26
 
+# the ascent's stopping tolerances: objective gain relative to 1 + |value|, step
+_OBJECTIVE_TOLERANCE = 1e-10
+_STEP_TOLERANCE = 1e-9
+
 _CONSTRAINTS = ("full", "hermitian", "psd")
-
-
-def _require_count(value, name: str) -> int:
-    """``value`` as an int; booleans and fractional numbers are refused."""
-    try:
-        count = int(value)
-        whole = count == value and not isinstance(value, (bool, np.bool_))
-    except (TypeError, ValueError, OverflowError):
-        whole = False
-    if not whole:
-        raise InvalidInputError(f"{name} must be a whole number, got {value!r}")
-    return count
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,7 @@ class NormQuery:
         object.__setattr__(self, "q", require_exponent(self.q))
         object.__setattr__(self, "p", require_exponent(self.p))
         object.__setattr__(self, "hermitian_restricted", bool(self.hermitian_restricted))
-        k = _require_count(self.stabilize_dim, "stabilize_dim")
+        k = require_count(self.stabilize_dim, "stabilize_dim")
         if k < 0:
             raise InvalidInputError(f"stabilize_dim must be >= 0, got {k}")
         object.__setattr__(self, "stabilize_dim", k)
@@ -84,22 +76,16 @@ class NormQuery:
 class OptimizerConfig:
     restarts: int = 32
     max_iterations: int = 5000
-    step_tolerance: float = 1e-9
-    objective_tolerance: float = 1e-10
     seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(self, "restarts", _require_count(self.restarts, "restarts"))
-        object.__setattr__(self, "max_iterations", _require_count(self.max_iterations, "max_iterations"))
-        object.__setattr__(self, "step_tolerance", float(self.step_tolerance))
-        object.__setattr__(self, "objective_tolerance", float(self.objective_tolerance))
-        object.__setattr__(self, "seed", _require_count(self.seed, "seed"))
+        object.__setattr__(self, "restarts", require_count(self.restarts, "restarts"))
+        object.__setattr__(self, "max_iterations", require_count(self.max_iterations, "max_iterations"))
+        object.__setattr__(self, "seed", require_count(self.seed, "seed"))
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
-        if not (self.step_tolerance > 0.0 and self.objective_tolerance > 0.0):
-            raise InvalidInputError("tolerances must be positive")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
@@ -217,9 +203,7 @@ def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: Opti
             Xn[stalled] = Xa[stalled]
         step = _frobenius(Xn - Xa)
         X[active] = Xn
-        done = (np.abs(gain) <= cfg.objective_tolerance * (1.0 + np.abs(vals))) | (
-            step <= cfg.step_tolerance
-        )
+        done = (np.abs(gain) <= _OBJECTIVE_TOLERANCE * (1.0 + np.abs(vals))) | (step <= _STEP_TOLERANCE)
         if np.any(done):
             converged[active[done]] = True
             active = active[~done]
@@ -441,13 +425,33 @@ def _flat_sq_pnorm(flat: np.ndarray, d: int, p: float, ws: _Workspace) -> np.nda
         sq[idx] = f[idx] / 2.0 + np.sqrt(((a - c) / 2.0) ** 2 + (b * b.conj()).real)
     if math.isinf(p):
         return sq
-    # lo is |det| / hi, because f - hi^2 would lose a small lo to cancellation
-    lo = np.sqrt(det2 / np.maximum(sq, np.finfo(np.float64).tiny))
-    return np.square(pnorm(np.stack([np.sqrt(sq), lo], axis=-1), p), out=sq)
+    # (hi^p + lo^p)^(2/p) = hi^2 (1 + (lo / hi)^p)^(2/p) with lo / hi taken as
+    # |det| / hi^2, because f - hi^2 would lose a small lo to cancellation
+    np.sqrt(det2, out=tmp)
+    tmp /= np.maximum(sq, np.finfo(np.float64).tiny, out=f)
+    tmp **= p
+    tmp += 1.0
+    tmp **= 2.0 / p
+    sq *= tmp
+    return sq
 
 
-# the oracle's sphere grids, keyed by (1 < q < inf, hermitian): rows are the
-# row-major 2x2 matrices B_i of the inputs sum_i x_i B_i
+def _rank_one_chunks(states: np.ndarray, chunk: int):
+    """``u v*`` for every pair of ``states`` (u slowest) in runs of at most
+    ``chunk``, as the real view of the row-major entries, which are the S^7
+    matrix-unit coordinates; every chunk is a view of one buffer, which the
+    next overwrites."""
+    conj = states.conj()
+    buf = np.empty((min(chunk, len(states) ** 2), 4), dtype=np.complex128)
+    for rows, cols in _grid_runs(len(states), len(states), chunk):
+        u, v = states[rows], conj[cols]
+        flat = buf[: len(u) * len(v)]
+        np.multiply(u[:, None, :, None], v[None, :, None, :], out=flat.reshape(len(u), len(v), 2, 2))
+        yield flat.view(np.float64)
+
+
+# the oracle's coordinate bases, keyed by (1 < q < inf or rank-one, hermitian):
+# rows are the row-major 2x2 matrices B_i of the inputs sum_i x_i B_i
 _SPHERE_BASES = {
     # Bloch sphere, sigma_z, sigma_x, sigma_y
     (False, True): np.array([[1, 0, 0, -1], [0, 1, 1, 0], [0, -1j, 1j, 0]]),
@@ -464,20 +468,21 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     """Grid maximum over a dense parameterization of the feasible set.
 
     Only qubit input spaces are in scope.  ``resolution`` counts grid points
-    per angle.  Five of the six grids are one sphere walk: unit real
-    coordinate vectors ``x`` on a grid of hyperspherical angles, mapped to the
-    inputs ``sum_i x_i B_i`` of a fixed basis.  On the Bloch sphere (2 angles,
-    Pauli basis) these are the reflections ``n.sigma``, which with ``I`` are
-    the extreme points of the Hermitian q = inf ball, or, shifted, the pure
-    states ``(I + n.sigma) / 2`` for Hermitian q = 1.  On S^3 (3 angles) they
-    are the unitaries for q = inf, or the Hermitian sphere for finite q; on
-    S^7 (7 angles, real and imaginary matrix units) the whole 2x2 sphere for
-    finite q, usable only at very coarse resolutions.  Finite-q points are
-    rescaled by their q-norm.  The q = 1 grid without the restriction is a
-    rank-one walk over ``u v*`` for Bloch states u and v (4 angles).  Walking
-    extreme points keeps the objective smooth in the angles.  The result is
-    always a valid lower bound and converges to the norm as the resolution
-    grows.
+    per angle.  Every grid is one walk over chunks of unit real coordinate
+    vectors ``x``, mapped to the inputs ``sum_i x_i B_i`` of a fixed basis and
+    fed by one of two generators.  The sphere walk puts ``x`` on a grid of
+    hyperspherical angles: on the Bloch sphere (2 angles, Pauli basis) the
+    inputs are the reflections ``n.sigma``, which with ``I`` are the extreme
+    points of the Hermitian q = inf ball, or, shifted, the pure states
+    ``(I + n.sigma) / 2`` for Hermitian q = 1; on S^3 (3 angles) the
+    unitaries for q = inf, or the Hermitian sphere for finite q; on S^7
+    (7 angles, real and imaginary matrix units) the whole 2x2 sphere for
+    finite q, usable only at very coarse resolutions.  The rank-one walk gives
+    the q = 1 grid without the restriction: the S^7 coordinates of ``u v*``
+    for Bloch states u and v (4 angles).  Finite-q points are rescaled by
+    their q-norm.  Walking extreme points keeps the objective smooth in the
+    angles.  The result is always a valid lower bound and converges to the
+    norm as the resolution grows.
 
     For even ``resolution`` only half of each sphere grid except the q = 1
     one is evaluated: the grid is closed under ``X -> -X``, the objective is
@@ -485,7 +490,7 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     the maximum is the same.  ``resolution`` still counts grid points per
     angle.
     """
-    R = _require_count(resolution, "resolution")
+    R = require_count(resolution, "resolution")
     if R < 2:
         raise InvalidInputError("resolution must be at least 2")
     if query.stabilize_dim:
@@ -503,71 +508,55 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     thetas = np.linspace(0.0, math.pi, R)
     phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
     chunk = max(1, _ORACLE_CHUNK_ENTRIES // dout**2)
-    # every objective is compared squared; one square root of the maximum ends the walk
-    best = 0.0
+    finite = not (q == 1.0 or math.isinf(q))
     if q == 1.0 and not herm:
         # rank-one inputs u v*, the trace-norm ball's extreme points, for the
         # Bloch states u, v = (cos(theta/2), sin(theta/2) e^(i phi)), theta slowest
         states = np.empty((R, R, 2), dtype=np.complex128)
         states[:, :, 0] = np.cos(thetas / 2.0)[:, None]
         states[:, :, 1] = np.sin(thetas / 2.0)[:, None] * np.exp(1j * phis)
-        states = states.reshape(-1, 2)
-        conj = states.conj()
-        points = min(chunk, len(states) ** 2)
-        ws, inputs = _Workspace(points, dout), np.empty((points, 4), dtype=np.complex128)
-        for rows, cols in _grid_runs(len(states), len(states), chunk):
-            u, v = states[rows], conj[cols]
-            flat = inputs[: len(u) * len(v)]
-            np.multiply(u[:, None, :, None], v[None, :, None, :], out=flat.reshape(len(u), len(v), 2, 2))
-            out = np.matmul(flat, transfer_t, out=ws.out[: len(flat)].view(np.complex128))
-            best = max(best, float(_flat_sq_pnorm(out, dout, p, ws).max()))
-        return math.sqrt(best)
-    finite = not (q == 1.0 or math.isinf(q))
-    basis = _SPHERE_BASES[finite, herm]
-    n_angles = basis.shape[0] - 1
+        basis = _SPHERE_BASES[True, False]
+        coords, points = _rank_one_chunks(states.reshape(-1, 2), chunk), R**4
+    else:
+        basis = _SPHERE_BASES[finite, herm]
+        n_angles = basis.shape[0] - 1
+        # for even R, theta index i pairs with R - 1 - i and phi_j + pi =
+        # phi_(j + R/2), so the antipode of every point with a first theta index
+        # >= R/2 is on the lower half; the q = 1 states have no antipodes
+        lead = R // 2 if R % 2 == 0 and q != 1.0 else R
+        axes = [thetas[:lead]] + [thetas] * (n_angles - 2) + [phis]
+        coords, points = _sphere_chunks(axes, chunk), lead * R ** (n_angles - 1)
+    ws = _Workspace(min(chunk, points), dout)
     image = basis @ transfer_t
     eye = transfer_t[0] + transfer_t[3]  # the image of I
-    # for even R, theta index i pairs with R - 1 - i and phi_j + pi =
-    # phi_(j + R/2), so the antipode of every point with a first theta index
-    # >= R/2 is on the lower half; the q = 1 states have no antipodes
-    lead = R // 2 if R % 2 == 0 and q != 1.0 else R
-    axes = [thetas[:lead]] + [thetas] * (n_angles - 2) + [phis]
-    ws = _Workspace(min(chunk, lead * R ** (n_angles - 1)), dout)
-    if q == 1.0:
+    # every objective is compared squared; one square root of the maximum ends the walk
+    best, shift = 0.0, None
+    if q == 1.0 and herm:
         # the pure states (I + n.sigma) / 2
         image, shift = image / 2.0, (eye / 2.0).view(np.float64)
     elif math.isinf(q) and herm:
         best = float(_flat_sq_pnorm(eye[None], dout, p, ws)[0])
-    elif finite and not herm:
+    elif finite:
         # the inputs' own norms, taken while the outputs' are still held
-        ws_in = _Workspace(len(ws.sq), 2)
-    # real coordinates times the real view of a complex image give the real
-    # view of the complex outputs
+        ws_in, basis = _Workspace(len(ws.sq), 2), basis.view(np.float64)
+    # real coordinates times the real view of a complex matrix give the real
+    # view of the complex product
     image = image.view(np.float64)
-    for x in _sphere_chunks(axes, chunk):
+    for x in coords:
         out = np.matmul(x, image, out=ws.out[: len(x)])
-        if q == 1.0:
+        if shift is not None:
             out += shift
         vals = _flat_sq_pnorm(out.view(np.complex128), dout, p, ws)
-        if finite and herm:
-            # the input [[x0, x2 + i x3], [x2 - i x3, x1]] depends on the last
-            # angle only through x2^2 + x3^2, the squared product of the polar
-            # sines, so its norm holds along each run of the last angle; a
-            # chunk is whole runs, or part of one when R exceeds the chunk
-            run = min(R, len(x))
-            vals = vals.reshape(-1, run).max(axis=1)
-            x0, x1, x2, x3 = x[::run].T
-            s2 = x2 * x2 + x3 * x3
-            if q == 2.0:
-                vals /= x0 * x0 + x1 * x1 + 2.0 * s2
-            else:
-                # eigenvalues mean +- rad: the route through the Frobenius norm
-                # and the determinant would lose the small one to cancellation
-                mean, rad = (x0 + x1) / 2.0, np.sqrt((x0 - x1) ** 2 / 4.0 + s2)
-                vals /= pnorm(np.stack([mean + rad, mean - rad], axis=-1), q) ** 2
-        elif finite:
-            inputs = ws_in.out[: len(x)]
-            inputs[...] = x  # row-major, so that the complex view holds the entries
+        if finite:
+            heads = x
+            if herm:
+                # the input [[x0, x2 + i x3], [x2 - i x3, x1]] depends on the last
+                # angle only through x2^2 + x3^2, the squared product of the polar
+                # sines, so its norm holds along each run of the last angle; a
+                # chunk is whole runs, or part of one when R exceeds the chunk
+                run = min(R, len(x))
+                vals, heads = vals.reshape(-1, run).max(axis=1), x[::run]
+            inputs = np.matmul(heads, basis, out=ws_in.out[: len(heads)])
             vals /= _flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws_in)
         best = max(best, float(vals.max()))
     return math.sqrt(best)
@@ -596,8 +585,8 @@ def explore_open_question(
         raise UnsupportedInstanceError("exploration is limited to dimensions <= 3")
     q = require_exponent(q)
     p = require_exponent(p)
-    question = _require_count(question, "question")
-    samples = _require_count(samples, "samples")
+    question = require_count(question, "question")
+    samples = require_count(samples, "samples")
     if samples < 1:
         raise InvalidInputError("samples must be >= 1")
     if question == 1:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidExponentError, InvalidInputError
+from .errors import InvalidExponentError, InvalidInputError, require_count
 from .linalg import as_matrix, inner
 
 # Singular values below this floor are dropped for exponents close to 1, where
@@ -146,8 +146,8 @@ def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, fl
     """
     A = as_matrix(X)
     p = require_exponent(p)
-    block_rows = int(block_rows)
-    block_cols = int(block_cols)
+    block_rows = require_count(block_rows, "block_rows")
+    block_cols = require_count(block_cols, "block_cols")
     if block_rows < 1 or block_cols < 1:
         raise InvalidInputError("block counts must be positive")
     rows, cols = A.shape

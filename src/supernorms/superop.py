@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_count
 from .linalg import as_matrix
 
 
@@ -90,9 +90,10 @@ class SuperOp:
 
 def identity_superop(dim: int) -> SuperOp:
     """The identity map on dim x dim matrices."""
-    if int(dim) < 1:
+    dim = require_count(dim, "dim")
+    if dim < 1:
         raise InvalidInputError("dimension must be positive")
-    eye = np.eye(int(dim), dtype=np.complex128)[None, :, :]
+    eye = np.eye(dim, dtype=np.complex128)[None, :, :]
     return SuperOp.from_kraus(eye)
 
 
@@ -136,7 +137,7 @@ def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
 
 def tensor_identity(phi: SuperOp, ancilla_dim: int) -> SuperOp:
     """The map ``Phi (x) Id`` on the enlarged space, ancilla as the fast index."""
-    k = int(ancilla_dim)
+    k = require_count(ancilla_dim, "ancilla_dim")
     if k < 1:
         raise InvalidInputError("ancilla dimension must be at least 1")
     eye = np.eye(k, dtype=np.complex128)

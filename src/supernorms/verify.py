@@ -27,11 +27,10 @@ from functools import partial
 import numpy as np
 
 from .channels import build_example, random_cp_channel, random_superop
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_count
 from .optimize import (
     NormQuery,
     OptimizerConfig,
-    _require_count,
     brute_force_oracle,
     factorization_bound,
     norm_1_to_p,
@@ -390,9 +389,9 @@ def verify(claim_id: str, seed: int = 42, trials: int = 50, restarts: int = 32) 
         raise InvalidInputError(
             f"unknown claim id {claim_id!r}; known: {', '.join(_REGISTRY)}"
         )
-    seed = _require_count(seed, "seed")
-    trials = _require_count(trials, "trials")
-    restarts = _require_count(restarts, "restarts")
+    seed = require_count(seed, "seed")
+    trials = require_count(trials, "trials")
+    restarts = require_count(restarts, "restarts")
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if restarts < 1:

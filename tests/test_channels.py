@@ -15,10 +15,11 @@ from supernorms import (
     is_trace_preserving,
     random_cp_channel,
     random_superop,
+    random_unitary,
     schatten_norm,
 )
 
-from conftest import complex_matrix
+from conftest import COUNTS, check_count, complex_matrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -127,6 +128,22 @@ def test_random_generators_are_deterministic():
     x = random_cp_channel(3, 2, 2, 5)
     y = random_cp_channel(3, 2, 2, 5)
     assert np.array_equal(x.kraus_left, y.kraus_left)
+
+
+@pytest.mark.parametrize("count, whole", COUNTS)
+@pytest.mark.parametrize(
+    "factory, arity, slot",
+    [(f, 4, i) for f in (random_superop, random_cp_channel) for i in range(4)]
+    + [(random_unitary, 2, i) for i in range(2)],
+)
+def test_generator_sizes_and_seeds_must_be_whole_numbers(factory, arity, slot, count, whole):
+    def build(n):
+        args = [2] * (arity - 1) + [3]  # sizes, then the seed
+        args[slot] = n
+        out = factory(*args)
+        return (out,) if isinstance(out, np.ndarray) else (out.kraus_left, out.kraus_right)
+
+    check_count(build, count, whole)
 
 
 def test_random_superop_is_generally_not_cp():

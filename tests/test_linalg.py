@@ -17,7 +17,7 @@ from supernorms import (
     svd,
 )
 
-from conftest import complex_matrix, random_psd
+from conftest import COUNTS, check_count, complex_matrix, random_psd
 
 dims = st.integers(min_value=1, max_value=6)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -119,6 +119,20 @@ def test_schmidt_reconstructs(seed, dl, dr):
         for i, s in enumerate(data.singular_values)
     )
     assert np.allclose(rebuilt, vec, atol=1e-10)
+
+
+@pytest.mark.parametrize("count, whole", COUNTS)
+@pytest.mark.parametrize("slot", range(2))
+def test_schmidt_dimensions_must_be_whole_numbers(slot, count, whole):
+    state = np.array([2.0, 0.0, 1.0, 1.0j]) / math.sqrt(6.0)
+
+    def build(n):
+        dims = [2, 2]
+        dims[slot] = n
+        data = schmidt(state, *dims)
+        return data.singular_values, data.left_vectors, data.right_vectors
+
+    check_count(build, count, whole)
 
 
 def test_schmidt_rejects_non_unit_vector():

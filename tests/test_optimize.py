@@ -64,8 +64,6 @@ def test_optimizer_config_validation():
     for bad in (
         dict(restarts=0),
         dict(max_iterations=0),
-        dict(step_tolerance=0.0),
-        dict(objective_tolerance=-1.0),
     ):
         with pytest.raises(InvalidInputError):
             OptimizerConfig(**bad)
@@ -499,7 +497,7 @@ def test_sphere_chunks_walk_the_meshgrid_in_row_major_order(R, n_polar, lead, ch
     np.testing.assert_allclose(np.concatenate(chunks), want, rtol=0.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+@pytest.mark.parametrize("p", [1.0, 1.0001, 1.5, 2.0, 3.0, 50.0, math.inf])
 def test_two_by_two_output_norms_match_the_svd(p):
     rng = np.random.default_rng(56)
 
@@ -531,7 +529,7 @@ def test_oracle_on_unitaries_stays_below_the_norm():
     assert 1.0 - 1e-15 <= got <= 1.0 + 1e-15
 
 
-@pytest.mark.parametrize("q", [2.0, 1.5])
+@pytest.mark.parametrize("q", [2.0, 1.5, 3.0])
 @pytest.mark.parametrize("entries", [4 * 5, 4 * 24])
 def test_oracle_hermitian_input_norm_holds_along_the_last_angle(monkeypatch, q, entries):
     # chunks of 5 points are parts of one run of the last angle, chunks of

@@ -23,7 +23,7 @@ from supernorms import (
     singular_values,
 )
 
-from conftest import complex_matrix
+from conftest import COUNTS, check_count, complex_matrix
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -184,6 +184,19 @@ def test_block_bounds_partition_validation():
         block_norm_bounds(np.eye(4), 3, 2, 2.0)
     with pytest.raises(InvalidInputError):
         block_norm_bounds(np.eye(4), 0, 2, 2.0)
+
+
+@pytest.mark.parametrize("count, whole", COUNTS)
+@pytest.mark.parametrize("slot", range(2))
+def test_block_counts_must_be_whole_numbers(slot, count, whole):
+    X = complex_matrix(np.random.default_rng(5), 4, 4)
+
+    def build(n):
+        counts = [2, 2]
+        counts[slot] = n
+        return block_norm_bounds(X, *counts, 1.5)
+
+    check_count(build, count, whole)
 
 
 @given(seeds, exponents)

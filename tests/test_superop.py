@@ -26,7 +26,7 @@ from supernorms import (
 
 from supernorms.superop import _dagger, _kraus_act
 
-from conftest import complex_matrix
+from conftest import COUNTS, check_count, complex_matrix
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -200,6 +200,19 @@ def test_remix_preserves_the_action(seed):
     X = complex_matrix(rng, 2, 2)
     assert np.allclose(apply(mixed, X), apply(phi, X), atol=1e-10)
     assert not np.allclose(mixed.kraus_left, phi.kraus_left)
+
+
+@pytest.mark.parametrize("count, whole", COUNTS)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: identity_superop(n).kraus_left,
+        lambda n: tensor_identity(random_superop(2, 2, 2, 3), n).kraus_left,
+    ],
+    ids=["identity_superop", "tensor_identity"],
+)
+def test_dimensions_must_be_whole_numbers(build, count, whole):
+    check_count(lambda n: (build(n),), count, whole)
 
 
 def test_remix_validates_mixer():
