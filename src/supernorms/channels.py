@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import InvalidInputError, require_count
+from .errors import InvalidInputError, require_count, require_seed
 from .linalg import psd_sqrt
 from .superop import SuperOp, identity_superop
 
@@ -120,7 +120,7 @@ def random_superop(dim_in: int, dim_out: int, n_terms: int, seed: int) -> SuperO
     n_terms = require_count(n_terms, "n_terms")
     if min(dim_in, dim_out, n_terms) < 1:
         raise InvalidInputError("dimensions and term count must be positive")
-    rng = np.random.default_rng(require_count(seed, "seed"))
+    rng = np.random.default_rng(require_seed(seed))
     scale = 1.0 / math.sqrt(dim_in * n_terms)
     left = scale * _complex_gaussian(rng, (n_terms, dim_out, dim_in))
     right = scale * _complex_gaussian(rng, (n_terms, dim_out, dim_in))
@@ -139,7 +139,7 @@ def random_cp_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> Sup
     n_kraus = require_count(n_kraus, "n_kraus")
     if min(dim_in, dim_out, n_kraus) < 1:
         raise InvalidInputError("dimensions and term count must be positive")
-    rng = np.random.default_rng(require_count(seed, "seed"))
+    rng = np.random.default_rng(require_seed(seed))
     kraus = _complex_gaussian(rng, (n_kraus, dim_out, dim_in))
     gram = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
     kraus = kraus * (0.9 / math.sqrt(np.linalg.norm(gram, 2)))
@@ -157,7 +157,7 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     dim = require_count(dim, "dim")
     if dim < 1:
         raise InvalidInputError("dimension must be positive")
-    rng = np.random.default_rng(require_count(seed, "seed"))
+    rng = np.random.default_rng(require_seed(seed))
     Q, R = np.linalg.qr(_complex_gaussian(rng, (dim, dim)))
     d = np.diagonal(R)
     return Q * (d / np.abs(d))

@@ -14,6 +14,7 @@ memory) or worker (a verify worker process died) errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -119,7 +120,9 @@ def _add_seed_flags(sp) -> None:
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args does not change the parser
     parser = argparse.ArgumentParser(
         prog="supernorms",
         description="Schatten norms and induced super-operator norms.",

@@ -30,3 +30,11 @@ def require_count(value, name: str) -> int:
     if not whole:
         raise InvalidInputError(f"{name} must be a whole number, got {value!r}")
     return count
+
+
+def require_seed(value) -> int:
+    """``value`` as a whole number >= 0, the seeds numpy's generators accept."""
+    seed = require_count(value, "seed")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {seed}")
+    return seed

@@ -4,8 +4,11 @@ The target quantity sup { ||Phi(X)||_p : ||X||_q = 1 } is treated as the
 bilinear form Re<Y, Phi(X)> maximized jointly over the unit p*-ball in Y and
 the unit q-ball in X.  Each partial maximization has a closed form (a Hoelder
 witness read off a singular value or eigenvalue decomposition; at exponent 2
-it is the normalized matrix and no decomposition runs), so the optimizer
-alternates the two exact half-steps.  The objective value never
+it is the normalized matrix and no decomposition runs), and the optimizer
+alternates the half-steps.  On the unit trace-norm ball (Y at p = inf, X at
+q = 1 without the Hermitian restriction) the witness is rank one: after the
+first iteration's SVD those sides keep its vector pair and take one power
+step per iteration instead of a decomposition.  The objective value never
 decreases along the iteration, every iterate is feasible, and the reported
 value is therefore a certified lower bound whatever the convergence status.
 
@@ -22,7 +25,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError, PreconditionError, UnsupportedInstanceError, require_count
+from .errors import (
+    InvalidInputError,
+    PreconditionError,
+    UnsupportedInstanceError,
+    require_count,
+    require_seed,
+)
 from .schatten import dual_exponent, format_exponent, holder_weights, pnorm, require_exponent
 from .superop import (
     SuperOp,
@@ -81,13 +90,11 @@ class OptimizerConfig:
     def __post_init__(self):
         object.__setattr__(self, "restarts", require_count(self.restarts, "restarts"))
         object.__setattr__(self, "max_iterations", require_count(self.max_iterations, "max_iterations"))
-        object.__setattr__(self, "seed", require_count(self.seed, "seed"))
+        object.__setattr__(self, "seed", require_seed(self.seed))
         if self.restarts < 1:
             raise InvalidInputError("restarts must be >= 1")
         if self.max_iterations < 1:
             raise InvalidInputError("max_iterations must be >= 1")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,34 @@ def _ball_witness(Z: np.ndarray, q: float, constraint: str) -> np.ndarray:
     return (V * w[..., None, :]) @ V.conj().transpose(0, 2, 1)
 
 
+def _normalize_rows(x: np.ndarray, out: np.ndarray) -> None:
+    """Write each nonzero row of ``x``, normalized, into ``out``; the rows of
+    ``out`` where ``x`` is zero keep their values."""
+    r = x.view(np.float64)
+    nrm = np.sqrt(np.einsum("ra,ra->r", r, r))[:, None]
+    np.divide(x, nrm, out=out, where=nrm > 0.0)
+
+
+def _rank_one_witness(Z: np.ndarray, pair: np.ndarray | None):
+    """Batched rank-one witness ``u v*`` for Re<Z, X> over the unit trace-norm
+    ball, returned with its pair stacked as ``pair[:, 0] = u``, ``pair[:, 1] = v*``.
+
+    Without a pair it is the top singular pair of Z, from one SVD, and so the
+    exact maximizer.  Otherwise ``pair`` takes one power step in place:
+    ``v' = Z* u / |Z* u|``, then ``u' = Z v' / |Z v'|``, so that
+    ``Re u* Z v <= |Z* u| = u* Z v' <= |Z v'| = u'* Z v'`` and the objective
+    never decreases.  A slice whose product vanishes keeps its vector.
+    """
+    if pair is None:
+        U, _, Vh = np.linalg.svd(Z)
+        pair = np.stack([U[:, :, 0], Vh[:, 0]], axis=1)
+    else:
+        u, vh = pair[:, 0], pair[:, 1]
+        _normalize_rows((u[:, None].conj() @ Z)[:, 0], out=vh)
+        _normalize_rows((Z @ vh[:, :, None].conj())[:, :, 0], out=u)
+    return pair, pair[:, 0, :, None] * pair[:, 1, None, :]
+
+
 def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return z / np.linalg.norm(z)
@@ -178,7 +213,13 @@ def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerC
             G = (G + G.conj().T) / 2.0
         elif constraint == "psd":
             G = G.conj().T @ G
-        starts[r] = G / pnorm(np.linalg.svd(G, compute_uv=False), q)
+        starts[r] = G
+    if q != 1.0:
+        # one batched SVD; each start's norm is taken on its own row, because a
+        # batched pnorm can differ from it in the last bit
+        drawn = starts[n_hints:]
+        for G, s in zip(drawn, np.linalg.svd(drawn, compute_uv=False)):
+            G /= pnorm(s, q)
     return starts
 
 
@@ -186,6 +227,11 @@ def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: Opti
     left, right = phi.kraus_left, phi.kraus_right
     left_h, right_h = _dagger(left), _dagger(right)
     p_dual = dual_exponent(p)
+    # witnesses on the unit trace-norm ball are rank one: the output side's at
+    # p = inf, the input side's at q = 1 over all matrices; those sides keep
+    # their pairs, one row per active restart, and take power steps
+    y_rank_one, x_rank_one = math.isinf(p), q == 1.0 and constraint == "full"
+    y_pair = x_pair = None
     X = _start_stack(phi.dim_in, k, q, constraint, cfg)
     values = np.full(cfg.restarts, -np.inf)
     converged = np.zeros(cfg.restarts, dtype=bool)
@@ -193,14 +239,21 @@ def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: Opti
     for _ in range(cfg.max_iterations):
         Xa = X[active]
         W = _kraus_act(left, right, Xa, k)
-        Y = _ball_witness(W, p_dual, "full")
+        if y_rank_one:
+            y_pair, Y = _rank_one_witness(W, y_pair)
+        else:
+            Y = _ball_witness(W, p_dual, "full")
         vals = np.einsum("rab,rab->r", W.conj(), Y).real
         gain = vals - values[active]
         values[active] = vals
-        Xn = _ball_witness(_kraus_act(left_h, right_h, Y, k), q, constraint)
-        stalled = _frobenius(Xn) <= 1e-14
-        if np.any(stalled):
-            Xn[stalled] = Xa[stalled]
+        Z = _kraus_act(left_h, right_h, Y, k)
+        if x_rank_one:
+            x_pair, Xn = _rank_one_witness(Z, x_pair)
+        else:
+            Xn = _ball_witness(Z, q, constraint)
+            stalled = _frobenius(Xn) <= 1e-14
+            if np.any(stalled):
+                Xn[stalled] = Xa[stalled]
         step = _frobenius(Xn - Xa)
         X[active] = Xn
         done = (np.abs(gain) <= _OBJECTIVE_TOLERANCE * (1.0 + np.abs(vals))) | (step <= _STEP_TOLERANCE)
@@ -209,6 +262,8 @@ def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: Opti
             active = active[~done]
             if active.size == 0:
                 break
+            y_pair = None if y_pair is None else y_pair[~done]
+            x_pair = None if x_pair is None else x_pair[~done]
     final = pnorm(np.linalg.svd(_kraus_act(left, right, X, k), compute_uv=False), p, axis=-1)
     best = int(np.argmax(final))
     return X[best], bool(converged[best])

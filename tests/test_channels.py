@@ -146,6 +146,22 @@ def test_generator_sizes_and_seeds_must_be_whole_numbers(factory, arity, slot, c
     check_count(build, count, whole)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: random_superop(2, 2, 2, seed),
+        lambda seed: random_cp_channel(2, 2, 2, seed),
+        lambda seed: random_unitary(2, seed),
+    ],
+    ids=["random_superop", "random_cp_channel", "random_unitary"],
+)
+@pytest.mark.parametrize("seed", [-1, np.int64(-3), -2.0])
+def test_generators_refuse_negative_seeds(build, seed):
+    with pytest.raises(InvalidInputError, match="seed must be >= 0"):
+        build(seed)
+    build(0)
+
+
 def test_random_superop_is_generally_not_cp():
     phi = random_superop(2, 2, 2, 123)
     assert not phi.cp_form

@@ -13,6 +13,7 @@ from supernorms import (
     matrix_to_json,
     random_superop,
 )
+from supernorms import cli
 from supernorms.cli import main
 
 
@@ -99,6 +100,21 @@ def test_norm_output_contract(tmp_path, capsys):
     assert obj["seed"] == 3
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys):
+    path = write_channel(tmp_path, "phi.json", random_superop(2, 2, 2, 6))
+    args = ("norm", path, "--q", "1", "--p", "inf", "--seed", "3", "--restarts", "8")
+    cli._build_parser.cache_clear()
+    code, out1, _ = run_cli(capsys, *args)
+    assert code == 0
+    # other flags in between must not carry over into the next parse
+    code, _, _ = run_cli(capsys, "stabilized", path, "--p", "2", "--hermitian", "--restarts", "4")
+    assert code == 0
+    code, out2, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out1 == out2
+    assert cli._build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 64.0 TiB", ""])

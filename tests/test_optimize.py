@@ -192,8 +192,14 @@ def test_achiever_lives_on_stabilized_space(quick_cfg):
         (norm_q_to_p, random_superop(3, 2, 2, 44), NormQuery(2.0, 1.5)),
         (norm_q_to_p, random_superop(2, 3, 3, 45), NormQuery(2.0, 3.0, hermitian_restricted=True)),
         (norm_q_to_p, random_superop(2, 2, 2, 46), NormQuery(2.0, 2.0, stabilize_dim=2)),
+        (norm_q_to_p, random_superop(3, 2, 3, 47), NormQuery(1.0, 3.0)),
+        (norm_q_to_p, random_superop(2, 3, 2, 48), NormQuery(1.0, math.inf)),
+        (norm_q_to_p, random_superop(3, 3, 2, 49), NormQuery(1.5, math.inf, hermitian_restricted=True)),
     ],
-    ids=["full", "hermitian", "psd", "stabilized", "q2-full", "q2-hermitian", "p2-q2-stabilized"],
+    ids=[
+        "full", "hermitian", "psd", "stabilized", "q2-full", "q2-hermitian", "p2-q2-stabilized",
+        "q1-full", "q1-pinf-full", "pinf-hermitian",
+    ],
 )
 def test_more_iterations_never_lower_the_value(route, phi, query):
     # the ascent is monotone, so capping it later can only raise the reported value
@@ -203,6 +209,46 @@ def test_more_iterations_never_lower_the_value(route, phi, query):
     for before, after in zip(values, values[1:]):
         assert after >= before * (1.0 - 1e-12)
     assert values[-1] > values[0]
+
+
+def test_rank_one_sides_decompose_only_in_the_first_iteration(monkeypatch):
+    # at q = 1 and p = inf both witnesses are rank one: after the first
+    # iteration's two SVDs every half-step is a power step, and the only other
+    # SVDs are the singular values of the final re-evaluation
+    phi, query = random_superop(3, 3, 2, 50), NormQuery(1.0, math.inf)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    values = []
+    for iterations in (1, 25):
+        calls.clear()
+        values.append(norm_q_to_p(phi, query, OptimizerConfig(max_iterations=iterations)).value)
+        assert calls[:2] == [True, True]
+        assert not any(calls[2:])
+    assert values[1] > values[0]
+
+
+@pytest.mark.parametrize(
+    "q, constraint",
+    [(1.5, "full"), (3.0, "hermitian"), (1.5, "psd"), (math.inf, "full"), (2.0, "hermitian")],
+)
+def test_random_starts_match_a_per_restart_reference(q, constraint):
+    cfg = OptimizerConfig(restarts=9, seed=5)
+    starts = optimize._start_stack(3, 2, q, constraint, cfg)
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    for r in range(3, cfg.restarts):  # after the three deterministic hints
+        rng = np.random.default_rng(streams[r])
+        G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        if constraint == "hermitian":
+            G = (G + G.conj().T) / 2.0
+        elif constraint == "psd":
+            G = G.conj().T @ G
+        np.testing.assert_array_equal(starts[r], G / schatten_norm(G, q))
 
 
 def test_results_are_deterministic(quick_cfg):
@@ -219,7 +265,8 @@ def test_results_are_deterministic(quick_cfg):
 
 def test_zero_map(quick_cfg):
     zero = SuperOp.from_kraus(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)) + 0.0)
-    for query in (NormQuery(1.0, 1.0), NormQuery(2.0, 2.0), NormQuery(2.0, 2.0, True)):
+    queries = (NormQuery(1.0, 1.0), NormQuery(1.0, math.inf), NormQuery(2.0, 2.0), NormQuery(2.0, 2.0, True))
+    for query in queries:
         with np.errstate(all="raise"):
             est = norm_q_to_p(zero, query, quick_cfg)
         assert est.value == 0.0
