@@ -12,7 +12,9 @@ import re
 
 import numpy as np
 
-from .errors import InvalidInputError, require_count, require_seed
+from .errors import (
+    MAX_ARRAY_ENTRIES, InvalidInputError, UnsupportedInstanceError, require_count, require_seed,
+)
 from .linalg import psd_sqrt
 from .superop import SuperOp, identity_superop
 
@@ -73,13 +75,8 @@ def build_example(name: str):
         right = [_ketbra(e0, e0), _ketbra(e0, e1)]
         return SuperOp.from_kraus(np.stack(left), np.stack(right))
     if name == "depolarizing_pair":
-        dim = 2
-        kraus = [
-            _ketbra(_unit(dim, {i: 1}), _unit(dim, {j: 1})) / math.sqrt(dim)
-            for i in range(dim)
-            for j in range(dim)
-        ]
-        return identity_superop(dim), SuperOp.from_kraus(np.stack(kraus))
+        # Kraus terms |i><j| / sqrt(2), term 2 i + j
+        return identity_superop(2), SuperOp.from_kraus(np.eye(4).reshape(4, 2, 2) / math.sqrt(2))
     if name == "dim4_pair":
         e0 = _unit(2, {0: 1})
         e1 = _unit(2, {1: 1})
@@ -100,10 +97,13 @@ def build_example(name: str):
         n = int(m.group(1) or m.group(2))
         if n < 1:
             raise InvalidInputError("transpose dimension must be positive")
-        units = [_unit(n, {i: 1}) for i in range(n)]
-        left = [_ketbra(units[i], units[j]) for i in range(n) for j in range(n)]
-        right = [_ketbra(units[j], units[i]) for i in range(n) for j in range(n)]
-        return SuperOp.from_kraus(np.stack(left), np.stack(right))
+        if n**4 > MAX_ARRAY_ENTRIES:
+            raise UnsupportedInstanceError(
+                f"transpose({n}) needs {n**4} Kraus entries, over the limit of {MAX_ARRAY_ENTRIES}"
+            )
+        # term i n + j is |i><j| on the left and |j><i| on the right
+        left = np.eye(n * n).reshape(n * n, n, n)
+        return SuperOp.from_kraus(left, left.transpose(0, 2, 1))
     raise InvalidInputError(
         f"unknown example {name!r}; known names: {', '.join(EXAMPLE_NAMES)}"
     )

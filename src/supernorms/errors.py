@@ -3,6 +3,9 @@ every module applies to counts, sizes and seeds."""
 
 import numpy as np
 
+# complex entries one array built for a query or example may hold (1 GiB)
+MAX_ARRAY_ENTRIES = 1 << 26
+
 
 class InvalidInputError(ValueError):
     """Malformed input: wrong shape, non-finite entries, or bad file contents."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    MAX_ARRAY_ENTRIES,
     InvalidInputError,
     PreconditionError,
     UnsupportedInstanceError,
@@ -51,14 +52,9 @@ from .superop import (
 # sweep of 2^14 .. 2^18, see BENCH_2026-10-18-oracle-workspace.json)
 _ORACLE_CHUNK_ENTRIES = 1 << 16
 
-# complex entries one stacked ascent iterate may hold (2^26 entries = 1 GiB)
-_MAX_STACK_ENTRIES = 1 << 26
-
 # the ascent's stopping tolerances: objective gain relative to 1 + |value|, step
 _OBJECTIVE_TOLERANCE = 1e-10
 _STEP_TOLERANCE = 1e-9
-
-_CONSTRAINTS = ("full", "hermitian", "psd")
 
 
 @dataclass(frozen=True)
@@ -287,15 +283,14 @@ def _polish_achiever(X: np.ndarray, q: float, constraint: str) -> np.ndarray:
 
 
 def _estimate(phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerConfig) -> NormEstimate:
-    if constraint not in _CONSTRAINTS:
-        raise InvalidInputError(f"unknown constraint {constraint!r}")
     k = query.stabilize_dim
-    side = max(phi.dim_in, phi.dim_out) * max(k, 1)
-    if cfg.restarts * side * side > _MAX_STACK_ENTRIES:
+    # the largest arrays of an ascent: the iterates and the Kraus kernel's term-expanded product
+    n, m = phi.dim_in, phi.dim_out
+    entries = cfg.restarts * max(k, 1) ** 2 * max(max(n, m) ** 2, phi.n_terms * n * m)
+    if entries > MAX_ARRAY_ENTRIES:
         raise UnsupportedInstanceError(
-            f"stabilize_dim {k} on a {phi.dim_in}->{phi.dim_out} map with {cfg.restarts} restarts "
-            f"needs {cfg.restarts} x {side} x {side} iterates, over the limit of "
-            f"{_MAX_STACK_ENTRIES} entries"
+            f"stabilize_dim {k} on a {n}->{m} map with {cfg.restarts} restarts and {phi.n_terms} "
+            f"terms needs arrays of {entries} entries, over the limit of {MAX_ARRAY_ENTRIES}"
         )
     Xbest, conv = _ascend(phi, max(k, 1), query.q, query.p, constraint, cfg)
     achiever = _polish_achiever(Xbest, query.q, constraint)
@@ -493,9 +488,9 @@ def _flat_sq_pnorm(flat: np.ndarray, d: int, p: float, ws: _Workspace) -> np.nda
 
 def _rank_one_chunks(states: np.ndarray, chunk: int):
     """``u v*`` for every pair of ``states`` (u slowest) in runs of at most
-    ``chunk``, as the real view of the row-major entries, which are the S^7
-    matrix-unit coordinates; every chunk is a view of one buffer, which the
-    next overwrites."""
+    ``chunk``, as the real view of the row-major entries, which are the
+    coordinates in ``_MATRIX_UNITS``; every chunk is a view of one buffer,
+    which the next overwrites."""
     conj = states.conj()
     buf = np.empty((min(chunk, len(states) ** 2), 4), dtype=np.complex128)
     for rows, cols in _grid_runs(len(states), len(states), chunk):
@@ -505,8 +500,8 @@ def _rank_one_chunks(states: np.ndarray, chunk: int):
         yield flat.view(np.float64)
 
 
-# the oracle's coordinate bases, keyed by (1 < q < inf or rank-one, hermitian):
-# rows are the row-major 2x2 matrices B_i of the inputs sum_i x_i B_i
+# the oracle's coordinate bases: rows are the row-major 2x2 matrices B_i of
+# the inputs sum_i x_i B_i; the sphere walk's are keyed by (1 < q < inf, hermitian)
 _SPHERE_BASES = {
     # Bloch sphere, sigma_z, sigma_x, sigma_y
     (False, True): np.array([[1, 0, 0, -1], [0, 1, 1, 0], [0, -1j, 1j, 0]]),
@@ -514,9 +509,9 @@ _SPHERE_BASES = {
     (False, False): np.array([[1, 0, 0, 1], [1j, 0, 0, -1j], [0, -1, 1, 0], [0, 1j, 1j, 0]]),
     # S^3 to the Hermitian [[x0, x2 + i x3], [x2 - i x3, x1]]
     (True, True): np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 1, 0], [0, 1j, -1j, 0]]),
-    # S^7 to all of 2x2: real and imaginary matrix units
-    (True, False): np.kron(np.eye(4), [[1], [1j]]),
 }
+# the rank-one walk's: real and imaginary matrix units
+_MATRIX_UNITS = np.kron(np.eye(4), [[1], [1j]])
 
 
 def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float:
@@ -530,14 +525,14 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     inputs are the reflections ``n.sigma``, which with ``I`` are the extreme
     points of the Hermitian q = inf ball, or, shifted, the pure states
     ``(I + n.sigma) / 2`` for Hermitian q = 1; on S^3 (3 angles) the
-    unitaries for q = inf, or the Hermitian sphere for finite q; on S^7
-    (7 angles, real and imaginary matrix units) the whole 2x2 sphere for
-    finite q, usable only at very coarse resolutions.  The rank-one walk gives
-    the q = 1 grid without the restriction: the S^7 coordinates of ``u v*``
-    for Bloch states u and v (4 angles).  Finite-q points are rescaled by
-    their q-norm.  Walking extreme points keeps the objective smooth in the
-    angles.  The result is always a valid lower bound and converges to the
-    norm as the resolution grows.
+    unitaries for q = inf, or the Hermitian sphere for finite q.  The
+    rank-one walk gives the q = 1 grid without the restriction: the
+    matrix-unit coordinates of ``u v*`` for Bloch states u and v (4 angles).
+    Finite-q points are rescaled by their q-norm.  Walking extreme points
+    keeps the objective smooth in the angles.  The result is always a valid
+    lower bound and converges to the norm as the resolution grows.  Finite q
+    without the Hermitian restriction has no grid that comes near the norm at
+    a usable resolution; it raises ``UnsupportedInstanceError``.
 
     For even ``resolution`` only half of each sphere grid except the q = 1
     one is evaluated: the grid is closed under ``X -> -X``, the objective is
@@ -558,19 +553,21 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     din, dout = phi.dim_in, phi.dim_out
     if din == 1:
         return float(pnorm(np.linalg.svd(apply(phi, np.ones((1, 1))), compute_uv=False), p))
+    finite = not (q == 1.0 or math.isinf(q))
+    if finite and not herm:
+        raise UnsupportedInstanceError("the oracle has no grid for 1 < q < inf without the Hermitian restriction")
     # the realigned Choi matrix maps row-major vectorized inputs to outputs
     transfer_t = choi_matrix(phi).reshape(din, dout, din, dout).transpose(0, 2, 1, 3).reshape(din**2, -1)
     thetas = np.linspace(0.0, math.pi, R)
     phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
     chunk = max(1, _ORACLE_CHUNK_ENTRIES // dout**2)
-    finite = not (q == 1.0 or math.isinf(q))
     if q == 1.0 and not herm:
         # rank-one inputs u v*, the trace-norm ball's extreme points, for the
         # Bloch states u, v = (cos(theta/2), sin(theta/2) e^(i phi)), theta slowest
         states = np.empty((R, R, 2), dtype=np.complex128)
         states[:, :, 0] = np.cos(thetas / 2.0)[:, None]
         states[:, :, 1] = np.sin(thetas / 2.0)[:, None] * np.exp(1j * phis)
-        basis = _SPHERE_BASES[True, False]
+        basis = _MATRIX_UNITS
         coords, points = _rank_one_chunks(states.reshape(-1, 2), chunk), R**4
     else:
         basis = _SPHERE_BASES[finite, herm]
@@ -592,8 +589,9 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     elif math.isinf(q) and herm:
         best = float(_flat_sq_pnorm(eye[None], dout, p, ws)[0])
     elif finite:
-        # the inputs' own norms, taken while the outputs' are still held
-        ws_in, basis = _Workspace(len(ws.sq), 2), basis.view(np.float64)
+        # the inputs' own norms, taken while the outputs' are still held, one
+        # per run of the last angle
+        ws_in, basis = _Workspace(max(1, chunk // R), 2), basis.view(np.float64)
     # real coordinates times the real view of a complex matrix give the real
     # view of the complex product
     image = image.view(np.float64)
@@ -603,15 +601,13 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
             out += shift
         vals = _flat_sq_pnorm(out.view(np.complex128), dout, p, ws)
         if finite:
-            heads = x
-            if herm:
-                # the input [[x0, x2 + i x3], [x2 - i x3, x1]] depends on the last
-                # angle only through x2^2 + x3^2, the squared product of the polar
-                # sines, so its norm holds along each run of the last angle; a
-                # chunk is whole runs, or part of one when R exceeds the chunk
-                run = min(R, len(x))
-                vals, heads = vals.reshape(-1, run).max(axis=1), x[::run]
-            inputs = np.matmul(heads, basis, out=ws_in.out[: len(heads)])
+            # the input [[x0, x2 + i x3], [x2 - i x3, x1]] depends on the last
+            # angle only through x2^2 + x3^2, the squared product of the polar
+            # sines, so its norm holds along each run of the last angle; a
+            # chunk is whole runs, or part of one when R exceeds the chunk
+            run = min(R, len(x))
+            vals = vals.reshape(-1, run).max(axis=1)
+            inputs = np.matmul(x[::run], basis, out=ws_in.out[: len(vals)])
             vals /= _flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws_in)
         best = max(best, float(vals.max()))
     return math.sqrt(best)

@@ -168,3 +168,20 @@ def test_criterion_9_optimizer_vs_dense_oracle(announce):
     )
     assert worst_below <= 1e-3
     assert worst_above <= 5e-3
+
+
+def test_unrestricted_qubit_norms_against_the_rank_one_and_unitary_grids():
+    # criterion 9's maps and window without the Hermitian restriction, on the
+    # two unrestricted grids that reach that window in seconds: rank-one
+    # inputs u v* at q = 1 (three of its six maps, one per p) and unitaries at
+    # q = inf (all six); map j of criterion 9 answers the pair j // 2
+    pairs = [(q, p) for q in (1.0, 2.0, math.inf) for p in (1.0, 2.0, math.inf)]
+    cfg = OptimizerConfig(restarts=RESTARTS, seed=SEED)
+    for j in (0, 2, 4, 12, 13, 14, 15, 16, 17):
+        q, p = pairs[j // 2]
+        phi = random_superop(2, 2, 2, 7000 + 13 * j)
+        query = NormQuery(q, p)
+        oracle = brute_force_oracle(phi, query, 60 if q == 1.0 else 100)
+        value = norm_q_to_p(phi, query, cfg).value
+        assert oracle - value <= 1e-3, (j, oracle, value)
+        assert value - oracle <= 5e-3, (j, oracle, value)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from supernorms import (
     EXAMPLE_NAMES,
     InvalidInputError,
+    UnsupportedInstanceError,
     apply,
     build_example,
     difference,
@@ -51,6 +52,26 @@ def test_transpose_names_and_action(rng):
     assert np.array_equal(T.kraus_left, alias.kraus_left)
     X = complex_matrix(rng, 3, 3)
     assert np.allclose(apply(T, X), X.T)
+    # term 3 i + j is exactly |i><j| on the left and |j><i| on the right
+    for i in range(3):
+        for j in range(3):
+            unit = np.zeros((3, 3))
+            unit[i, j] = 1.0
+            assert np.array_equal(T.kraus_left[3 * i + j], unit)
+            assert np.array_equal(T.kraus_right[3 * i + j], unit.T)
+
+
+def test_transpose_over_the_size_limit_is_refused_before_any_allocation(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the Kraus stack was built")
+
+    monkeypatch.setattr(np, "eye", never)
+    # 91^4 entries per Kraus stack exceed the 2^26 limit, 90^4 do not
+    for name in ("transpose(91)", "transpose-100", "transpose(100000)"):
+        with pytest.raises(UnsupportedInstanceError, match="over the limit of 67108864"):
+            build_example(name)
+    with pytest.raises(AssertionError, match="the Kraus stack was built"):
+        build_example("transpose(90)")
 
 
 def test_simple_example_action():

@@ -157,6 +157,14 @@ def test_oversized_ancilla_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_oversized_transpose_example_exits_2_with_one_line(capsys):
+    code, out, err = run_cli(capsys, "example", "transpose(100)")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: transpose(100) needs 100000000 Kraus entries")
+    assert err.count("\n") == 1
+
+
 def test_norm_hermitian_flag_lowers_simple_example(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "example", "simple_nonhermitian")
     path = tmp_path / "simple.json"

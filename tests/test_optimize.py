@@ -337,6 +337,10 @@ def test_oversized_stack_is_refused_before_any_allocation(monkeypatch):
         norm_q_to_p(phi, NormQuery(1.0, 1.0, False, 100000))
     with pytest.raises(UnsupportedInstanceError):
         cp_norm(random_cp_channel(2, 2, 2, 48), NormQuery(1.0, 1.0, False, 5000))
+    # its 32 x 144^2 iterates fit, but the Kraus kernel's term-expanded
+    # product of the 144 terms holds 144 times as many entries
+    with pytest.raises(UnsupportedInstanceError, match="stabilize_dim 12 on a 12->12 map"):
+        stabilized_norm(build_example("transpose(12)"), 1.0)
 
 
 def test_ancilla_never_hurts(quick_cfg):
@@ -378,10 +382,13 @@ def test_oracle_full_rank_one_grid():
     assert v == pytest.approx(1.0, abs=1e-3)
 
 
-def test_oracle_full_sphere_grid_is_a_lower_bound():
+def test_oracle_refuses_finite_q_without_the_hermitian_restriction():
+    # no grid of all 2x2 inputs comes near the norm at a usable resolution
     simple = build_example("simple_nonhermitian")
-    v = brute_force_oracle(simple, NormQuery(2.0, 1.0), 10)
-    assert 0.9 <= v <= 1.0 + 1e-9
+    for q in (1.0001, 1.5, 2.0, 3.0, 50.0):
+        for p in (1.0, 2.0, math.inf):
+            with pytest.raises(UnsupportedInstanceError, match="without the Hermitian restriction"):
+                brute_force_oracle(simple, NormQuery(q, p), 10)
 
 
 def test_oracle_reflection_grid_for_qinf_hermitian():
@@ -436,21 +443,19 @@ def _full_oracle_grid(q: float, hermitian: bool, R: int) -> np.ndarray:
         psi = _bloch_states(R)
         refl = 2.0 * np.einsum("na,nb->nab", psi, psi.conj()) - np.eye(2)
         return np.concatenate([refl, np.eye(2)[None]])
-    x = _sphere_points(R, 2 if hermitian or math.isinf(q) else 6)
+    x = _sphere_points(R, 2)
     if math.isinf(q):
         z1, z2 = x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3]
         return np.stack([z1, -z2.conj(), z2, z1.conj()], axis=-1).reshape(-1, 2, 2)
-    if hermitian:
-        off = x[:, 2] + 1j * x[:, 3]
-        return np.stack([x[:, 0], off, off.conj(), x[:, 1]], axis=-1).reshape(-1, 2, 2)
-    return (x[:, 0::2] + 1j * x[:, 1::2]).reshape(-1, 2, 2)
+    off = x[:, 2] + 1j * x[:, 3]
+    return np.stack([x[:, 0], off, off.conj(), x[:, 1]], axis=-1).reshape(-1, 2, 2)
 
 
 @pytest.mark.parametrize(
     "q, hermitian, resolutions",
     [
         (1.5, True, (12, 11)),
-        (3.0, False, (4, 5)),
+        (3.0, True, (12, 11)),
         (math.inf, True, (12, 11)),
         (math.inf, False, (12, 11)),
         # the rank-one q = 1 grids have no antipodes and are walked whole
@@ -527,7 +532,7 @@ def test_oracle_rank_one_walk_splits_a_state_grid_larger_than_a_chunk(monkeypatc
     "R, n_polar, lead, chunk",
     [
         (7, 2, 7, 1 << 18),  # the whole grid in one chunk
-        (5, 6, 5, 100),  # S^7: a 25-point trailing slab, four prefixes per chunk
+        (5, 2, 5, 100),  # a 25-point trailing slab, four prefixes per chunk
         (8, 2, 4, 50),  # the even-R half grid
         (5, 2, 5, 3),  # the last angle alone exceeds a chunk: one prefix per chunk
     ],
