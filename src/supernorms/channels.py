@@ -67,13 +67,13 @@ def build_example(name: str):
     if name == "simple_nonhermitian":
         left = [_ketbra(_unit(2, {0: 1}), _unit(2, {0: 1}))]
         right = [_ketbra(_unit(2, {0: 1}), _unit(2, {1: 1}))]
-        return SuperOp.from_kraus(np.stack(left), np.stack(right))
+        return SuperOp.from_kraus(left, right)
     if name == "qinf_nonhermitian":
         e0 = _unit(2, {0: 1})
         e1 = _unit(2, {1: 1})
         left = [0.5 * _ketbra(e0, e0), 0.5j * _ketbra(e0, e1)]
         right = [_ketbra(e0, e0), _ketbra(e0, e1)]
-        return SuperOp.from_kraus(np.stack(left), np.stack(right))
+        return SuperOp.from_kraus(left, right)
     if name == "depolarizing_pair":
         # Kraus terms |i><j| / sqrt(2), term 2 i + j
         return identity_superop(2), SuperOp.from_kraus(np.eye(4).reshape(4, 2, 2) / math.sqrt(2))
@@ -85,12 +85,8 @@ def build_example(name: str):
         outs = [_unit(4, {i: 1}) for i in range(4)]
         first = [e0, plus, e1, minus]
         second = [e1, minus, e0, plus]
-        phi0 = SuperOp.from_kraus(
-            np.stack([_ketbra(outs[i], first[i]) / math.sqrt(2) for i in range(4)])
-        )
-        phi1 = SuperOp.from_kraus(
-            np.stack([_ketbra(outs[i], second[i]) / math.sqrt(2) for i in range(4)])
-        )
+        phi0 = SuperOp.from_kraus([_ketbra(outs[i], first[i]) / math.sqrt(2) for i in range(4)])
+        phi1 = SuperOp.from_kraus([_ketbra(outs[i], second[i]) / math.sqrt(2) for i in range(4)])
         return phi0, phi1
     m = _TRANSPOSE_RE.fullmatch(name)
     if m:

@@ -93,7 +93,7 @@ class OptimizerConfig:
             raise InvalidInputError("max_iterations must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormEstimate:
     """Outcome of one optimization.
 

@@ -106,20 +106,17 @@ def channel_from_obj(obj) -> SuperOp:
     dim_in, dim_out = obj["dim_in"], obj["dim_out"]
     if not (_is_int(dim_in) and _is_int(dim_out)) or dim_in < 1 or dim_out < 1:
         raise InvalidInputError("dim_in and dim_out must be positive integers")
-    if not isinstance(obj["kraus_left"], list) or not obj["kraus_left"]:
-        raise InvalidInputError("kraus_left must be a nonempty list of matrices")
+    for key in ("kraus_left", "kraus_right"):
+        if not isinstance(obj.get(key, []), list):
+            raise InvalidInputError(f"{key} must be a list of matrices")
     left = [matrix_from_obj(m) for m in obj["kraus_left"]]
-    right = None
-    if "kraus_right" in obj:
-        if not isinstance(obj["kraus_right"], list) or len(obj["kraus_right"]) != len(left):
-            raise InvalidInputError("kraus_right must match kraus_left in length")
-        right = [matrix_from_obj(m) for m in obj["kraus_right"]]
-    for m in left + (right or []):
-        if m.shape != (dim_out, dim_in):
-            raise InvalidInputError(
-                f"every Kraus matrix must be {dim_out}x{dim_in}, got {m.shape}"
-            )
-    return SuperOp.from_kraus(np.stack(left), None if right is None else np.stack(right))
+    right = [matrix_from_obj(m) for m in obj["kraus_right"]] if "kraus_right" in obj else None
+    phi = SuperOp.from_kraus(left, right)
+    if (phi.dim_out, phi.dim_in) != (dim_out, dim_in):
+        raise InvalidInputError(
+            f"every Kraus matrix must be {dim_out}x{dim_in}, got {phi.dim_out}x{phi.dim_in}"
+        )
+    return phi
 
 
 def channel_to_json(phi: SuperOp) -> str:

@@ -2,8 +2,8 @@
 
 A :class:`SuperOp` holds two equal-length lists of dim_out x dim_in matrices
 and acts as ``Phi(X) = sum_i A_i X B_i^*``.  Maps given in completely positive
-form use a single list (``B_i = A_i``).  Instances are immutable; the stored
-stacks are read-only arrays.
+form use a single list (``B_i = A_i``) and store one shared stack.  Instances
+are immutable; the stored stacks are read-only arrays.
 
 One kernel, :func:`_kraus_act`, applies every map and adjoint, acting on the
 system legs so ``Phi (x) I_k`` is never materialized; :func:`tensor_identity`
@@ -12,41 +12,38 @@ builds that map explicitly and is the reference.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require_count
+from .errors import MAX_ARRAY_ENTRIES, InvalidInputError, UnsupportedInstanceError, require_count
 from .linalg import as_matrix
 
 
 def _as_kraus_stack(mats, what: str) -> np.ndarray:
-    if isinstance(mats, np.ndarray) and mats.ndim == 3:
-        arr = np.array(mats, dtype=np.complex128)
-        if arr.shape[0] == 0:
-            raise InvalidInputError(f"{what} needs at least one Kraus term")
-        if not np.isfinite(arr).all():
-            raise InvalidInputError(f"{what} entries must be finite")
-        return arr
+    """``mats`` as a fresh read-only (terms, rows, cols) complex128 stack."""
     try:
-        mats = list(mats)
-    except TypeError as exc:
-        raise InvalidInputError(f"{what} must be a sequence of matrices") from exc
-    if not mats:
-        raise InvalidInputError(f"{what} needs at least one Kraus term")
-    stack = [as_matrix(m) for m in mats]
-    shape = stack[0].shape
-    for m in stack[1:]:
-        if m.shape != shape:
-            raise InvalidInputError(f"{what} matrices must share one shape, got {shape} and {m.shape}")
-    return np.stack(stack)
+        # np.array would read a generator as one object, so it is listed first
+        stack = np.array(list(mats) if isinstance(mats, Iterator) else mats, dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} must be a list of matrices of one shape: {exc}") from exc
+    if stack.ndim != 3 or 0 in stack.shape:
+        raise InvalidInputError(f"{what} needs nonempty matrices, got shape {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise InvalidInputError(f"{what} entries must be finite")
+    stack.setflags(write=False)
+    return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperOp:
     """Generalized Kraus representation ``X -> sum_i A_i X B_i^*``.
 
-    ``kraus_left`` and ``kraus_right`` are (n_terms, dim_out, dim_in) stacks.
+    ``kraus_left`` and ``kraus_right`` are (n_terms, dim_out, dim_in) stacks;
+    a map built from one list for both (CP form) stores one shared stack.
+    Maps compare and hash by identity.
     """
 
     kraus_left: np.ndarray
@@ -54,20 +51,20 @@ class SuperOp:
 
     def __post_init__(self):
         left = _as_kraus_stack(self.kraus_left, "kraus_left")
-        right = _as_kraus_stack(self.kraus_right, "kraus_right")
+        if self.kraus_right is self.kraus_left:
+            right = left
+        else:
+            right = _as_kraus_stack(self.kraus_right, "kraus_right")
         if left.shape != right.shape:
             raise InvalidInputError(
                 f"kraus lists must match in length and shape, got {left.shape} and {right.shape}"
             )
-        left.setflags(write=False)
-        right.setflags(write=False)
         object.__setattr__(self, "kraus_left", left)
         object.__setattr__(self, "kraus_right", right)
 
     @classmethod
     def from_kraus(cls, left, right=None) -> "SuperOp":
         """Build from Kraus lists; omitting ``right`` gives the CP form B_i = A_i."""
-        left = _as_kraus_stack(left, "kraus_left")
         return cls(left, left if right is None else right)
 
     @property
@@ -85,7 +82,8 @@ class SuperOp:
     @property
     def cp_form(self) -> bool:
         """True when the two lists are entrywise equal (map stored in CP form)."""
-        return bool(np.array_equal(self.kraus_left, self.kraus_right))
+        left, right = self.kraus_left, self.kraus_right
+        return left is right or bool(np.array_equal(left, right))
 
 
 def identity_superop(dim: int) -> SuperOp:
@@ -140,10 +138,17 @@ def tensor_identity(phi: SuperOp, ancilla_dim: int) -> SuperOp:
     k = require_count(ancilla_dim, "ancilla_dim")
     if k < 1:
         raise InvalidInputError("ancilla dimension must be at least 1")
-    eye = np.eye(k, dtype=np.complex128)
-    left = np.stack([np.kron(m, eye) for m in phi.kraus_left])
-    right = np.stack([np.kron(m, eye) for m in phi.kraus_right])
-    return SuperOp(left, right)
+    shape = (phi.n_terms, phi.dim_out * k, phi.dim_in * k)
+    if (entries := math.prod(shape)) > MAX_ARRAY_ENTRIES:
+        raise UnsupportedInstanceError(
+            f"ancilla_dim {k} needs {entries} Kraus entries, over the limit of {MAX_ARRAY_ENTRIES}"
+        )
+    # (A (x) I_k)[(i, a), (j, b)] = A[i, j] I_k[a, b], one broadcast per distinct stack
+    eye = np.eye(k)[:, None, :]
+    left = (phi.kraus_left[:, :, None, :, None] * eye).reshape(shape)
+    if phi.kraus_right is phi.kraus_left:
+        return SuperOp(left, left)
+    return SuperOp(left, (phi.kraus_right[:, :, None, :, None] * eye).reshape(shape))
 
 
 def left_cp_map(phi: SuperOp) -> SuperOp:

@@ -122,6 +122,11 @@ def test_channel_json_is_byte_deterministic():
         lambda obj: obj.update(kraus_left=[]),
         lambda obj: obj.update(kraus_right=obj["kraus_left"][:1] * 2),
         lambda obj: obj["kraus_left"][0].update(rows=3),
+        lambda obj: obj.update(kraus_right=5),
+        lambda obj: obj.update(kraus_right={"rows": 2}),
+        lambda obj: obj.update(kraus_right=[]),
+        lambda obj: obj["kraus_right"].append(matrix_to_obj(np.eye(2))),
+        lambda obj: obj["kraus_left"].append(matrix_to_obj(np.ones((3, 2)))),
     ],
 )
 def test_channel_from_obj_rejects_bad_objects(mutate):
@@ -152,6 +157,18 @@ def test_channel_right_list_length_must_match():
     obj = json.loads(channel_to_json(random_superop(2, 2, 2, 1)))
     obj["kraus_right"] = obj["kraus_right"][:1]
     with pytest.raises(InvalidInputError):
+        channel_from_obj(obj)
+
+
+def test_channel_dimensions_must_match_the_kraus_matrices():
+    obj = json.loads(channel_to_json(random_superop(2, 3, 2, 1)))
+    assert channel_from_obj(obj).dim_out == 3
+    for key, value in (("dim_in", 3), ("dim_out", 2)):
+        with pytest.raises(InvalidInputError, match="every Kraus matrix must be"):
+            channel_from_obj(dict(obj, **{key: value}))
+    # the right list alone has other shapes
+    obj["kraus_right"] = [matrix_to_obj(np.ones((2, 2)))] * 2
+    with pytest.raises(InvalidInputError, match="must match in length and shape"):
         channel_from_obj(obj)
 
 

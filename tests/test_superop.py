@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from supernorms import (
     InvalidInputError,
+    NormQuery,
+    OptimizerConfig,
     SuperOp,
+    UnsupportedInstanceError,
     adjoint_apply,
     apply,
     build_example,
@@ -18,6 +21,7 @@ from supernorms import (
     is_completely_positive,
     is_trace_preserving,
     left_cp_map,
+    norm_q_to_p,
     random_superop,
     remix,
     right_cp_map,
@@ -44,6 +48,28 @@ def test_superop_validates_kraus_lists():
         SuperOp.from_kraus(np.zeros((1, 2, 2)), np.zeros((1, 3, 2)))
     with pytest.raises(InvalidInputError):
         SuperOp.from_kraus(np.full((1, 2, 2), np.nan))
+    # zero-size matrices, as a stack and as a list, on either side
+    for shape in ((1, 2, 0), (1, 0, 2)):
+        for mats in (np.zeros(shape), list(np.zeros(shape))):
+            with pytest.raises(InvalidInputError, match="needs nonempty matrices"):
+                SuperOp(mats, mats)
+            with pytest.raises(InvalidInputError, match="needs nonempty matrices"):
+                SuperOp.from_kraus(np.zeros((1, 2, 2)), mats)
+    with pytest.raises(InvalidInputError):
+        SuperOp.from_kraus([np.eye(2), np.eye(3)])
+    phi = SuperOp.from_kraus(np.eye(2) for _ in range(3))
+    assert phi.n_terms == 3 and np.array_equal(phi.kraus_left[2], np.eye(2))
+
+
+def test_maps_compare_and_hash_by_identity():
+    a, b = random_superop(2, 2, 2, 1), random_superop(2, 2, 2, 2)
+    assert a != b and a == a
+    assert a in [a] and b not in [a]
+    assert {a: 1, b: 2}[a] == 1
+    cfg = OptimizerConfig(restarts=2, seed=0)
+    est, again = (norm_q_to_p(a, NormQuery(2.0, 2.0), cfg) for _ in range(2))
+    assert est.value == again.value and est != again
+    assert est in [est] and {est: 1}[est] == 1
 
 
 def test_superop_dimensions_and_cp_form():
@@ -52,6 +78,16 @@ def test_superop_dimensions_and_cp_form():
     assert phi.cp_form
     psi = SuperOp.from_kraus(np.ones((1, 2, 2)), 2.0 * np.ones((1, 2, 2)))
     assert not psi.cp_form
+    # a CP-form map keeps one fresh read-only stack for both lists
+    left = np.arange(8.0).reshape(2, 2, 2)
+    phi = SuperOp.from_kraus(left)
+    left[0, 0, 0] = 7.0
+    assert phi.kraus_left[0, 0, 0] == 0.0 and not phi.kraus_left.flags.writeable
+    for cp in (phi, left_cp_map(psi), right_cp_map(psi), tensor_identity(phi, 3)):
+        assert cp.kraus_left is cp.kraus_right and cp.cp_form
+    # equal lists given as two objects are two stacks, still in CP form
+    twin = SuperOp(phi.kraus_left, phi.kraus_left.copy())
+    assert twin.kraus_left is not twin.kraus_right and twin.cp_form
 
 
 def test_identity_superop_acts_trivially(rng):
@@ -141,6 +177,21 @@ def test_tensor_identity_with_one_is_same_map(rng):
     assert np.allclose(apply(same, X), apply(phi, X))
     with pytest.raises(InvalidInputError):
         tensor_identity(phi, 0)
+
+
+def test_tensor_identity_over_the_size_limit_is_refused_before_any_allocation(monkeypatch):
+    phi = random_superop(2, 2, 2, 3)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the widened stacks were built")
+
+    monkeypatch.setattr(np, "eye", never)
+    # 2 terms of (2k x 2k): 8 k^2 entries exceed the 2^26 limit from k = 2897 on
+    for k in (2897, 10**6):
+        with pytest.raises(UnsupportedInstanceError, match="over the limit of 67108864"):
+            tensor_identity(phi, k)
+    with pytest.raises(AssertionError, match="the widened stacks were built"):
+        tensor_identity(phi, 2896)
 
 
 def test_left_right_cp_maps_on_simple_example():
