@@ -18,7 +18,6 @@ from .linalg import (
     as_matrix,
     inner,
     is_hermitian,
-    left_right_absolutes,
     psd_sqrt,
     schmidt,
     svd,

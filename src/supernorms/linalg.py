@@ -110,18 +110,6 @@ def psd_sqrt(H) -> np.ndarray:
     return (U * np.sqrt(lam)) @ U.conj().T
 
 
-def left_right_absolutes(X) -> tuple[np.ndarray, np.ndarray]:
-    """The pair ``(sqrt(X X^*), sqrt(X^* X))``.
-
-    Both factors are PSD, share their eigenvalues with the singular values of
-    ``X``, and sandwich it: ``X = sqrt(X X^*) W = W sqrt(X^* X)`` for a suitable
-    partial isometry ``W``.
-    """
-    A = as_matrix(X)
-    _require_square(A, "left_right_absolutes")
-    return psd_sqrt(A @ A.conj().T), psd_sqrt(A.conj().T @ A)
-
-
 def is_hermitian(X, tol: float = 1e-10) -> bool:
     """True iff the defect ``X - X^*`` has operator norm at most ``tol``."""
     A = as_matrix(X)

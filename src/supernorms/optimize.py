@@ -288,8 +288,9 @@ def _estimate(phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerCon
     n, m = phi.dim_in, phi.dim_out
     entries = cfg.restarts * max(k, 1) ** 2 * max(max(n, m) ** 2, phi.n_terms * n * m)
     if entries > MAX_ARRAY_ENTRIES:
+        ancilla = f"stabilize_dim {k} on " if k else ""
         raise UnsupportedInstanceError(
-            f"stabilize_dim {k} on a {n}->{m} map with {cfg.restarts} restarts and {phi.n_terms} "
+            f"{ancilla}a {n}->{m} map with {cfg.restarts} restarts and {phi.n_terms} "
             f"terms needs arrays of {entries} entries, over the limit of {MAX_ARRAY_ENTRIES}"
         )
     Xbest, conv = _ascend(phi, max(k, 1), query.q, query.p, constraint, cfg)

@@ -52,7 +52,9 @@ def parse_exponent(text: str) -> float:
         value = float(stripped)
     except ValueError as exc:
         raise InvalidExponentError(f"cannot parse exponent {text!r}") from exc
-    if math.isinf(value) or math.isnan(value):
+    if math.isnan(value):
+        raise InvalidExponentError(f'exponent must be a number or "inf", got {text!r}')
+    if math.isinf(value):
         raise InvalidExponentError('infinity must be spelled "inf"')
     return require_exponent(value)
 

@@ -11,9 +11,13 @@ Claims about optimized quantities use tolerance 2e-3 (two independent
 optimizations carry restart variance); claims that reduce to plain linear
 algebra use 1e-8 .. 1e-10.
 
-The seeded trials of the five claims on random maps run on up to the usable
-CPUs, in the calling process and in forked workers, where fork is the start
-method and no other thread runs; the reports are identical to a serial run.
+Every randomized claim records each trial as its fields followed by
+``residual`` (the trial's first largest residual) and ``worst_case`` (that
+case's label).  The five claims on random maps are generators of
+``(residual, label)`` cases on one seeded map per trial.  Their trials run on
+up to the usable CPUs, in the calling process and in forked workers, where
+fork is the start method and no other thread runs; the reports are identical
+to a serial run.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -63,15 +67,7 @@ class VerificationReport:
     details: tuple
 
     def to_obj(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "trials": self.trials,
-            "worst_residual": self.worst_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "seed": self.seed,
-            "details": list(self.details),
-        }
+        return {**asdict(self), "details": list(self.details)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), separators=(",", ":"))
@@ -146,85 +142,70 @@ def _run_trials(salt, trial, seed, trials, restarts):
     return [trial(i, s, restarts) for i, s in enumerate(seeds)]
 
 
-def _trial_map(factory, i, seed, restarts):
-    """Trial i's map (shapes cycle through ``_DIMS_ROTATION``, 2 or 3 terms) and settings."""
-    din, dout = _DIMS_ROTATION[i % len(_DIMS_ROTATION)]
-    return factory(din, dout, 2 + i % 2, seed), OptimizerConfig(restarts=restarts, seed=seed)
-
-
-def _worst(cases) -> tuple[float, str]:
-    """The first largest residual over ``(residual, label)`` cases and its label."""
+def _record(i, fields, cases) -> dict:
+    """Trial i's record: its fields, then the first largest residual over
+    ``(residual, label)`` cases and that case's label."""
     worst, at = 0.0, ""
     for r, label in cases:
         if r > worst:
             worst, at = r, label
-    return worst, at
+    return {"trial": i, **fields, "residual": worst, "worst_case": at}
 
 
-def _trial_detail(i, seed, phi, cases) -> dict:
-    """Trial i's record on its map."""
-    worst, at = _worst(cases)
-    dims = [phi.dim_in, phi.dim_out]
-    return {"trial": i, "dims": dims, "seed": seed, "residual": worst, "worst_case": at}
+def _map_trial(cp, cases, i, seed, restarts):
+    """Trial i's record of ``cases(phi, cfg)`` on its seeded map: a random CP
+    channel if ``cp``, else a random super-operator (shapes cycle through
+    ``_DIMS_ROTATION``, 2 or 3 terms).  The factory is read from the module's
+    names at call time, not held by the registry, so rebinding them reaches
+    every trial."""
+    din, dout = _DIMS_ROTATION[i % len(_DIMS_ROTATION)]
+    phi = (random_cp_channel if cp else random_superop)(din, dout, 2 + i % 2, seed)
+    cfg = OptimizerConfig(restarts=restarts, seed=seed)
+    return _record(i, {"dims": [din, dout], "seed": seed}, cases(phi, cfg))
 
 
-def _theorem1_trial(i, seed, restarts):
+def _theorem1_cases(phi, cfg):
     """CP maps: the unrestricted and Hermitian-restricted norms coincide."""
-    phi, cfg = _trial_map(random_cp_channel, i, seed, restarts)
-    cases = []
     for q in _EXPONENT_GRID:
         for p in _EXPONENT_GRID:
             plain = norm_q_to_p(phi, NormQuery(q, p), cfg).value
             herm = norm_q_to_p(phi, NormQuery(q, p, True), cfg).value
-            cases.append((abs(plain - herm), _label(q, p)))
-    return _trial_detail(i, seed, phi, cases)
+            yield abs(plain - herm), _label(q, p)
 
 
-def _lemma1_trial(i, seed, restarts):
+def _lemma1_cases(phi, cfg):
     """||Phi||_{q->p} <= sqrt(||Phi_L||^H ||Phi_R||^H) for the stored Kraus pair."""
-    phi, cfg = _trial_map(random_superop, i, seed, restarts)
-    cases = []
     for q in _EXPONENT_GRID:
         for p in _EXPONENT_GRID:
             lhs, rhs = factorization_bound(phi, NormQuery(q, p), cfg)
-            cases.append((max(0.0, lhs - rhs), _label(q, p)))
-    return _trial_detail(i, seed, phi, cases)
+            yield max(0.0, lhs - rhs), _label(q, p)
 
 
-def _theorem2_trial(i, seed, restarts):
+def _theorem2_cases(phi, cfg):
     """Tensoring with an identity changes nothing once p >= 2 and q <= 2."""
-    phi, cfg = _trial_map(random_superop, i, seed, restarts)
-    cases = []
     for q in (1.0, 1.5, 2.0):
         for p in (2.0, 3.0, math.inf):
             base = norm_q_to_p(phi, NormQuery(q, p), cfg).value
             for anc in (2, 3):
                 stab = norm_q_to_p(phi, NormQuery(q, p, False, anc), cfg).value
-                cases.append((abs(stab - base), f"{_label(q, p)},ancilla={anc}"))
-    return _trial_detail(i, seed, phi, cases)
+                yield abs(stab - base), f"{_label(q, p)},ancilla={anc}"
 
 
-def _theorem3_trial(i, seed, restarts):
+def _theorem3_cases(phi, cfg):
     """An ancilla of the input dimension already saturates the stabilized norm."""
-    phi, cfg = _trial_map(random_superop, i, seed, restarts)
-    cases = []
     for p in _EXPONENT_GRID:
         for herm in (False, True):
             at_cap = norm_q_to_p(phi, NormQuery(1.0, p, herm, phi.dim_in), cfg).value
             beyond = norm_q_to_p(phi, NormQuery(1.0, p, herm, phi.dim_in + 1), cfg).value
-            cases.append((abs(at_cap - beyond), f"p={format_exponent(p)},hermitian={herm}"))
-    return _trial_detail(i, seed, phi, cases)
+            yield abs(at_cap - beyond), f"p={format_exponent(p)},hermitian={herm}"
 
 
-def _ahw_fact_trial(i, seed, restarts):
+def _ahw_fact_cases(phi, cfg):
     """For CP maps the Hermitian 1->p norm ignores tensoring with an identity."""
-    phi, cfg = _trial_map(random_cp_channel, i, seed, restarts)
-    cases = []
     for p in (1.0, 2.0, math.inf):
         base = norm_q_to_p(phi, NormQuery(1.0, p, True), cfg).value
         stab = norm_q_to_p(phi, NormQuery(1.0, p, True, 2), cfg).value
-        cases.append((abs(base - stab), f"p={format_exponent(p)}"))
-    return _trial_detail(i, seed, phi, cases)
+        yield abs(base - stab), f"p={format_exponent(p)}"
 
 
 def _run_fixed(salt, cases, seed, trials, restarts):
@@ -291,12 +272,7 @@ def _transpose_cases(cfg):
 def _run_exact(salt, trial, seed, trials, restarts):
     """``trial(rng) -> (shape_fields, cases)`` for ``i < trials`` on one seeded stream."""
     rng = _rng(seed, salt)
-    details = []
-    for i in range(trials):
-        fields, cases = trial(rng)
-        worst, at = _worst(cases)
-        details.append({"trial": i, **fields, "residual": worst, "worst_case": at})
-    return details
+    return [_record(i, *trial(rng)) for i in range(trials)]
 
 
 def _duality_trial(rng):
@@ -351,15 +327,19 @@ def _monotone_p_trial(rng):
     return {"shape": [n, m]}, cases
 
 
+def _map_claim(salt, cases, cp):
+    return partial(_run_trials, salt, partial(_map_trial, cp, cases))
+
+
 # claim id -> (tolerance, runner); order fixes the "all" iteration order
 _REGISTRY = {
-    "theorem1": (2e-3, partial(_run_trials, 1, _theorem1_trial)),
-    "lemma1": (2e-3, partial(_run_trials, 2, _lemma1_trial)),
+    "theorem1": (2e-3, _map_claim(1, _theorem1_cases, cp=True)),
+    "lemma1": (2e-3, _map_claim(2, _lemma1_cases, cp=False)),
     "prop_counterexamples": (2e-3, partial(_run_fixed, 3, _counterexample_cases)),
-    "theorem2": (2e-3, partial(_run_trials, 4, _theorem2_trial)),
-    "theorem3": (2e-3, partial(_run_trials, 5, _theorem3_trial)),
+    "theorem2": (2e-3, _map_claim(4, _theorem2_cases, cp=False)),
+    "theorem3": (2e-3, _map_claim(5, _theorem3_cases, cp=False)),
     "transpose_instability": (2e-3, partial(_run_fixed, 6, _transpose_cases)),
-    "ahw_fact": (2e-3, partial(_run_trials, 7, _ahw_fact_trial)),
+    "ahw_fact": (2e-3, _map_claim(7, _ahw_fact_cases, cp=True)),
     "duality": (1e-8, partial(_run_exact, 8, _duality_trial)),
     "hoelder": (1e-9, partial(_run_exact, 9, _hoelder_trial)),
     "block_bounds": (1e-9, partial(_run_exact, 10, _block_bounds_trial)),

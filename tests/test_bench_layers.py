@@ -36,3 +36,17 @@ def test_oracle_reproduces_the_recorded_references():
         phi = random_superop(2, 2, 2, 7000 + 13 * j)
         got = brute_force_oracle(phi, NormQuery(q, p, True), refs["resolution"])
         assert got == pytest.approx(refs["values"][str(j)], rel=0.0, abs=1e-12), j
+
+
+@pytest.mark.parametrize(
+    "claim, generator", [("ahw_fact", "random_cp_channel"), ("theorem3", "random_superop")]
+)
+def test_map_claims_call_the_rebound_map_generators(monkeypatch, claim, generator):
+    # the tracer counts ``channels.random`` by rebinding these names in every module
+    verify_module = importlib.import_module("supernorms.verify")
+    calls = []
+    original = getattr(verify_module, generator)
+    monkeypatch.setattr(verify_module, generator, lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
+    assert verify_module.verify(claim, trials=2, restarts=1).trials == 2
+    assert [args[:3] for args in calls] == [(2, 2, 2), (2, 3, 3)]

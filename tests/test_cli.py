@@ -157,6 +157,19 @@ def test_oversized_ancilla_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_oversized_query_without_ancilla_does_not_name_stabilize_dim(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the ascent started")
+
+    monkeypatch.setattr("supernorms.optimize._ascend", never)
+    path = write_channel(tmp_path, "phi.json", random_superop(2, 2, 2, 6))
+    code, out, err = run_cli(capsys, "norm", path, "--q", "1", "--p", "1", "--restarts", "100000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a 2->2 map with 100000000 restarts and 2 terms needs arrays of ")
+    assert "stabilize_dim" not in err
+    assert err.count("\n") == 1
+
+
 def test_oversized_transpose_example_exits_2_with_one_line(capsys):
     code, out, err = run_cli(capsys, "example", "transpose(100)")
     assert code == 2

@@ -10,7 +10,6 @@ from supernorms import (
     as_matrix,
     inner,
     is_hermitian,
-    left_right_absolutes,
     psd_sqrt,
     random_unitary,
     schmidt,
@@ -180,33 +179,6 @@ def test_psd_sqrt_clamps_roundoff_negatives():
     R = psd_sqrt(H)
     assert np.isfinite(R).all()
     assert R[1, 1].real >= 0.0
-
-
-def test_left_right_absolutes_signed_diagonal():
-    L, R = left_right_absolutes(np.diag([-2.0, 3.0]))
-    assert np.allclose(L, np.diag([2.0, 3.0]))
-    assert np.allclose(R, np.diag([2.0, 3.0]))
-
-
-def test_left_right_absolutes_nilpotent():
-    L, R = left_right_absolutes([[0, 2], [0, 0]])
-    assert np.allclose(L, np.diag([2.0, 0.0]))
-    assert np.allclose(R, np.diag([0.0, 2.0]))
-
-
-@given(seeds, st.integers(min_value=1, max_value=5))
-def test_absolutes_share_singular_spectrum(seed, n):
-    rng = np.random.default_rng(seed)
-    X = complex_matrix(rng, n, n)
-    L, R = left_right_absolutes(X)
-    s = svd(X).singular_values
-    assert np.allclose(np.sort(np.linalg.eigvalsh(L)), np.sort(s), atol=1e-8)
-    assert np.allclose(np.sort(np.linalg.eigvalsh(R)), np.sort(s), atol=1e-8)
-
-
-def test_left_right_absolutes_requires_square():
-    with pytest.raises(InvalidInputError):
-        left_right_absolutes(np.ones((2, 3)))
 
 
 def test_hermitian_predicate():

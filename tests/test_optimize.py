@@ -154,7 +154,7 @@ def test_achiever_invariants_plain(quick_cfg):
     query = NormQuery(1.5, 2.0)
     est = norm_q_to_p(phi, query, quick_cfg)
     assert schatten_norm(est.achiever, 1.5) == pytest.approx(1.0, abs=1e-9)
-    assert eval_on(phi, est.achiever, 2.0) == pytest.approx(est.value, abs=1e-10)
+    assert eval_on(phi, est.achiever, 2.0) == est.value
     assert not est.achiever.flags.writeable
 
 
@@ -163,7 +163,7 @@ def test_achiever_invariants_hermitian(quick_cfg):
     est = norm_q_to_p(phi, NormQuery(2.0, 1.0, True), quick_cfg)
     assert is_hermitian(est.achiever, tol=1e-12)
     assert schatten_norm(est.achiever, 2.0) == pytest.approx(1.0, abs=1e-9)
-    assert eval_on(phi, est.achiever, 1.0) == pytest.approx(est.value, abs=1e-10)
+    assert eval_on(phi, est.achiever, 1.0) == est.value
 
 
 def test_achiever_invariants_psd(quick_cfg):
@@ -172,14 +172,17 @@ def test_achiever_invariants_psd(quick_cfg):
     lam = np.linalg.eigvalsh(est.achiever)
     assert lam.min() >= -1e-12
     assert lam.sum() == pytest.approx(1.0, abs=1e-9)
+    assert eval_on(phi, est.achiever, 1.0) == est.value
 
 
 def test_achiever_lives_on_stabilized_space(quick_cfg):
     phi = random_superop(2, 2, 2, 34)
-    est = norm_q_to_p(phi, NormQuery(1.0, 1.0, False, 3), quick_cfg)
-    assert est.achiever.shape == (6, 6)
     big = tensor_identity(phi, 3)
-    assert eval_on(big, est.achiever, 1.0) == est.value
+    for query in (NormQuery(1.0, 1.0, False, 3), NormQuery(1.5, 3.0, True, 3)):
+        est = norm_q_to_p(phi, query, quick_cfg)
+        assert est.achiever.shape == (6, 6)
+        assert eval_on(big, est.achiever, query.p) == est.value
+    assert is_hermitian(est.achiever, tol=1e-12)
 
 
 @pytest.mark.parametrize(

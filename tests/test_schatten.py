@@ -64,6 +64,10 @@ def test_parse_and_format_exponent():
             parse_exponent(bad)
     with pytest.raises(InvalidExponentError):
         parse_exponent(2.0)
+    with pytest.raises(InvalidExponentError, match=r"must be a number or \"inf\", got 'nan'"):
+        parse_exponent("nan")
+    with pytest.raises(InvalidExponentError, match='infinity must be spelled "inf"'):
+        parse_exponent("Infinity")
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
