@@ -12,10 +12,19 @@ step per iteration instead of a decomposition.  The objective value never
 decreases along the iteration, every iterate is feasible, and the reported
 value is therefore a certified lower bound whatever the convergence status.
 
-All restarts advance together as one stacked array; a restart drops out of
-the stack once its gain or step falls under fixed tolerances.
-The ascent applies ``Phi (x) I_k`` and its adjoint through the one Kraus
-kernel of :mod:`.superop` and never materializes the enlarged map.
+All restarts advance together as one compact stack of the active rows; a
+restart leaves it, and its row goes back into the full stack of iterates,
+once its gain or step falls under fixed tolerances, and the rows still active
+go back when the iteration cap stops the ascent.  The ascent applies
+``Phi (x) I_k`` and its adjoint through the one Kraus kernel of
+:mod:`.superop`, whose GEMM operands it lays out once per ascent, and never
+materializes the enlarged map.
+
+``norm_q_to_p`` answers an ancilla query on a smaller space where the paper
+proves the value there: without the Hermitian restriction and with
+``q <= 2 <= p`` on no ancilla (Theorem 2), at q = 1 with ``k > dim_in`` on
+the ancilla ``dim_in`` (Theorem 3).  The achiever is embedded in the query's
+space, where ``value`` is re-evaluated.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ from .schatten import dual_exponent, format_exponent, holder_weights, pnorm, req
 from .superop import (
     SuperOp,
     _dagger,
-    _kraus_act,
+    _kraus_kernel,
     apply,
     choi_matrix,
     is_completely_positive,
@@ -220,8 +229,8 @@ def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerC
 
 
 def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: OptimizerConfig):
-    left, right = phi.kraus_left, phi.kraus_right
-    left_h, right_h = _dagger(left), _dagger(right)
+    forward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)
+    backward = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k)
     p_dual = dual_exponent(p)
     # witnesses on the unit trace-norm ball are rank one: the output side's at
     # p = inf, the input side's at q = 1 over all matrices; those sides keep
@@ -229,20 +238,18 @@ def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: Opti
     y_rank_one, x_rank_one = math.isinf(p), q == 1.0 and constraint == "full"
     y_pair = x_pair = None
     X = _start_stack(phi.dim_in, k, q, constraint, cfg)
-    values = np.full(cfg.restarts, -np.inf)
     converged = np.zeros(cfg.restarts, dtype=bool)
-    active = np.arange(cfg.restarts)
+    # the active restarts' rows: indices into X, iterates and last values
+    active, Xa, values = np.arange(cfg.restarts), X, np.full(cfg.restarts, -np.inf)
     for _ in range(cfg.max_iterations):
-        Xa = X[active]
-        W = _kraus_act(left, right, Xa, k)
+        W = forward(Xa)
         if y_rank_one:
             y_pair, Y = _rank_one_witness(W, y_pair)
         else:
             Y = _ball_witness(W, p_dual, "full")
         vals = np.einsum("rab,rab->r", W.conj(), Y).real
-        gain = vals - values[active]
-        values[active] = vals
-        Z = _kraus_act(left_h, right_h, Y, k)
+        gain = vals - values
+        Z = backward(Y)
         if x_rank_one:
             x_pair, Xn = _rank_one_witness(Z, x_pair)
         else:
@@ -251,16 +258,22 @@ def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: Opti
             if np.any(stalled):
                 Xn[stalled] = Xa[stalled]
         step = _frobenius(Xn - Xa)
-        X[active] = Xn
+        Xa, values = Xn, vals
         done = (np.abs(gain) <= _OBJECTIVE_TOLERANCE * (1.0 + np.abs(vals))) | (step <= _STEP_TOLERANCE)
         if np.any(done):
+            # a converged row goes back into the full stack and leaves the active one
+            X[active[done]] = Xa[done]
             converged[active[done]] = True
-            active = active[~done]
+            keep = ~done
+            active, Xa, values = active[keep], Xa[keep], values[keep]
             if active.size == 0:
                 break
-            y_pair = None if y_pair is None else y_pair[~done]
-            x_pair = None if x_pair is None else x_pair[~done]
-    final = pnorm(np.linalg.svd(_kraus_act(left, right, X, k), compute_uv=False), p, axis=-1)
+            y_pair = None if y_pair is None else y_pair[keep]
+            x_pair = None if x_pair is None else x_pair[keep]
+    else:
+        # the cap: the rows still active go back as they stand
+        X[active] = Xa
+    final = pnorm(np.linalg.svd(forward(X), compute_uv=False), p, axis=-1)
     best = int(np.argmax(final))
     return X[best], bool(converged[best])
 
@@ -282,18 +295,51 @@ def _polish_achiever(X: np.ndarray, q: float, constraint: str) -> np.ndarray:
     return A / nrm
 
 
-def _estimate(phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerConfig) -> NormEstimate:
+def _reduced_ancilla(phi: SuperOp, query: NormQuery) -> int:
+    """The smallest ancilla on which the paper proves the query's value.
+
+    Theorem 2: without the Hermitian restriction and with ``q <= 2 <= p``, no
+    ancilla changes the norm.  Theorem 3: at q = 1, plain or Hermitian, an
+    ancilla of dimension ``dim_in`` saturates it (the extreme points of either
+    unit ball, ``u v*`` and ``+-u u*``, have Schmidt rank at most ``dim_in``).
+    """
     k = query.stabilize_dim
-    # the largest arrays of an ascent: the iterates and the Kraus kernel's term-expanded product
+    if k and not query.hermitian_restricted and query.q <= 2.0 <= query.p:
+        return 0
+    if query.q == 1.0 and k > phi.dim_in:
+        return phi.dim_in
+    return k
+
+
+def _embed(X: np.ndarray, base: int, anc: int) -> np.ndarray:
+    """``X`` on base (x) C^j as ``(I (x) V) X (I (x) V)^*`` on base (x) C^anc,
+    V the isometry onto the first j ancilla coordinates; for j = 1 that is
+    ``X (x) E_00``.  Norms, hermiticity and ``Phi (x) I`` values carry over."""
+    j = X.shape[0] // base
+    out = np.zeros((base, anc, base, anc), dtype=X.dtype)
+    out[:, :j, :, :j] = X.reshape(base, j, base, j)
+    return out.reshape(base * anc, base * anc)
+
+
+def _estimate(
+    phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerConfig, run_k: int
+) -> NormEstimate:
+    """The query's estimate from an ascent with ancilla ``run_k``: the
+    query's own, or a smaller one on which the query's value is proven."""
+    k = query.stabilize_dim
+    # the largest arrays: the ascent's iterates and Kraus kernel's term-expanded
+    # product, and the same for the one achiever on the query's space
     n, m = phi.dim_in, phi.dim_out
-    entries = cfg.restarts * max(k, 1) ** 2 * max(max(n, m) ** 2, phi.n_terms * n * m)
+    entries = max(cfg.restarts * max(run_k, 1) ** 2, k**2) * max(max(n, m) ** 2, phi.n_terms * n * m)
     if entries > MAX_ARRAY_ENTRIES:
         ancilla = f"stabilize_dim {k} on " if k else ""
         raise UnsupportedInstanceError(
             f"{ancilla}a {n}->{m} map with {cfg.restarts} restarts and {phi.n_terms} "
             f"terms needs arrays of {entries} entries, over the limit of {MAX_ARRAY_ENTRIES}"
         )
-    Xbest, conv = _ascend(phi, max(k, 1), query.q, query.p, constraint, cfg)
+    Xbest, conv = _ascend(phi, max(run_k, 1), query.q, query.p, constraint, cfg)
+    if run_k != k:
+        Xbest = _embed(Xbest, n, k)
     achiever = _polish_achiever(Xbest, query.q, constraint)
     # the reference map, so that re-evaluating the achiever reproduces ``value``
     phi_eff = tensor_identity(phi, k) if k else phi
@@ -305,11 +351,25 @@ def _estimate(phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerCon
     )
 
 
+def _constraint(query: NormQuery) -> str:
+    return "hermitian" if query.hermitian_restricted else "full"
+
+
+def _unreduced_norm(phi: SuperOp, query: NormQuery, cfg: OptimizerConfig) -> NormEstimate:
+    """``norm_q_to_p`` with the ascent on the query's own ancilla, for the
+    checks that compare ancilla sizes (a reduced query would compare a
+    number with itself)."""
+    return _estimate(phi, query, _constraint(query), cfg, query.stabilize_dim)
+
+
 def norm_q_to_p(phi: SuperOp, query: NormQuery, config: OptimizerConfig | None = None) -> NormEstimate:
-    """Best lower bound on the queried induced norm over ``restarts`` runs."""
+    """Best lower bound on the queried induced norm over ``restarts`` runs.
+
+    Where Theorem 2 or 3 proves the value on a smaller ancilla (see
+    ``_reduced_ancilla``), the ascent runs there and its achiever is embedded
+    in the query's space, where ``value`` is re-evaluated."""
     cfg = config if config is not None else OptimizerConfig()
-    constraint = "hermitian" if query.hermitian_restricted else "full"
-    return _estimate(phi, query, constraint, cfg)
+    return _estimate(phi, query, _constraint(query), cfg, _reduced_ancilla(phi, query))
 
 
 def norm_1_to_p(
@@ -330,7 +390,7 @@ def cp_norm(phi: SuperOp, query: NormQuery, config: OptimizerConfig | None = Non
     if not is_completely_positive(phi):
         raise PreconditionError("cp_norm requires a completely positive map")
     cfg = config if config is not None else OptimizerConfig()
-    return _estimate(phi, query, "psd", cfg)
+    return _estimate(phi, query, "psd", cfg, query.stabilize_dim)
 
 
 def stabilized_norm(
@@ -673,11 +733,11 @@ def explore_open_question(
         profile = []
         for k in range(1, phi.dim_in + 3):
             query = NormQuery(q, p, False, stabilize_dim=k)
-            row = {"ancilla": k, "value": norm_q_to_p(phi, query, cfg).value}
+            # unreduced: the profile is a check on ancilla sizes, not a lookup
+            row = {"ancilla": k, "value": _unreduced_norm(phi, query, cfg).value}
             if question == 3:
-                row["hermitian_value"] = norm_q_to_p(
-                    phi, replace(query, hermitian_restricted=True), cfg
-                ).value
+                herm = replace(query, hermitian_restricted=True)
+                row["hermitian_value"] = _unreduced_norm(phi, herm, cfg).value
             profile.append(row)
         return {
             "question": question,

@@ -5,9 +5,9 @@ and acts as ``Phi(X) = sum_i A_i X B_i^*``.  Maps given in completely positive
 form use a single list (``B_i = A_i``) and store one shared stack.  Instances
 are immutable; the stored stacks are read-only arrays.
 
-One kernel, :func:`_kraus_act`, applies every map and adjoint, acting on the
-system legs so ``Phi (x) I_k`` is never materialized; :func:`tensor_identity`
-builds that map explicitly and is the reference.
+One kernel, built by :func:`_kraus_kernel`, applies every map and adjoint,
+acting on the system legs so ``Phi (x) I_k`` is never materialized;
+:func:`tensor_identity` builds that map explicitly and is the reference.
 """
 
 from __future__ import annotations
@@ -95,17 +95,27 @@ def identity_superop(dim: int) -> SuperOp:
     return SuperOp.from_kraus(eye)
 
 
-def _kraus_act(left: np.ndarray, right: np.ndarray, X: np.ndarray, k: int = 1) -> np.ndarray:
-    """``sum_t (A_t (x) I_k) X (B_t (x) I_k)^*`` for an (r, nk, nk) stack ``X``
-    and (n_terms, m, n) stacks ``left``, ``right``; the ancilla is the fast
-    index of each leg, and two GEMMs act on the system legs alone."""
+def _kraus_kernel(left: np.ndarray, right: np.ndarray, k: int = 1):
+    """The contraction ``X -> sum_t (A_t (x) I_k) X (B_t (x) I_k)^*`` on
+    (r, nk, nk) stacks, for (n_terms, m, n) stacks ``left``, ``right``.
+
+    The ancilla is the fast index of each leg, and two GEMMs act on the system
+    legs alone.  Both GEMM operands are laid out here, once, so a caller that
+    contracts many stacks with one map (the ascent) pays for them once.
+    """
     t, m, n = left.shape
-    # system column leg first: [j, (i, r, a, b)] for X[r, (i, a), (j, b)]
-    Xj = X.reshape(-1, n, k, n, k).transpose(3, 1, 0, 2, 4).reshape(n, -1)
-    Z = (right.conj().reshape(t * m, n) @ Xj).reshape(t, m, n, -1)  # [t, q, i, (r, a, b)]
-    Z = Z.transpose(0, 2, 1, 3).reshape(t * n, -1)  # [(t, i), (q, r, a, b)]
-    out = left.transpose(1, 0, 2).reshape(m, t * n) @ Z  # [p, (q, r, a, b)]
-    return out.reshape(m, m, -1, k, k).transpose(2, 0, 3, 1, 4).reshape(-1, m * k, m * k)
+    right_rows = right.conj().reshape(t * m, n)  # [(t, q), j]
+    left_cols = left.transpose(1, 0, 2).reshape(m, t * n)  # [p, (t, i)]
+
+    def act(X: np.ndarray) -> np.ndarray:
+        # system column leg first: [j, (i, r, a, b)] for X[r, (i, a), (j, b)]
+        Xj = X.reshape(-1, n, k, n, k).transpose(3, 1, 0, 2, 4).reshape(n, -1)
+        Z = (right_rows @ Xj).reshape(t, m, n, -1)  # [t, q, i, (r, a, b)]
+        Z = Z.transpose(0, 2, 1, 3).reshape(t * n, -1)  # [(t, i), (q, r, a, b)]
+        out = left_cols @ Z  # [p, (q, r, a, b)]
+        return out.reshape(m, m, -1, k, k).transpose(2, 0, 3, 1, 4).reshape(-1, m * k, m * k)
+
+    return act
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
@@ -120,7 +130,7 @@ def apply(phi: SuperOp, X) -> np.ndarray:
         raise InvalidInputError(
             f"input must be {phi.dim_in}x{phi.dim_in}, got {A.shape}"
         )
-    return _kraus_act(phi.kraus_left, phi.kraus_right, A[None])[0]
+    return _kraus_kernel(phi.kraus_left, phi.kraus_right)(A[None])[0]
 
 
 def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
@@ -130,7 +140,7 @@ def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
         raise InvalidInputError(
             f"adjoint input must be {phi.dim_out}x{phi.dim_out}, got {A.shape}"
         )
-    return _kraus_act(_dagger(phi.kraus_left), _dagger(phi.kraus_right), A[None])[0]
+    return _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right))(A[None])[0]
 
 
 def tensor_identity(phi: SuperOp, ancilla_dim: int) -> SuperOp:

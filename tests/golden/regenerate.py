@@ -74,6 +74,15 @@ CASES = {
     "stabilized_depolarizing_pair_p1": [
         "stabilized", "example_depolarizing_pair.out", "--p", "1", "--seed", "24",
     ],
+    # answered on a smaller ancilla: Theorem 3 (q = 1, k > dim_in), then Theorem 2
+    "norm_random222_q1_p1_k4": [
+        "norm", "random222.json", "--q", "1", "--p", "1", "--stabilize", "4", "--seed", "25",
+    ],
+    "norm_random222_q1_p1_k4_herm": [
+        "norm", "random222.json", "--q", "1", "--p", "1", "--stabilize", "4", "--hermitian",
+        "--seed", "26",
+    ],
+    "stabilized_random233_p3": ["stabilized", "random233.json", "--p", "3", "--seed", "27"],
 }
 
 

@@ -35,6 +35,8 @@ from supernorms import (
 )
 from supernorms import optimize
 from supernorms.optimize import _ball_witness
+from supernorms.schatten import dual_exponent
+from supernorms.superop import _dagger, _kraus_kernel
 
 EXPONENTS = [1.0, 1.5, 2.0, math.inf]
 
@@ -185,6 +187,37 @@ def test_achiever_lives_on_stabilized_space(quick_cfg):
     assert is_hermitian(est.achiever, tol=1e-12)
 
 
+@pytest.mark.parametrize("i", range(8))
+def test_reduced_queries_embed_an_exact_achiever(i, monkeypatch):
+    # Theorem 2 cells (q <= 2 <= p) and Theorem 3 cells (q = 1, k > dim_in): the
+    # ascent runs on the smaller space, the achiever is embedded in the query's
+    # space and re-evaluates there exactly, and the value matches the ascent on
+    # the query's own ancilla
+    din, dout = [(2, 2), (2, 3), (3, 2), (3, 3)][i % 4]
+    phi, cfg = random_superop(din, dout, 2 + i % 2, 800 + i), OptimizerConfig(seed=i)
+    ancillas = []
+    ascend = optimize._ascend
+    monkeypatch.setattr(
+        optimize, "_ascend", lambda phi, k, *args: ancillas.append(k) or ascend(phi, k, *args)
+    )
+    cells = [(1.0, 2.0, 3), (1.5, 3.0, 2), (2.0, math.inf, 2), (1.0, 1.0, din + 2), (1.0, 3.0, din + 1)]
+    for q, p, k in cells:
+        for herm in (False, True):
+            query = NormQuery(q, p, herm, k)
+            est = norm_q_to_p(phi, query, cfg)
+            # Theorem 2 drops the ancilla of a plain query, Theorem 3 caps it at dim_in
+            want = 1 if not herm and q <= 2.0 <= p else min(k, din) if q == 1.0 else k
+            assert ancillas[-1] == want, (q, p, k, herm)
+            assert est.achiever.shape == (din * k, din * k)
+            assert schatten_norm(est.achiever, q) == pytest.approx(1.0, abs=1e-12)
+            if herm:
+                assert is_hermitian(est.achiever, tol=1e-12)
+            assert eval_on(tensor_identity(phi, k), est.achiever, p) == est.value
+            unreduced = optimize._unreduced_norm(phi, query, cfg)
+            assert ancillas[-1] == k
+            assert est.value == pytest.approx(unreduced.value, rel=1e-8), (q, p, k, herm)
+
+
 @pytest.mark.parametrize(
     "route, phi, query",
     [
@@ -252,6 +285,84 @@ def test_random_starts_match_a_per_restart_reference(q, constraint):
         elif constraint == "psd":
             G = G.conj().T @ G
         np.testing.assert_array_equal(starts[r], G / schatten_norm(G, q))
+
+
+def gather_scatter_ascent(phi, k, q, p, constraint, cfg):
+    """The ascent as one loop over the full stack: gather the active rows, step,
+    scatter them back; returns the final stack and the converged flags."""
+    forward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)
+    backward = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k)
+    y_rank_one, x_rank_one = math.isinf(p), q == 1.0 and constraint == "full"
+    y_pair = x_pair = None
+    X = optimize._start_stack(phi.dim_in, k, q, constraint, cfg)
+    values = np.full(cfg.restarts, -np.inf)
+    converged = np.zeros(cfg.restarts, dtype=bool)
+    active = np.arange(cfg.restarts)
+    for _ in range(cfg.max_iterations):
+        Xa = X[active]
+        W = forward(Xa)
+        if y_rank_one:
+            y_pair, Y = optimize._rank_one_witness(W, y_pair)
+        else:
+            Y = _ball_witness(W, dual_exponent(p), "full")
+        vals = np.einsum("rab,rab->r", W.conj(), Y).real
+        gain = vals - values[active]
+        values[active] = vals
+        Z = backward(Y)
+        if x_rank_one:
+            x_pair, Xn = optimize._rank_one_witness(Z, x_pair)
+        else:
+            Xn = _ball_witness(Z, q, constraint)
+            stalled = optimize._frobenius(Xn) <= 1e-14
+            Xn[stalled] = Xa[stalled]
+        step = optimize._frobenius(Xn - Xa)
+        X[active] = Xn
+        done = (np.abs(gain) <= 1e-10 * (1.0 + np.abs(vals))) | (step <= 1e-9)
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+        y_pair = None if y_pair is None else y_pair[~done]
+        x_pair = None if x_pair is None else x_pair[~done]
+    return X, converged
+
+
+@pytest.mark.parametrize(
+    "q, p, constraint, k",
+    [
+        (1.5, 3.0, "full", 2),
+        (1.0, math.inf, "full", 1),
+        (2.0, 2.0, "hermitian", 2),
+        (1.0, 1.0, "hermitian", 3),
+    ],
+)
+def test_compact_stack_hands_back_every_row(q, p, constraint, k, monkeypatch):
+    # the ascent steps only the active rows and writes a row back into the full
+    # stack when it converges or the cap stops it; the final re-evaluation must
+    # see the same stack, bit for bit, as a gather/scatter loop leaves
+    phi, cfg = random_superop(3, 2, 3, 60), OptimizerConfig(restarts=7, seed=4)
+    seen = []
+
+    def spy_kernel(left, right, k=1):
+        act = _kraus_kernel(left, right, k)
+        return lambda X: seen.append(X.copy()) or act(X)
+
+    monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
+    mixed = False
+    for cap in (1, 3, 22, 27, 5000):
+        capped = OptimizerConfig(restarts=cfg.restarts, max_iterations=cap, seed=cfg.seed)
+        want, flags = gather_scatter_ascent(phi, k, q, p, constraint, capped)
+        seen.clear()
+        got, conv = optimize._ascend(phi, k, q, p, constraint, capped)
+        np.testing.assert_array_equal(seen[-1], want)  # the final evaluation's stack
+        final = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)(want)
+        best = int(np.argmax(pnorm(np.linalg.svd(final, compute_uv=False), p, axis=-1)))
+        np.testing.assert_array_equal(got, want[best])
+        assert conv == flags[best]
+        if cap <= 3:
+            assert not flags.any()  # every restart stopped at the cap
+        mixed = mixed or 0 < flags.sum() < len(flags)
+    assert flags.all() and mixed  # the last cap let all converge, an earlier one some
 
 
 def test_results_are_deterministic(quick_cfg):

@@ -28,7 +28,7 @@ from supernorms import (
     tensor_identity,
 )
 
-from supernorms.superop import _dagger, _kraus_act
+from supernorms.superop import _dagger, _kraus_kernel
 
 from conftest import COUNTS, check_count, complex_matrix
 
@@ -161,8 +161,8 @@ def test_kraus_kernel_matches_tensor_identity(phi, k):
     big = tensor_identity(phi, k)
     X = np.stack([complex_matrix(rng, big.dim_in, big.dim_in) for _ in range(5)])
     Y = np.stack([complex_matrix(rng, big.dim_out, big.dim_out) for _ in range(5)])
-    out = _kraus_act(phi.kraus_left, phi.kraus_right, X, k)
-    back = _kraus_act(_dagger(phi.kraus_left), _dagger(phi.kraus_right), Y, k)
+    out = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)(X)
+    back = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k)(Y)
     for i in range(len(X)):
         assert np.allclose(out[i], apply(big, X[i]), rtol=0.0, atol=1e-12)
         assert np.allclose(out[i], manual_apply(big, X[i]), rtol=0.0, atol=1e-12)

@@ -9,7 +9,18 @@ import threading
 import numpy as np
 import pytest
 
-from supernorms import InvalidInputError, VerificationReport, claim_ids, claim_tolerance, verify
+from supernorms import (
+    InvalidInputError,
+    NormQuery,
+    OptimizerConfig,
+    VerificationReport,
+    claim_ids,
+    claim_tolerance,
+    explore_open_question,
+    norm_q_to_p,
+    random_cp_channel,
+    verify,
+)
 
 ALL_CLAIMS = (
     "theorem1",
@@ -33,6 +44,7 @@ FAST = dict(trials=2, restarts=16)
 TRIAL_CLAIMS = ("theorem1", "lemma1", "theorem2", "theorem3", "ahw_fact")
 
 verify_module = importlib.import_module("supernorms.verify")
+optimize = importlib.import_module("supernorms.optimize")
 
 
 def test_claim_registry():
@@ -257,3 +269,49 @@ def test_partly_started_pool_leaves_no_worker(monkeypatch):
     assert verify("ahw_fact", seed=4, trials=3, restarts=8).to_json() == serial
     assert len(spawned) == 2
     assert multiprocessing.active_children() == []
+
+
+def test_ancilla_checks_run_the_unreduced_ascent(monkeypatch):
+    # the claims and surveys that compare ancilla sizes must run each query on
+    # its own ancilla: norm_q_to_p answers some on a smaller space (Theorems 2
+    # and 3), which would make those checks compare a number with itself
+    runs = []  # [map, query, ancilla the ascent received]
+    estimate, ascend = optimize._estimate, optimize._ascend
+
+    def spy_estimate(phi, query, *args):
+        runs.append([phi, query, None])
+        return estimate(phi, query, *args)
+
+    def spy_ascend(phi, k, *args):
+        runs[-1][2] = k
+        return ascend(phi, k, *args)
+
+    monkeypatch.setattr(optimize, "_estimate", spy_estimate)
+    monkeypatch.setattr(optimize, "_ascend", spy_ascend)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
+    cfg = OptimizerConfig(restarts=2, seed=3)
+    reducible = {}
+    for claim in ("theorem2", "theorem3", "transpose_instability", "ahw_fact"):
+        runs.clear()
+        verify(claim, trials=2, restarts=2)
+        assert runs and all(k == max(query.stabilize_dim, 1) for _, query, k in runs), claim
+        reducible[claim] = sum(
+            optimize._reduced_ancilla(phi, query) != query.stabilize_dim for phi, query, _ in runs
+        )
+    for question in (2, 3):
+        runs.clear()
+        explore_open_question(random_cp_channel(2, 2, 2, 5), question, q=1.0, p=2.0, config=cfg)
+        assert [k for _, _, k in runs] == [k for k in (1, 2, 3, 4) for _ in range(question - 1)]
+        reducible[f"explore {question}"] = sum(
+            optimize._reduced_ancilla(phi, query) != query.stabilize_dim for phi, query, _ in runs
+        )
+    # every check but ahw_fact holds queries that norm_q_to_p would reduce
+    assert reducible["ahw_fact"] == 0 and all(reducible[c] for c in reducible if c != "ahw_fact")
+    # Theorem 2 is proven for unrestricted norms only: a Hermitian query with
+    # q <= 2 <= p keeps its ancilla
+    runs.clear()
+    phi = random_cp_channel(3, 2, 2, 6)
+    for q, p in ((1.5, 3.0), (2.0, 2.0), (1.0, math.inf)):
+        norm_q_to_p(phi, NormQuery(q, p, True, 2), cfg)
+        norm_q_to_p(phi, NormQuery(q, p, True, 3), cfg)
+    assert [k for _, _, k in runs] == [2, 3] * 3
