@@ -20,6 +20,12 @@ go back when the iteration cap stops the ascent.  The ascent applies
 :mod:`.superop`, whose GEMM operands it lays out once per ascent, and never
 materializes the enlarged map.
 
+The start stack depends on ``(dim_in, ancilla, q, constraint, restarts,
+seed)`` only, not on the map, so it is memoized under exactly that key: at
+most 4 stacks, each of at most 2^16 complex entries (larger ones are built
+fresh), held read-only.  Every ascent works on its own copy, and the values
+are bit-identical with or without the memo.
+
 ``norm_q_to_p`` answers an ancilla query on a smaller space where the paper
 proves the value there: without the Hermitian restriction and with
 ``q <= 2 <= p`` on no ancilla (Theorem 2), at q = 1 with ``k > dim_in`` on
@@ -29,6 +35,7 @@ space, where ``value`` is re-evaluated.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -60,6 +67,10 @@ from .superop import (
 # refills the same chunk buffers, so they stay in cache (2^16 ran fastest in a
 # sweep of 2^14 .. 2^18, see BENCH_2026-10-18-oracle-workspace.json)
 _ORACLE_CHUNK_ENTRIES = 1 << 16
+
+# start stacks of at most this many complex entries are memoized (1 MiB
+# each); a larger ascent costs far more than building its own stack
+_MEMO_ENTRIES = 1 << 16
 
 # the ascent's stopping tolerances: objective gain relative to 1 + |value|, step
 _OBJECTIVE_TOLERANCE = 1e-10
@@ -190,9 +201,29 @@ def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
 def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerConfig) -> np.ndarray:
     """Initial iterates on the base (x) ancilla space: deterministic guesses in
     the first slots (maximally entangled projector when anc >= 2, normalized
-    identity, uniform-superposition projector), Gaussian draws after that."""
+    identity, uniform-superposition projector), Gaussian draws after that.
+
+    The stack depends on the key ``(base, anc, q, constraint, restarts,
+    seed)`` only, not on the map or ``max_iterations``, so a stack of at most
+    ``_MEMO_ENTRIES`` entries is memoized read-only under that key (the last
+    4 keys); the caller always gets its own writable copy, which the ascent
+    overwrites.  A larger stack is built fresh."""
+    key = (base, anc, q, constraint, cfg.restarts, cfg.seed)
+    if cfg.restarts * (base * anc) ** 2 > _MEMO_ENTRIES:
+        return _build_start_stack(*key)
+    return _memo_start_stack(*key).copy()
+
+
+@functools.lru_cache(maxsize=4)
+def _memo_start_stack(base: int, anc: int, q: float, constraint: str, restarts: int, seed: int) -> np.ndarray:
+    starts = _build_start_stack(base, anc, q, constraint, restarts, seed)
+    starts.setflags(write=False)
+    return starts
+
+
+def _build_start_stack(base: int, anc: int, q: float, constraint: str, restarts: int, seed: int) -> np.ndarray:
     n = base * anc
-    starts = np.zeros((cfg.restarts, n, n), dtype=np.complex128)
+    starts = np.zeros((restarts, n, n), dtype=np.complex128)
     hints = []
     if anc >= 2:
         m = min(base, anc)
@@ -202,11 +233,11 @@ def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerC
     hints.append(np.eye(n, dtype=np.complex128) / pnorm(np.ones(n), q))
     u = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
     hints.append(np.outer(u, u.conj()))
-    n_hints = min(len(hints), cfg.restarts)
+    n_hints = min(len(hints), restarts)
     for i in range(n_hints):
         starts[i] = hints[i]
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
-    for r in range(n_hints, cfg.restarts):
+    streams = np.random.SeedSequence(seed).spawn(restarts)
+    for r in range(n_hints, restarts):
         rng = np.random.default_rng(streams[r])
         if q == 1.0:
             u = _unit_vector(rng, n)
