@@ -12,9 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import (
-    MAX_ARRAY_ENTRIES, InvalidInputError, UnsupportedInstanceError, require_count, require_seed,
-)
+from .errors import InvalidInputError, require_count, require_entries
 from .linalg import psd_sqrt
 from .superop import SuperOp, identity_superop
 
@@ -90,13 +88,8 @@ def build_example(name: str):
         return phi0, phi1
     m = _TRANSPOSE_RE.fullmatch(name)
     if m:
-        n = int(m.group(1) or m.group(2))
-        if n < 1:
-            raise InvalidInputError("transpose dimension must be positive")
-        if n**4 > MAX_ARRAY_ENTRIES:
-            raise UnsupportedInstanceError(
-                f"transpose({n}) needs {n**4} Kraus entries, over the limit of {MAX_ARRAY_ENTRIES}"
-            )
+        n = require_count(int(m.group(1) or m.group(2)), "transpose dimension", 1)
+        require_entries(n**4, f"transpose({n})")
         # term i n + j is |i><j| on the left and |j><i| on the right
         left = np.eye(n * n).reshape(n * n, n, n)
         return SuperOp.from_kraus(left, left.transpose(0, 2, 1))
@@ -111,12 +104,10 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 def random_superop(dim_in: int, dim_out: int, n_terms: int, seed: int) -> SuperOp:
     """Independent Gaussian left/right Kraus lists, scaled to O(1) norms."""
-    dim_in = require_count(dim_in, "dim_in")
-    dim_out = require_count(dim_out, "dim_out")
-    n_terms = require_count(n_terms, "n_terms")
-    if min(dim_in, dim_out, n_terms) < 1:
-        raise InvalidInputError("dimensions and term count must be positive")
-    rng = np.random.default_rng(require_seed(seed))
+    dim_in = require_count(dim_in, "dim_in", 1)
+    dim_out = require_count(dim_out, "dim_out", 1)
+    n_terms = require_count(n_terms, "n_terms", 1)
+    rng = np.random.default_rng(require_count(seed, "seed", 0))
     scale = 1.0 / math.sqrt(dim_in * n_terms)
     left = scale * _complex_gaussian(rng, (n_terms, dim_out, dim_in))
     right = scale * _complex_gaussian(rng, (n_terms, dim_out, dim_in))
@@ -130,12 +121,10 @@ def random_cp_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> Sup
     then appends completion terms built from row chunks of the PSD square
     root of the deficit (one chunk when dim_out >= dim_in).
     """
-    dim_in = require_count(dim_in, "dim_in")
-    dim_out = require_count(dim_out, "dim_out")
-    n_kraus = require_count(n_kraus, "n_kraus")
-    if min(dim_in, dim_out, n_kraus) < 1:
-        raise InvalidInputError("dimensions and term count must be positive")
-    rng = np.random.default_rng(require_seed(seed))
+    dim_in = require_count(dim_in, "dim_in", 1)
+    dim_out = require_count(dim_out, "dim_out", 1)
+    n_kraus = require_count(n_kraus, "n_kraus", 1)
+    rng = np.random.default_rng(require_count(seed, "seed", 0))
     kraus = _complex_gaussian(rng, (n_kraus, dim_out, dim_in))
     gram = np.einsum("kba,kbc->ac", kraus.conj(), kraus)
     kraus = kraus * (0.9 / math.sqrt(np.linalg.norm(gram, 2)))
@@ -150,10 +139,8 @@ def random_cp_channel(dim_in: int, dim_out: int, n_kraus: int, seed: int) -> Sup
 
 def random_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-ish random unitary from the QR decomposition of a Gaussian matrix."""
-    dim = require_count(dim, "dim")
-    if dim < 1:
-        raise InvalidInputError("dimension must be positive")
-    rng = np.random.default_rng(require_seed(seed))
+    dim = require_count(dim, "dim", 1)
+    rng = np.random.default_rng(require_count(seed, "seed", 0))
     Q, R = np.linalg.qr(_complex_gaussian(rng, (dim, dim)))
     d = np.diagonal(R)
     return Q * (d / np.abs(d))

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the whole-number check
-every module applies to counts, sizes and seeds."""
+"""Exception types shared across the package, and the one rule every module
+applies to counts, sizes and seeds: a whole number, at least a stated
+minimum, and no array over ``MAX_ARRAY_ENTRIES``."""
 
 import numpy as np
 
@@ -23,8 +24,9 @@ class UnsupportedInstanceError(ValueError):
     """The instance is valid but outside the supported size range of the operation."""
 
 
-def require_count(value, name: str) -> int:
-    """``value`` as an int; booleans and fractional numbers are refused."""
+def require_count(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an int; booleans, fractional numbers and, when given,
+    values below ``minimum`` are refused."""
     try:
         count = int(value)
         whole = count == value and not isinstance(value, (bool, np.bool_))
@@ -32,12 +34,15 @@ def require_count(value, name: str) -> int:
         whole = False
     if not whole:
         raise InvalidInputError(f"{name} must be a whole number, got {value!r}")
+    if minimum is not None and count < minimum:
+        raise InvalidInputError(f"{name} must be >= {minimum}, got {count}")
     return count
 
 
-def require_seed(value) -> int:
-    """``value`` as a whole number >= 0, the seeds numpy's generators accept."""
-    seed = require_count(value, "seed")
-    if seed < 0:
-        raise InvalidInputError(f"seed must be >= 0, got {seed}")
-    return seed
+def require_entries(entries: int, what: str) -> None:
+    """Refuse ``what`` when it needs arrays of more than ``MAX_ARRAY_ENTRIES``
+    entries; called before anything is allocated."""
+    if entries > MAX_ARRAY_ENTRIES:
+        raise UnsupportedInstanceError(
+            f"{what} needs {entries} entries, over the limit of {MAX_ARRAY_ENTRIES}"
+        )

@@ -68,10 +68,8 @@ def schmidt(state, dim_left: int, dim_right: int) -> SpectralData:
     produces).  Returned coefficients satisfy ``sum s_i^2 == 1`` and the
     vector is recovered as ``sum_i s_i kron(left_i, right_i)``.
     """
-    dim_left = require_count(dim_left, "dim_left")
-    dim_right = require_count(dim_right, "dim_right")
-    if dim_left < 1 or dim_right < 1:
-        raise InvalidInputError("schmidt factor dimensions must be positive")
+    dim_left = require_count(dim_left, "dim_left", 1)
+    dim_right = require_count(dim_right, "dim_right", 1)
     vec = np.asarray(state, dtype=np.complex128).reshape(-1)
     if vec.size != dim_left * dim_right:
         raise InvalidInputError(

@@ -42,12 +42,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    MAX_ARRAY_ENTRIES,
     InvalidInputError,
     PreconditionError,
     UnsupportedInstanceError,
     require_count,
-    require_seed,
+    require_entries,
 )
 from .schatten import dual_exponent, format_exponent, holder_weights, pnorm, require_exponent
 from .superop import (
@@ -90,11 +89,11 @@ class NormQuery:
     def __post_init__(self):
         object.__setattr__(self, "q", require_exponent(self.q))
         object.__setattr__(self, "p", require_exponent(self.p))
-        object.__setattr__(self, "hermitian_restricted", bool(self.hermitian_restricted))
-        k = require_count(self.stabilize_dim, "stabilize_dim")
-        if k < 0:
-            raise InvalidInputError(f"stabilize_dim must be >= 0, got {k}")
-        object.__setattr__(self, "stabilize_dim", k)
+        flag = self.hermitian_restricted
+        if not isinstance(flag, (bool, np.bool_)):
+            raise InvalidInputError(f"hermitian_restricted must be a bool, got {flag!r}")
+        object.__setattr__(self, "hermitian_restricted", bool(flag))
+        object.__setattr__(self, "stabilize_dim", require_count(self.stabilize_dim, "stabilize_dim", 0))
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,9 @@ class OptimizerConfig:
     seed: int = 42
 
     def __post_init__(self):
-        object.__setattr__(self, "restarts", require_count(self.restarts, "restarts"))
-        object.__setattr__(self, "max_iterations", require_count(self.max_iterations, "max_iterations"))
-        object.__setattr__(self, "seed", require_seed(self.seed))
-        if self.restarts < 1:
-            raise InvalidInputError("restarts must be >= 1")
-        if self.max_iterations < 1:
-            raise InvalidInputError("max_iterations must be >= 1")
+        object.__setattr__(self, "restarts", require_count(self.restarts, "restarts", 1))
+        object.__setattr__(self, "max_iterations", require_count(self.max_iterations, "max_iterations", 1))
+        object.__setattr__(self, "seed", require_count(self.seed, "seed", 0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,12 +357,8 @@ def _estimate(
     # product, and the same for the one achiever on the query's space
     n, m = phi.dim_in, phi.dim_out
     entries = max(cfg.restarts * max(run_k, 1) ** 2, k**2) * max(max(n, m) ** 2, phi.n_terms * n * m)
-    if entries > MAX_ARRAY_ENTRIES:
-        ancilla = f"stabilize_dim {k} on " if k else ""
-        raise UnsupportedInstanceError(
-            f"{ancilla}a {n}->{m} map with {cfg.restarts} restarts and {phi.n_terms} "
-            f"terms needs arrays of {entries} entries, over the limit of {MAX_ARRAY_ENTRIES}"
-        )
+    ancilla = f"stabilize_dim {k} on " if k else ""
+    require_entries(entries, f"{ancilla}a {n}->{m} map with {cfg.restarts} restarts and {phi.n_terms} terms")
     Xbest, conv = _ascend(phi, max(run_k, 1), query.q, query.p, constraint, cfg)
     if run_k != k:
         Xbest = _embed(Xbest, n, k)
@@ -632,9 +623,7 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     the maximum is the same.  ``resolution`` still counts grid points per
     angle.
     """
-    R = require_count(resolution, "resolution")
-    if R < 2:
-        raise InvalidInputError("resolution must be at least 2")
+    R = require_count(resolution, "resolution", 2)
     if query.stabilize_dim:
         raise UnsupportedInstanceError("the oracle does not handle stabilized queries")
     if phi.dim_in > 2:
@@ -729,9 +718,7 @@ def explore_open_question(
     q = require_exponent(q)
     p = require_exponent(p)
     question = require_count(question, "question")
-    samples = require_count(samples, "samples")
-    if samples < 1:
-        raise InvalidInputError("samples must be >= 1")
+    samples = require_count(samples, "samples", 1)
     if question == 1:
         stab = stabilized_norm(phi, p, hermitian_restricted=False, config=cfg).value
         herm = NormQuery(1.0, p, hermitian_restricted=True)

@@ -21,7 +21,9 @@ _UNDERFLOW_FLOOR = 1e-300
 
 
 def require_exponent(p) -> float:
-    """Validate a Schatten exponent and return it as a float."""
+    """Validate a Schatten exponent and return it as a float; booleans are refused."""
+    if isinstance(p, (bool, np.bool_)):
+        raise InvalidExponentError(f"exponent must be a number or inf, got {p!r}")
     try:
         p = float(p)
     except (TypeError, ValueError) as exc:
@@ -148,10 +150,8 @@ def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, fl
     """
     A = as_matrix(X)
     p = require_exponent(p)
-    block_rows = require_count(block_rows, "block_rows")
-    block_cols = require_count(block_cols, "block_cols")
-    if block_rows < 1 or block_cols < 1:
-        raise InvalidInputError("block counts must be positive")
+    block_rows = require_count(block_rows, "block_rows", 1)
+    block_cols = require_count(block_cols, "block_cols", 1)
     rows, cols = A.shape
     if rows % block_rows or cols % block_cols:
         raise InvalidInputError(

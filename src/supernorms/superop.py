@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MAX_ARRAY_ENTRIES, InvalidInputError, UnsupportedInstanceError, require_count
+from .errors import InvalidInputError, require_count, require_entries
 from .linalg import as_matrix
 
 
@@ -88,9 +88,7 @@ class SuperOp:
 
 def identity_superop(dim: int) -> SuperOp:
     """The identity map on dim x dim matrices."""
-    dim = require_count(dim, "dim")
-    if dim < 1:
-        raise InvalidInputError("dimension must be positive")
+    dim = require_count(dim, "dim", 1)
     eye = np.eye(dim, dtype=np.complex128)[None, :, :]
     return SuperOp.from_kraus(eye)
 
@@ -145,14 +143,9 @@ def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
 
 def tensor_identity(phi: SuperOp, ancilla_dim: int) -> SuperOp:
     """The map ``Phi (x) Id`` on the enlarged space, ancilla as the fast index."""
-    k = require_count(ancilla_dim, "ancilla_dim")
-    if k < 1:
-        raise InvalidInputError("ancilla dimension must be at least 1")
+    k = require_count(ancilla_dim, "ancilla_dim", 1)
     shape = (phi.n_terms, phi.dim_out * k, phi.dim_in * k)
-    if (entries := math.prod(shape)) > MAX_ARRAY_ENTRIES:
-        raise UnsupportedInstanceError(
-            f"ancilla_dim {k} needs {entries} Kraus entries, over the limit of {MAX_ARRAY_ENTRIES}"
-        )
+    require_entries(math.prod(shape), f"ancilla_dim {k}")
     # (A (x) I_k)[(i, a), (j, b)] = A[i, j] I_k[a, b], one broadcast per distinct stack
     eye = np.eye(k)[:, None, :]
     left = (phi.kraus_left[:, :, None, :, None] * eye).reshape(shape)

@@ -357,10 +357,15 @@ def claim_ids() -> tuple[str, ...]:
     return tuple(_REGISTRY)
 
 
-def claim_tolerance(claim_id: str) -> float:
+def _claim(claim_id: str):
+    """The claim's ``(tolerance, runner)``."""
     if claim_id not in _REGISTRY:
-        raise InvalidInputError(f"unknown claim id {claim_id!r}")
-    return _REGISTRY[claim_id][0]
+        raise InvalidInputError(f"unknown claim id {claim_id!r}; known: {', '.join(_REGISTRY)}")
+    return _REGISTRY[claim_id]
+
+
+def claim_tolerance(claim_id: str) -> float:
+    return _claim(claim_id)[0]
 
 
 def verify(claim_id: str, seed: int = 42, trials: int = 50, restarts: int = 32) -> VerificationReport:
@@ -371,18 +376,10 @@ def verify(claim_id: str, seed: int = 42, trials: int = 50, restarts: int = 32) 
     ``trials``; the reported trial count is always the number of detail
     records produced.
     """
-    if claim_id not in _REGISTRY:
-        raise InvalidInputError(
-            f"unknown claim id {claim_id!r}; known: {', '.join(_REGISTRY)}"
-        )
+    tolerance, runner = _claim(claim_id)
     seed = require_count(seed, "seed")
-    trials = require_count(trials, "trials")
-    restarts = require_count(restarts, "restarts")
-    if trials < 1:
-        raise InvalidInputError("trials must be >= 1")
-    if restarts < 1:
-        raise InvalidInputError("restarts must be >= 1")
-    tolerance, runner = _REGISTRY[claim_id]
+    trials = require_count(trials, "trials", 1)
+    restarts = require_count(restarts, "restarts", 1)
     details = runner(seed, trials, restarts)
     worst = max((d["residual"] for d in details), default=0.0)
     return VerificationReport(

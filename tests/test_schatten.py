@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from supernorms import (
     InvalidExponentError,
     InvalidInputError,
+    NormQuery,
     block_norm_bounds,
     dual_exponent,
     duality_witness,
@@ -68,6 +69,17 @@ def test_parse_and_format_exponent():
         parse_exponent("nan")
     with pytest.raises(InvalidExponentError, match='infinity must be spelled "inf"'):
         parse_exponent("Infinity")
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_booleans_are_not_exponents(flag):
+    message = f"exponent must be a number or inf, got {flag!r}"
+    for call in (require_exponent, lambda p: schatten_norm(np.eye(2), p), lambda p: NormQuery(p, 2.0)):
+        with pytest.raises(InvalidExponentError) as info:
+            call(flag)
+        assert str(info.value) == message
+    assert require_exponent(np.int64(1)) == 1.0
+    assert parse_exponent("1") == 1.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
