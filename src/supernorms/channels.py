@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 
-from .errors import InvalidInputError, require_count, require_entries
+from .errors import InvalidInputError, require_count, require_digits, require_entries
 from .linalg import psd_sqrt
 from .superop import SuperOp, identity_superop
 
@@ -88,7 +88,8 @@ def build_example(name: str):
         return phi0, phi1
     m = _TRANSPOSE_RE.fullmatch(name)
     if m:
-        n = require_count(int(m.group(1) or m.group(2)), "transpose dimension", 1)
+        digits = m.group(1) or m.group(2)
+        n = require_count(require_digits(digits, "transpose dimension"), "transpose dimension", 1)
         require_entries(n**4, f"transpose({n})")
         # term i n + j is |i><j| on the left and |j><i| on the right
         left = np.eye(n * n).reshape(n * n, n, n)

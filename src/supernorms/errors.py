@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the one rule every module
 applies to counts, sizes and seeds: a whole number, at least a stated
-minimum, and no array over ``MAX_ARRAY_ENTRIES``."""
+minimum, and no array over ``MAX_ARRAY_ENTRIES``; a count spelled in decimal
+digits is refused by its length once it has more digits than that limit."""
 
 import numpy as np
 
@@ -46,3 +47,16 @@ def require_entries(entries: int, what: str) -> None:
         raise UnsupportedInstanceError(
             f"{what} needs {entries} entries, over the limit of {MAX_ARRAY_ENTRIES}"
         )
+
+
+def require_digits(digits: str, name: str) -> int:
+    """The count spelled by the decimal ``digits``.  A count with more
+    significant digits than ``MAX_ARRAY_ENTRIES`` exceeds that limit, so it
+    is refused by its length, before ``int`` (which refuses more than 4300
+    digits) reads it or a message spells it out."""
+    significant = digits.lstrip("0") or "0"
+    if len(significant) > len(str(MAX_ARRAY_ENTRIES)):
+        raise UnsupportedInstanceError(
+            f"{name} of {len(significant)} digits is over the limit of {MAX_ARRAY_ENTRIES}"
+        )
+    return int(significant)

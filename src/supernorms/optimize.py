@@ -12,19 +12,28 @@ step per iteration instead of a decomposition.  The objective value never
 decreases along the iteration, every iterate is feasible, and the reported
 value is therefore a certified lower bound whatever the convergence status.
 
-All restarts advance together as one compact stack of the active rows; a
-restart leaves it, and its row goes back into the full stack of iterates,
-once its gain or step falls under fixed tolerances, and the rows still active
-go back when the iteration cap stops the ascent.  The ascent applies
+One ascent runs any number of cells ``(q, p, constraint)`` on one map and
+one ancilla: all restarts of all cells advance together as one compact stack
+of the active rows, with one forward and one adjoint kernel call per
+iteration.  Each side groups the rows by witness key (the output side by p,
+the input side by ``(q, constraint)``), and each group takes the half-step a
+one-cell ascent would take; a single cell is one group on each side, so
+nothing is gathered or scattered.  A restart leaves the stack, and its row
+goes back into the full stack of iterates, once its gain or step falls under
+fixed tolerances, and the rows still active go back when the iteration cap
+stops the ascent; each cell then picks its best restart.  The ascent applies
 ``Phi (x) I_k`` and its adjoint through the one Kraus kernel of
 :mod:`.superop`, whose GEMM operands it lays out once per ascent, and never
-materializes the enlarged map.
+materializes the enlarged map.  The kernel's GEMM can round a row differently
+by where it sits in the stack, so a stacked cell agrees with the same cell
+alone to the stopping tolerance, not bit for bit.
 
 The start stack depends on ``(dim_in, ancilla, q, constraint, restarts,
-seed)`` only, not on the map, so it is memoized under exactly that key: at
-most 4 stacks, each of at most 2^16 complex entries (larger ones are built
-fresh), held read-only.  Every ascent works on its own copy, and the values
-are bit-identical with or without the memo.
+seed)`` only, not on the map, so each distinct key is built once per ascent
+and memoized under exactly that key: at most 8 stacks, each of at most 2^16
+complex entries (larger ones are built fresh), held read-only.  Every ascent
+works on its own copy, and the values are bit-identical with or without the
+memo.
 
 ``norm_q_to_p`` answers an ancilla query on a smaller space where the paper
 proves the value there: without the Hermitian restriction and with
@@ -201,15 +210,17 @@ def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerC
     The stack depends on the key ``(base, anc, q, constraint, restarts,
     seed)`` only, not on the map or ``max_iterations``, so a stack of at most
     ``_MEMO_ENTRIES`` entries is memoized read-only under that key (the last
-    4 keys); the caller always gets its own writable copy, which the ascent
-    overwrites.  A larger stack is built fresh."""
+    8 keys, so that the five Hermitian keys of one exponent column serve
+    both CP sides of a ``lemma1`` trial); the caller always gets its own
+    writable copy, which the ascent overwrites.  A larger stack is built
+    fresh."""
     key = (base, anc, q, constraint, cfg.restarts, cfg.seed)
     if cfg.restarts * (base * anc) ** 2 > _MEMO_ENTRIES:
         return _build_start_stack(*key)
     return _memo_start_stack(*key).copy()
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def _memo_start_stack(base: int, anc: int, q: float, constraint: str, restarts: int, seed: int) -> np.ndarray:
     starts = _build_start_stack(base, anc, q, constraint, restarts, seed)
     starts.setflags(write=False)
@@ -254,32 +265,103 @@ def _build_start_stack(base: int, anc: int, q: float, constraint: str, restarts:
     return starts
 
 
-def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: OptimizerConfig):
+def _output_step(p: float):
+    """The output side's half-step at exponent p, as ``step(W, pair) -> (pair, Y)``."""
+    if math.isinf(p):
+        return _rank_one_witness
+    p_dual = dual_exponent(p)
+    return lambda W, pair: (None, _ball_witness(W, p_dual, "full"))
+
+
+def _input_step(key):
+    """The input side's half-step at ``(q, constraint)``, as ``step(Z, pair) -> (pair, X)``."""
+    q, constraint = key
+    if q == 1.0 and constraint == "full":
+        return _rank_one_witness
+    return lambda Z, pair: (None, _ball_witness(Z, q, constraint))
+
+
+def _rows_of(ids: np.ndarray, g: int):
+    """The positions of group ``g`` in ``ids``: a slice where they are
+    contiguous, so that the rows are a view, and None where there are none."""
+    at = np.flatnonzero(ids == g)
+    if at.size == 0:
+        return None
+    if at[-1] - at[0] + 1 == at.size:
+        return slice(at[0], at[-1] + 1)
+    return at
+
+
+class _Side:
+    """One side's half-step on a stacked ascent's active rows, whose rows fall
+    into groups by witness key; each group makes one call of its key's
+    ``step(rows, pair)`` and keeps its own rank-one pairs, one per active row.
+    With one key the whole stack is the group, and nothing is gathered or
+    scattered."""
+
+    def __init__(self, keys: list, restarts: int, step_at):
+        distinct = list(dict.fromkeys(keys))
+        self.steps = [step_at(key) for key in distinct]
+        self.pairs = [None] * len(distinct)
+        self.ids = None
+        self.rows = [slice(None)]
+        if len(distinct) > 1:
+            self.ids = np.repeat([distinct.index(key) for key in keys], restarts)
+            self.rows = [_rows_of(self.ids, g) for g in range(len(distinct))]
+
+    def __call__(self, M: np.ndarray) -> np.ndarray:
+        if self.ids is None:
+            self.pairs[0], out = self.steps[0](M, self.pairs[0])
+            return out
+        out = np.empty_like(M)
+        for g, rows in enumerate(self.rows):
+            if rows is not None:
+                self.pairs[g], out[rows] = self.steps[g](M[rows], self.pairs[g])
+        return out
+
+    def keep(self, keep: np.ndarray) -> None:
+        """Drop the rows where ``keep`` is False."""
+        for g, rows in enumerate(self.rows):
+            if self.pairs[g] is not None and rows is not None:
+                self.pairs[g] = self.pairs[g][keep[rows]]
+        if self.ids is not None:
+            self.ids = self.ids[keep]
+            self.rows = [_rows_of(self.ids, g) for g in range(len(self.steps))]
+
+
+def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
+    """The best restart of each cell ``(q, p, constraint)`` on ``Phi (x) I_k``,
+    as ``(iterate, converged)``, from one ascent on a stack of ``cells x
+    restarts`` rows, cell by cell.
+
+    Each side groups the rows by witness key, the output side by p and the
+    input side by ``(q, constraint)``, and each group takes the one-cell
+    half-step; there is one forward and one adjoint kernel call per
+    iteration.  Each row stops on its own tolerances, and each cell picks its
+    best restart from its own rows."""
     forward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)
     backward = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k)
-    p_dual = dual_exponent(p)
+    R = cfg.restarts
+    x_keys = [(q, constraint) for q, _, constraint in cells]
+    starts = {key: _start_stack(phi.dim_in, k, *key, cfg) for key in dict.fromkeys(x_keys)}
+    X = starts[x_keys[0]] if len(cells) == 1 else np.concatenate([starts[key] for key in x_keys])
     # witnesses on the unit trace-norm ball are rank one: the output side's at
-    # p = inf, the input side's at q = 1 over all matrices; those sides keep
+    # p = inf, the input side's at q = 1 over all matrices; those groups keep
     # their pairs, one row per active restart, and take power steps
-    y_rank_one, x_rank_one = math.isinf(p), q == 1.0 and constraint == "full"
-    y_pair = x_pair = None
-    X = _start_stack(phi.dim_in, k, q, constraint, cfg)
-    converged = np.zeros(cfg.restarts, dtype=bool)
+    y_side = _Side([p for _, p, _ in cells], R, _output_step)
+    x_side = _Side(x_keys, R, _input_step)
+    # a rank-one input witness has unit norm, so only the others can stall
+    may_stall = any(step is not _rank_one_witness for step in x_side.steps)
+    converged = np.zeros(len(X), dtype=bool)
     # the active restarts' rows: indices into X, iterates and last values
-    active, Xa, values = np.arange(cfg.restarts), X, np.full(cfg.restarts, -np.inf)
+    active, Xa, values = np.arange(len(X)), X, np.full(len(X), -np.inf)
     for _ in range(cfg.max_iterations):
         W = forward(Xa)
-        if y_rank_one:
-            y_pair, Y = _rank_one_witness(W, y_pair)
-        else:
-            Y = _ball_witness(W, p_dual, "full")
+        Y = y_side(W)
         vals = np.einsum("rab,rab->r", W.conj(), Y).real
         gain = vals - values
-        Z = backward(Y)
-        if x_rank_one:
-            x_pair, Xn = _rank_one_witness(Z, x_pair)
-        else:
-            Xn = _ball_witness(Z, q, constraint)
+        Xn = x_side(backward(Y))
+        if may_stall:
             stalled = _frobenius(Xn) <= 1e-14
             if np.any(stalled):
                 Xn[stalled] = Xa[stalled]
@@ -294,14 +376,18 @@ def _ascend(phi: SuperOp, k: int, q: float, p: float, constraint: str, cfg: Opti
             active, Xa, values = active[keep], Xa[keep], values[keep]
             if active.size == 0:
                 break
-            y_pair = None if y_pair is None else y_pair[keep]
-            x_pair = None if x_pair is None else x_pair[keep]
+            y_side.keep(keep)
+            x_side.keep(keep)
     else:
         # the cap: the rows still active go back as they stand
         X[active] = Xa
-    final = pnorm(np.linalg.svd(forward(X), compute_uv=False), p, axis=-1)
-    best = int(np.argmax(final))
-    return X[best], bool(converged[best])
+    s = np.linalg.svd(forward(X), compute_uv=False)
+    best = []
+    for c, (_, p, _) in enumerate(cells):
+        rows = slice(c * R, (c + 1) * R)
+        b = c * R + int(np.argmax(pnorm(s[rows], p, axis=-1)))
+        best.append((X[b], bool(converged[b])))
+    return best
 
 
 def _polish_achiever(X: np.ndarray, q: float, constraint: str) -> np.ndarray:
@@ -347,41 +433,61 @@ def _embed(X: np.ndarray, base: int, anc: int) -> np.ndarray:
     return out.reshape(base * anc, base * anc)
 
 
-def _estimate(
-    phi: SuperOp, query: NormQuery, constraint: str, cfg: OptimizerConfig, run_k: int
-) -> NormEstimate:
-    """The query's estimate from an ascent with ancilla ``run_k``: the
-    query's own, or a smaller one on which the query's value is proven."""
-    k = query.stabilize_dim
-    # the largest arrays: the ascent's iterates and Kraus kernel's term-expanded
-    # product, and the same for the one achiever on the query's space
+def _estimate(phi: SuperOp, jobs: list, cfg: OptimizerConfig) -> list:
+    """The estimate of each job ``(query, constraint, run_k)``, from one
+    stacked ascent per ancilla the jobs run on: ``run_k`` is the query's own
+    ancilla, or a smaller one on which the query's value is proven."""
+    ascents = {}  # the ancilla an ascent runs on (1 for none) -> its jobs' indices
+    for i, (_, _, run_k) in enumerate(jobs):
+        ascents.setdefault(max(run_k, 1), []).append(i)
+    # the largest arrays: an ascent's stacked iterates and the Kraus kernel's
+    # term-expanded product, and the same for one achiever on a query's space
     n, m = phi.dim_in, phi.dim_out
-    entries = max(cfg.restarts * max(run_k, 1) ** 2, k**2) * max(max(n, m) ** 2, phi.n_terms * n * m)
+    k = max(query.stabilize_dim for query, _, _ in jobs)
+    run_k, at = max(ascents.items(), key=lambda item: len(item[1]) * item[0] ** 2)
+    entries = max(len(at) * cfg.restarts * run_k**2, k**2) * max(max(n, m) ** 2, phi.n_terms * n * m)
     ancilla = f"stabilize_dim {k} on " if k else ""
-    require_entries(entries, f"{ancilla}a {n}->{m} map with {cfg.restarts} restarts and {phi.n_terms} terms")
-    Xbest, conv = _ascend(phi, max(run_k, 1), query.q, query.p, constraint, cfg)
-    if run_k != k:
-        Xbest = _embed(Xbest, n, k)
-    achiever = _polish_achiever(Xbest, query.q, constraint)
-    # the reference map, so that re-evaluating the achiever reproduces ``value``
-    phi_eff = tensor_identity(phi, k) if k else phi
-    value = float(pnorm(np.linalg.svd(apply(phi_eff, achiever), compute_uv=False), query.p))
-    return NormEstimate(
-        value=value,
-        achiever=achiever,
-        converged=conv,
+    stacked = f"{len(at)} cells x " if len(at) > 1 else ""
+    require_entries(
+        entries, f"{ancilla}a {n}->{m} map with {stacked}{cfg.restarts} restarts and {phi.n_terms} terms"
     )
+    best = [None] * len(jobs)
+    for run_k, at in ascents.items():
+        cells = [(jobs[i][0].q, jobs[i][0].p, jobs[i][1]) for i in at]
+        for i, found in zip(at, _ascend(phi, run_k, cells, cfg)):
+            best[i] = found
+    # the reference maps, so that re-evaluating an achiever reproduces ``value``
+    enlarged = {}
+    estimates = []
+    for (query, constraint, run_k), (Xbest, conv) in zip(jobs, best):
+        k = query.stabilize_dim
+        if run_k != k:
+            Xbest = _embed(Xbest, n, k)
+        achiever = _polish_achiever(Xbest, query.q, constraint)
+        if k not in enlarged:
+            enlarged[k] = tensor_identity(phi, k) if k else phi
+        value = float(pnorm(np.linalg.svd(apply(enlarged[k], achiever), compute_uv=False), query.p))
+        estimates.append(NormEstimate(value=value, achiever=achiever, converged=conv))
+    return estimates
 
 
 def _constraint(query: NormQuery) -> str:
     return "hermitian" if query.hermitian_restricted else "full"
 
 
-def _unreduced_norm(phi: SuperOp, query: NormQuery, cfg: OptimizerConfig) -> NormEstimate:
-    """``norm_q_to_p`` with the ascent on the query's own ancilla, for the
-    checks that compare ancilla sizes (a reduced query would compare a
-    number with itself)."""
-    return _estimate(phi, query, _constraint(query), cfg, query.stabilize_dim)
+def _norms(phi: SuperOp, queries: list, cfg: OptimizerConfig, reduce: bool = True) -> list:
+    """``norm_q_to_p`` of each query, from one stacked ascent per distinct
+    run ancilla.  With ``reduce=False`` every ascent runs on its query's own
+    ancilla, for the checks that compare ancilla sizes (a reduced query would
+    compare a number with itself)."""
+    return _estimate(
+        phi,
+        [
+            (query, _constraint(query), _reduced_ancilla(phi, query) if reduce else query.stabilize_dim)
+            for query in queries
+        ],
+        cfg,
+    )
 
 
 def norm_q_to_p(phi: SuperOp, query: NormQuery, config: OptimizerConfig | None = None) -> NormEstimate:
@@ -391,7 +497,7 @@ def norm_q_to_p(phi: SuperOp, query: NormQuery, config: OptimizerConfig | None =
     ``_reduced_ancilla``), the ascent runs there and its achiever is embedded
     in the query's space, where ``value`` is re-evaluated."""
     cfg = config if config is not None else OptimizerConfig()
-    return _estimate(phi, query, _constraint(query), cfg, _reduced_ancilla(phi, query))
+    return _norms(phi, [query], cfg)[0]
 
 
 def norm_1_to_p(
@@ -412,7 +518,7 @@ def cp_norm(phi: SuperOp, query: NormQuery, config: OptimizerConfig | None = Non
     if not is_completely_positive(phi):
         raise PreconditionError("cp_norm requires a completely positive map")
     cfg = config if config is not None else OptimizerConfig()
-    return _estimate(phi, query, "psd", cfg, query.stabilize_dim)
+    return _estimate(phi, [(query, "psd", query.stabilize_dim)], cfg)[0]
 
 
 def stabilized_norm(
@@ -441,12 +547,16 @@ def factorization_bound(
     right-hand side depends on the stored Kraus representation.
     """
     cfg = config if config is not None else OptimizerConfig()
-    plain = replace(query, hermitian_restricted=False)
-    herm = replace(query, hermitian_restricted=True)
-    lhs = norm_q_to_p(phi, plain, cfg).value
-    lv = norm_q_to_p(left_cp_map(phi), herm, cfg).value
-    rv = norm_q_to_p(right_cp_map(phi), herm, cfg).value
-    return lhs, math.sqrt(lv * rv)
+    return _factorization_bounds(phi, [query], cfg)[0]
+
+
+def _factorization_bounds(phi: SuperOp, queries: list, cfg: OptimizerConfig) -> list:
+    """``factorization_bound`` of each query, from one stacked ascent on each
+    of ``Phi``, ``Phi_L`` and ``Phi_R`` per run ancilla."""
+    lhs = _norms(phi, [replace(query, hermitian_restricted=False) for query in queries], cfg)
+    herm = [replace(query, hermitian_restricted=True) for query in queries]
+    left, right = _norms(left_cp_map(phi), herm, cfg), _norms(right_cp_map(phi), herm, cfg)
+    return [(a.value, math.sqrt(lv.value * rv.value)) for a, lv, rv in zip(lhs, left, right)]
 
 
 def _grid_runs(rows: int, cols: int, chunk: int):
@@ -750,12 +860,13 @@ def explore_open_question(
             raise PreconditionError("question 3 concerns completely positive maps")
         profile = []
         for k in range(1, phi.dim_in + 3):
-            query = NormQuery(q, p, False, stabilize_dim=k)
+            restrictions = (False, True) if question == 3 else (False,)
+            queries = [NormQuery(q, p, herm, stabilize_dim=k) for herm in restrictions]
             # unreduced: the profile is a check on ancilla sizes, not a lookup
-            row = {"ancilla": k, "value": _unreduced_norm(phi, query, cfg).value}
+            values = [est.value for est in _norms(phi, queries, cfg, reduce=False)]
+            row = {"ancilla": k, "value": values[0]}
             if question == 3:
-                herm = replace(query, hermitian_restricted=True)
-                row["hermitian_value"] = _unreduced_norm(phi, herm, cfg).value
+                row["hermitian_value"] = values[1]
             profile.append(row)
         return {
             "question": question,

@@ -14,15 +14,18 @@ algebra use 1e-8 .. 1e-10.
 Every randomized claim records each trial as its fields followed by
 ``residual`` (the trial's first largest residual) and ``worst_case`` (that
 case's label).  The five claims on random maps are generators of
-``(residual, label)`` cases on one seeded map per trial.  Their trials run on
+``(residual, label)`` cases on one seeded map per trial.  A trial asks all
+its queries on one map at once (``optimize._norms``), so they run as one
+stacked ascent per ancilla size: ``theorem1`` one of 50 cells, ``lemma1``
+one of 25 cells on each of the map and its two CP sides.  The trials run on
 up to the usable CPUs, in the calling process and in forked workers, where
 fork is the start method and no other thread runs; the reports are identical
 to a serial run.
 
-A query on an ancilla that a check compares with another ancilla size runs
-the ascent on that ancilla (``optimize._unreduced_norm``): ``norm_q_to_p``
-answers some ancilla queries on a smaller space by Theorems 2 and 3, and a
-reduced query would make those checks compare a number with itself.
+Every query runs the ascent on its own ancilla (``reduce=False``):
+``norm_q_to_p`` answers some ancilla queries on a smaller space by Theorems 2
+and 3, and a reduced query would make the checks that compare ancilla sizes
+compare a number with itself.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from .errors import InvalidInputError, require_count
 from .optimize import (
     NormQuery,
     OptimizerConfig,
-    _unreduced_norm,
+    _factorization_bounds,
+    _norms,
     brute_force_oracle,
-    factorization_bound,
     norm_1_to_p,
     norm_q_to_p,
 )
@@ -169,48 +172,62 @@ def _map_trial(cp, cases, i, seed, restarts):
     return _record(i, {"dims": [din, dout], "seed": seed}, cases(phi, cfg))
 
 
+def _values(phi, queries: dict, cfg) -> dict:
+    """The value of each query in ``queries`` (any key -> query), every one on
+    its own ancilla, from one stacked ascent per ancilla size; listing the
+    queries with q slowest keeps each input-side group of the ascent
+    contiguous."""
+    estimates = _norms(phi, list(queries.values()), cfg, reduce=False)
+    return {key: est.value for key, est in zip(queries, estimates)}
+
+
 def _theorem1_cases(phi, cfg):
-    """CP maps: the unrestricted and Hermitian-restricted norms coincide."""
-    for q in _EXPONENT_GRID:
-        for p in _EXPONENT_GRID:
-            plain = norm_q_to_p(phi, NormQuery(q, p), cfg).value
-            herm = norm_q_to_p(phi, NormQuery(q, p, True), cfg).value
-            yield abs(plain - herm), _label(q, p)
+    """CP maps: the unrestricted and Hermitian-restricted norms coincide.  Both
+    run the ascent as asked (a PSD route for either would compare a number
+    with itself)."""
+    grid = _EXPONENT_GRID
+    v = _values(phi, {(q, p, h): NormQuery(q, p, h) for h in (False, True) for q in grid for p in grid}, cfg)
+    for q in grid:
+        for p in grid:
+            yield abs(v[q, p, False] - v[q, p, True]), _label(q, p)
 
 
 def _lemma1_cases(phi, cfg):
     """||Phi||_{q->p} <= sqrt(||Phi_L||^H ||Phi_R||^H) for the stored Kraus pair."""
-    for q in _EXPONENT_GRID:
-        for p in _EXPONENT_GRID:
-            lhs, rhs = factorization_bound(phi, NormQuery(q, p), cfg)
-            yield max(0.0, lhs - rhs), _label(q, p)
+    grid = [(q, p) for q in _EXPONENT_GRID for p in _EXPONENT_GRID]
+    for cell, (lhs, rhs) in zip(grid, _factorization_bounds(phi, [NormQuery(*cell) for cell in grid], cfg)):
+        yield max(0.0, lhs - rhs), _label(*cell)
 
 
 def _theorem2_cases(phi, cfg):
     """Tensoring with an identity changes nothing once p >= 2 and q <= 2."""
-    for q in (1.0, 1.5, 2.0):
-        for p in (2.0, 3.0, math.inf):
-            base = norm_q_to_p(phi, NormQuery(q, p), cfg).value
-            for anc in (2, 3):
-                stab = _unreduced_norm(phi, NormQuery(q, p, False, anc), cfg).value
-                yield abs(stab - base), f"{_label(q, p)},ancilla={anc}"
+    cells = [(q, p) for q in (1.0, 1.5, 2.0) for p in (2.0, 3.0, math.inf)]
+    v = _values(phi, {(q, p, anc): NormQuery(q, p, False, anc) for anc in (0, 2, 3) for q, p in cells}, cfg)
+    for q, p in cells:
+        for anc in (2, 3):
+            yield abs(v[q, p, anc] - v[q, p, 0]), f"{_label(q, p)},ancilla={anc}"
 
 
 def _theorem3_cases(phi, cfg):
     """An ancilla of the input dimension already saturates the stabilized norm."""
+    ancillas = (phi.dim_in, phi.dim_in + 1)
+    v = _values(
+        phi,
+        {(p, h, k): NormQuery(1.0, p, h, k) for k in ancillas for h in (False, True) for p in _EXPONENT_GRID},
+        cfg,
+    )
     for p in _EXPONENT_GRID:
         for herm in (False, True):
-            at_cap = _unreduced_norm(phi, NormQuery(1.0, p, herm, phi.dim_in), cfg).value
-            beyond = _unreduced_norm(phi, NormQuery(1.0, p, herm, phi.dim_in + 1), cfg).value
-            yield abs(at_cap - beyond), f"p={format_exponent(p)},hermitian={herm}"
+            residual = abs(v[p, herm, ancillas[0]] - v[p, herm, ancillas[1]])
+            yield residual, f"p={format_exponent(p)},hermitian={herm}"
 
 
 def _ahw_fact_cases(phi, cfg):
     """For CP maps the Hermitian 1->p norm ignores tensoring with an identity."""
-    for p in (1.0, 2.0, math.inf):
-        base = norm_q_to_p(phi, NormQuery(1.0, p, True), cfg).value
-        stab = _unreduced_norm(phi, NormQuery(1.0, p, True, 2), cfg).value
-        yield abs(base - stab), f"p={format_exponent(p)}"
+    exponents = (1.0, 2.0, math.inf)
+    v = _values(phi, {(p, k): NormQuery(1.0, p, True, k) for k in (0, 2) for p in exponents}, cfg)
+    for p in exponents:
+        yield abs(v[p, 0] - v[p, 2]), f"p={format_exponent(p)}"
 
 
 def _run_fixed(salt, cases, seed, trials, restarts):
@@ -265,14 +282,14 @@ def _counterexample_cases(cfg):
 
 def _transpose_cases(cfg):
     """||T||_p = 1 but ||T (x) I_n||_{1->p} = n^(2/p)/n on n-dimensional inputs."""
+    exponents = (1.0, 1.5, 2.0)
     for n in (2, 3):
         T = build_example(f"transpose({n})")
-        for p in (1.0, 1.5, 2.0):
+        v = _values(T, {(p, k): NormQuery(1.0, p, False, k) for k in (0, n) for p in exponents}, cfg)
+        for p in exponents:
             at = f"p={format_exponent(p)}"
-            yield f"transpose({n}) plain {at}", norm_1_to_p(T, p, config=cfg).value, 1.0
-            want = n ** (2.0 / p) / n
-            stab = _unreduced_norm(T, NormQuery(1.0, p, False, n), cfg).value
-            yield f"transpose({n}) stabilized {at}", stab, want
+            yield f"transpose({n}) plain {at}", v[p, 0], 1.0
+            yield f"transpose({n}) stabilized {at}", v[p, n], n ** (2.0 / p) / n
 
 
 def _run_exact(salt, trial, seed, trials, restarts):

@@ -178,6 +178,13 @@ def test_oversized_transpose_example_exits_2_with_one_line(capsys):
     assert err == "error: transpose(100) needs 100000000 entries, over the limit of 67108864\n"
 
 
+def test_transpose_dimension_past_the_digit_limit_exits_2_with_one_line(capsys):
+    # more digits than int() reads (4300): refused by its length, and not spelled out
+    code, out, err = run_cli(capsys, "example", "transpose-1" + "0" * 5000)
+    assert (code, out) == (2, "")
+    assert err == "error: transpose dimension of 5001 digits is over the limit of 67108864\n"
+
+
 def test_norm_hermitian_flag_lowers_simple_example(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "example", "simple_nonhermitian")
     path = tmp_path / "simple.json"

@@ -5,6 +5,7 @@ limit, with the one message form of ``supernorms.errors``."""
 import numpy as np
 import pytest
 
+from supernorms import optimize
 from supernorms import (
     InvalidInputError,
     NormQuery,
@@ -27,6 +28,7 @@ from supernorms import (
 )
 
 QUBIT = np.array([1.0, 0.0])
+GRID = (1.0, 1.5, 2.0, 3.0, float("inf"))
 
 REFUSALS = [
     ("random_superop(0, 2, 2, 1)", lambda: random_superop(0, 2, 2, 1), "dim_in must be >= 1, got 0"),
@@ -72,6 +74,26 @@ def test_below_the_minimum_is_refused_with_one_message(call, message):
     assert str(info.value) == message
 
 
+# a count too long to spell out is refused by its digits, before int() reads it
+LONG = "1" + "0" * 5000
+OVER_THE_LIMIT = [
+    ("transpose(<5001 digits>)", lambda: build_example(f"transpose({LONG})"), "transpose dimension of 5001 digits"),
+    ("transpose-<5001 digits>", lambda: build_example(f"transpose-{LONG}"), "transpose dimension of 5001 digits"),
+    ("transpose(<9 digits>)", lambda: build_example("transpose(100000000)"), "transpose dimension of 9 digits"),
+]
+
+
+@pytest.mark.parametrize("call, what", [row[1:] for row in OVER_THE_LIMIT], ids=[row[0] for row in OVER_THE_LIMIT])
+def test_over_the_limit_is_refused_with_one_message(call, what):
+    with pytest.raises(UnsupportedInstanceError) as info:
+        call()
+    assert str(info.value) == f"{what} is over the limit of 67108864"
+
+
+def test_leading_zeros_do_not_count_as_digits():
+    assert build_example("transpose-" + "0" * 5000 + "2").dim_in == 2
+
+
 def never(*args, **kwargs):
     raise AssertionError("the instance was built")
 
@@ -84,6 +106,29 @@ def test_oversized_query_is_refused_before_the_ascent(monkeypatch):
     assert str(info.value) == (
         "a 2->2 map with 100000000 restarts and 2 terms needs 800000000 entries, over the limit of 67108864"
     )
+
+
+def test_oversized_stack_of_cells_is_refused_before_the_ascent(monkeypatch):
+    # 200000 restarts of one cell fit; the 50 cells of one stacked ascent do not
+    phi = random_superop(2, 2, 2, 1)
+    cfg = OptimizerConfig(restarts=200_000)
+    monkeypatch.setattr("supernorms.optimize._ascend", never)
+    queries = [NormQuery(q, p, herm) for herm in (False, True) for q in GRID for p in GRID]
+    with pytest.raises(UnsupportedInstanceError) as info:
+        optimize._norms(phi, queries, cfg)
+    assert str(info.value) == (
+        "a 2->2 map with 50 cells x 200000 restarts and 2 terms needs 80000000 entries, over the limit of 67108864"
+    )
+    # the stabilized cells count the ancilla of their own ascent
+    stacked = [NormQuery(1.0, p, False, 3) for p in GRID] + [NormQuery(2.0, 2.0)]
+    with pytest.raises(UnsupportedInstanceError) as info:
+        optimize._norms(phi, stacked, cfg, reduce=False)
+    assert str(info.value) == (
+        "stabilize_dim 3 on a 2->2 map with 5 cells x 200000 restarts and 2 terms needs 72000000 entries, "
+        "over the limit of 67108864"
+    )
+    with pytest.raises(AssertionError, match="the instance was built"):
+        optimize._norms(phi, queries[:1], cfg)
 
 
 def test_oversized_tensor_identity_is_refused_before_it_is_built(monkeypatch):

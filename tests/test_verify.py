@@ -271,39 +271,56 @@ def test_partly_started_pool_leaves_no_worker(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_ancilla_checks_run_the_unreduced_ascent(monkeypatch):
-    # the claims and surveys that compare ancilla sizes must run each query on
-    # its own ancilla: norm_q_to_p answers some on a smaller space (Theorems 2
-    # and 3), which would make those checks compare a number with itself
-    runs = []  # [map, query, ancilla the ascent received]
+def spy_on_the_ascents(monkeypatch):
+    """Record every ascent as [map, its jobs (query, constraint, run ancilla),
+    the ancilla it ran on, its cells (q, p, constraint)]."""
+    runs = []
     estimate, ascend = optimize._estimate, optimize._ascend
 
-    def spy_estimate(phi, query, *args):
-        runs.append([phi, query, None])
-        return estimate(phi, query, *args)
+    def spy_estimate(phi, jobs, cfg):
+        start = len(runs)
+        out = estimate(phi, jobs, cfg)
+        for run in runs[start:]:
+            run.insert(1, [job for job in jobs if max(job[2], 1) == run[1]])
+        return out
 
-    def spy_ascend(phi, k, *args):
-        runs[-1][2] = k
-        return ascend(phi, k, *args)
+    def spy_ascend(phi, k, cells, cfg):
+        runs.append([phi, k, list(cells)])
+        return ascend(phi, k, cells, cfg)
 
     monkeypatch.setattr(optimize, "_estimate", spy_estimate)
     monkeypatch.setattr(optimize, "_ascend", spy_ascend)
     monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
+    return runs
+
+
+def test_ancilla_checks_run_the_unreduced_ascent(monkeypatch):
+    # the claims and surveys that compare ancilla sizes must run each query on
+    # its own ancilla: norm_q_to_p answers some on a smaller space (Theorems 2
+    # and 3), which would make those checks compare a number with itself
+    runs = spy_on_the_ascents(monkeypatch)
     cfg = OptimizerConfig(restarts=2, seed=3)
     reducible = {}
     for claim in ("theorem2", "theorem3", "transpose_instability", "ahw_fact"):
         runs.clear()
         verify(claim, trials=2, restarts=2)
-        assert runs and all(k == max(query.stabilize_dim, 1) for _, query, k in runs), claim
+        jobs = [job for _, run_jobs, _, _ in runs for job in run_jobs]
+        assert jobs and all(run_k == query.stabilize_dim for query, _, run_k in jobs), claim
+        assert all(k == max(run_k, 1) for _, run_jobs, k, _ in runs for _, _, run_k in run_jobs), claim
         reducible[claim] = sum(
-            optimize._reduced_ancilla(phi, query) != query.stabilize_dim for phi, query, _ in runs
+            optimize._reduced_ancilla(phi, query) != query.stabilize_dim
+            for phi, run_jobs, _, _ in runs
+            for query, _, _ in run_jobs
         )
     for question in (2, 3):
         runs.clear()
         explore_open_question(random_cp_channel(2, 2, 2, 5), question, q=1.0, p=2.0, config=cfg)
-        assert [k for _, _, k in runs] == [k for k in (1, 2, 3, 4) for _ in range(question - 1)]
+        # one ascent per ancilla, with the Hermitian column stacked beside the plain one
+        assert [(k, len(cells)) for _, _, k, cells in runs] == [(k, question - 1) for k in (1, 2, 3, 4)]
         reducible[f"explore {question}"] = sum(
-            optimize._reduced_ancilla(phi, query) != query.stabilize_dim for phi, query, _ in runs
+            optimize._reduced_ancilla(phi, query) != query.stabilize_dim
+            for phi, run_jobs, _, _ in runs
+            for query, _, _ in run_jobs
         )
     # every check but ahw_fact holds queries that norm_q_to_p would reduce
     assert reducible["ahw_fact"] == 0 and all(reducible[c] for c in reducible if c != "ahw_fact")
@@ -314,7 +331,36 @@ def test_ancilla_checks_run_the_unreduced_ascent(monkeypatch):
     for q, p in ((1.5, 3.0), (2.0, 2.0), (1.0, math.inf)):
         norm_q_to_p(phi, NormQuery(q, p, True, 2), cfg)
         norm_q_to_p(phi, NormQuery(q, p, True, 3), cfg)
-    assert [k for _, _, k in runs] == [2, 3] * 3
+    assert [k for _, _, k, _ in runs] == [2, 3] * 3
+
+
+EXPONENTS = (1.0, 1.5, 2.0, 3.0, math.inf)
+GRID = [(q, p) for q in EXPONENTS for p in EXPONENTS]
+
+
+@pytest.mark.parametrize(
+    "claim, ascents",
+    [
+        # per trial: (ancilla the ascent runs on, its cells as (q, p, constraint))
+        ("theorem1", [(1, [(q, p, c) for c in ("full", "hermitian") for q, p in GRID])]),
+        ("lemma1", [(1, [(q, p, c) for q, p in GRID]) for c in ("full", "hermitian", "hermitian")]),
+        ("theorem2", [(k, [(q, p, "full") for q in (1.0, 1.5, 2.0) for p in EXPONENTS[2:]]) for k in (1, 2, 3)]),
+        # both trials' maps have dim_in 2
+        ("theorem3", [(k, [(1.0, p, c) for c in ("full", "hermitian") for p in EXPONENTS]) for k in (2, 3)]),
+        ("ahw_fact", [(k, [(1.0, p, "hermitian") for p in (1.0, 2.0, math.inf)]) for k in (1, 2)]),
+    ],
+)
+def test_map_claims_run_one_ascent_per_map_and_ancilla(monkeypatch, claim, ascents):
+    # each trial stacks all its queries on one map and ancilla into one ascent;
+    # theorem1 checks that CP maps lose nothing to the Hermitian restriction,
+    # so both columns run as asked, on no ancilla, and never on the PSD route
+    runs = spy_on_the_ascents(monkeypatch)
+    verify(claim, seed=8, trials=2, restarts=2)
+    assert [(k, cells) for _, _, k, cells in runs] == ascents * 2
+    if claim == "theorem1":
+        for phi, jobs, _, _ in runs:
+            assert [query.stabilize_dim for query, _, _ in jobs] == [0] * 50
+            assert [c for _, c, _ in jobs] == ["full"] * 25 + ["hermitian"] * 25
 
 
 def test_start_stack_memo_leaves_the_reports_unchanged(monkeypatch):
