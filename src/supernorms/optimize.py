@@ -35,17 +35,20 @@ complex entries (larger ones are built fresh), held read-only.  Every ascent
 works on its own copy, and the values are bit-identical with or without the
 memo.
 
-``norm_q_to_p`` answers an ancilla query on a smaller space where the paper
-proves the value there: without the Hermitian restriction and with
-``q <= 2 <= p`` on no ancilla (Theorem 2), at q = 1 with ``k > dim_in`` on
-the ancilla ``dim_in`` (Theorem 3).  The achiever is embedded in the query's
-space, where ``value`` is re-evaluated.
+``norm_q_to_p`` given a sequence of queries on one map runs one such ascent
+per ancilla the queries run on, and given one query the one-cell ascent.  It
+answers an ancilla query on a smaller space where the paper proves the value
+there: without the Hermitian restriction and with ``q <= 2 <= p`` on no
+ancilla (Theorem 2), at q = 1 with ``k > dim_in`` on the ancilla ``dim_in``
+(Theorem 3).  The achiever is embedded in the query's space, where ``value``
+is re-evaluated.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -282,14 +285,9 @@ def _input_step(key):
 
 
 def _rows_of(ids: np.ndarray, g: int):
-    """The positions of group ``g`` in ``ids``: a slice where they are
-    contiguous, so that the rows are a view, and None where there are none."""
+    """The positions of group ``g`` in ``ids``, or None where there are none."""
     at = np.flatnonzero(ids == g)
-    if at.size == 0:
-        return None
-    if at[-1] - at[0] + 1 == at.size:
-        return slice(at[0], at[-1] + 1)
-    return at
+    return at if at.size else None
 
 
 class _Side:
@@ -437,6 +435,8 @@ def _estimate(phi: SuperOp, jobs: list, cfg: OptimizerConfig) -> list:
     """The estimate of each job ``(query, constraint, run_k)``, from one
     stacked ascent per ancilla the jobs run on: ``run_k`` is the query's own
     ancilla, or a smaller one on which the query's value is proven."""
+    if not jobs:
+        return []
     ascents = {}  # the ancilla an ascent runs on (1 for none) -> its jobs' indices
     for i, (_, _, run_k) in enumerate(jobs):
         ascents.setdefault(max(run_k, 1), []).append(i)
@@ -490,14 +490,22 @@ def _norms(phi: SuperOp, queries: list, cfg: OptimizerConfig, reduce: bool = Tru
     )
 
 
-def norm_q_to_p(phi: SuperOp, query: NormQuery, config: OptimizerConfig | None = None) -> NormEstimate:
+def norm_q_to_p(
+    phi: SuperOp, query: NormQuery | Sequence[NormQuery], config: OptimizerConfig | None = None
+) -> NormEstimate | list[NormEstimate]:
     """Best lower bound on the queried induced norm over ``restarts`` runs.
 
     Where Theorem 2 or 3 proves the value on a smaller ancilla (see
     ``_reduced_ancilla``), the ascent runs there and its achiever is embedded
-    in the query's space, where ``value`` is re-evaluated."""
+    in the query's space, where ``value`` is re-evaluated.
+
+    Given a sequence of queries, returns the list of their estimates from one
+    stacked ascent per ancilla the queries run on; each agrees with the same
+    query asked alone to the stopping tolerance."""
     cfg = config if config is not None else OptimizerConfig()
-    return _norms(phi, [query], cfg)[0]
+    if isinstance(query, NormQuery):
+        return _norms(phi, [query], cfg)[0]
+    return _norms(phi, list(query), cfg)
 
 
 def norm_1_to_p(
@@ -553,9 +561,9 @@ def factorization_bound(
 def _factorization_bounds(phi: SuperOp, queries: list, cfg: OptimizerConfig) -> list:
     """``factorization_bound`` of each query, from one stacked ascent on each
     of ``Phi``, ``Phi_L`` and ``Phi_R`` per run ancilla."""
-    lhs = _norms(phi, [replace(query, hermitian_restricted=False) for query in queries], cfg)
+    lhs = norm_q_to_p(phi, [replace(query, hermitian_restricted=False) for query in queries], cfg)
     herm = [replace(query, hermitian_restricted=True) for query in queries]
-    left, right = _norms(left_cp_map(phi), herm, cfg), _norms(right_cp_map(phi), herm, cfg)
+    left, right = norm_q_to_p(left_cp_map(phi), herm, cfg), norm_q_to_p(right_cp_map(phi), herm, cfg)
     return [(a.value, math.sqrt(lv.value * rv.value)) for a, lv, rv in zip(lhs, left, right)]
 
 
@@ -860,13 +868,12 @@ def explore_open_question(
             raise PreconditionError("question 3 concerns completely positive maps")
         profile = []
         for k in range(1, phi.dim_in + 3):
-            restrictions = (False, True) if question == 3 else (False,)
-            queries = [NormQuery(q, p, herm, stabilize_dim=k) for herm in restrictions]
+            query = NormQuery(q, p, False, stabilize_dim=k)
             # unreduced: the profile is a check on ancilla sizes, not a lookup
-            values = [est.value for est in _norms(phi, queries, cfg, reduce=False)]
-            row = {"ancilla": k, "value": values[0]}
+            row = {"ancilla": k, "value": _norms(phi, [query], cfg, reduce=False)[0].value}
             if question == 3:
-                row["hermitian_value"] = values[1]
+                herm = replace(query, hermitian_restricted=True)
+                row["hermitian_value"] = _norms(phi, [herm], cfg, reduce=False)[0].value
             profile.append(row)
         return {
             "question": question,

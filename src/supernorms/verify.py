@@ -15,17 +15,18 @@ Every randomized claim records each trial as its fields followed by
 ``residual`` (the trial's first largest residual) and ``worst_case`` (that
 case's label).  The five claims on random maps are generators of
 ``(residual, label)`` cases on one seeded map per trial.  A trial asks all
-its queries on one map at once (``optimize._norms``), so they run as one
-stacked ascent per ancilla size: ``theorem1`` one of 50 cells, ``lemma1``
-one of 25 cells on each of the map and its two CP sides.  The trials run on
+its queries on one map at once, so they run as one stacked ascent per
+ancilla size: ``theorem1`` one of 50 cells, ``lemma1`` one of 25 cells on
+each of the map and its two CP sides (both through ``norm_q_to_p`` given a
+list of queries without an ancilla).  The trials run on
 up to the usable CPUs, in the calling process and in forked workers, where
 fork is the start method and no other thread runs; the reports are identical
 to a serial run.
 
-Every query runs the ascent on its own ancilla (``reduce=False``):
-``norm_q_to_p`` answers some ancilla queries on a smaller space by Theorems 2
-and 3, and a reduced query would make the checks that compare ancilla sizes
-compare a number with itself.
+The claims that compare ancilla sizes run every query on its own ancilla
+(``optimize._norms`` with ``reduce=False``): ``norm_q_to_p`` answers some
+ancilla queries on a smaller space by Theorems 2 and 3, and a reduced query
+would make those checks compare a number with itself.
 """
 
 from __future__ import annotations
@@ -174,9 +175,7 @@ def _map_trial(cp, cases, i, seed, restarts):
 
 def _values(phi, queries: dict, cfg) -> dict:
     """The value of each query in ``queries`` (any key -> query), every one on
-    its own ancilla, from one stacked ascent per ancilla size; listing the
-    queries with q slowest keeps each input-side group of the ascent
-    contiguous."""
+    its own ancilla, from one stacked ascent per ancilla size."""
     estimates = _norms(phi, list(queries.values()), cfg, reduce=False)
     return {key: est.value for key, est in zip(queries, estimates)}
 
@@ -185,11 +184,10 @@ def _theorem1_cases(phi, cfg):
     """CP maps: the unrestricted and Hermitian-restricted norms coincide.  Both
     run the ascent as asked (a PSD route for either would compare a number
     with itself)."""
-    grid = _EXPONENT_GRID
-    v = _values(phi, {(q, p, h): NormQuery(q, p, h) for h in (False, True) for q in grid for p in grid}, cfg)
-    for q in grid:
-        for p in grid:
-            yield abs(v[q, p, False] - v[q, p, True]), _label(q, p)
+    grid = [(q, p) for q in _EXPONENT_GRID for p in _EXPONENT_GRID]
+    est = norm_q_to_p(phi, [NormQuery(q, p, h) for h in (False, True) for q, p in grid], cfg)
+    for cell, plain, herm in zip(grid, est[: len(grid)], est[len(grid) :]):
+        yield abs(plain.value - herm.value), _label(*cell)
 
 
 def _lemma1_cases(phi, cfg):

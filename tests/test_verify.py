@@ -315,8 +315,9 @@ def test_ancilla_checks_run_the_unreduced_ascent(monkeypatch):
     for question in (2, 3):
         runs.clear()
         explore_open_question(random_cp_channel(2, 2, 2, 5), question, q=1.0, p=2.0, config=cfg)
-        # one ascent per ancilla, with the Hermitian column stacked beside the plain one
-        assert [(k, len(cells)) for _, _, k, cells in runs] == [(k, question - 1) for k in (1, 2, 3, 4)]
+        # one single-cell ascent per query: question 3 asks the Hermitian column apart
+        ascents = [(k, len(cells)) for _, _, k, cells in runs]
+        assert ascents == [(k, 1) for k in (1, 2, 3, 4) for _ in range(question - 1)]
         reducible[f"explore {question}"] = sum(
             optimize._reduced_ancilla(phi, query) != query.stabilize_dim
             for phi, run_jobs, _, _ in runs
@@ -361,6 +362,26 @@ def test_map_claims_run_one_ascent_per_map_and_ancilla(monkeypatch, claim, ascen
         for phi, jobs, _, _ in runs:
             assert [query.stabilize_dim for query, _, _ in jobs] == [0] * 50
             assert [c for _, c, _ in jobs] == ["full"] * 25 + ["hermitian"] * 25
+
+
+def test_stacked_claims_ask_through_norm_q_to_p(monkeypatch):
+    # theorem1 and lemma1 hand each map's queries to the public norm_q_to_p as
+    # one list, so a wrapper around it sees every stacked ascent they run
+    lists = []
+    real = optimize.norm_q_to_p
+
+    def spy(phi, query, config=None):
+        lists.append(len(query))
+        return real(phi, query, config)
+
+    monkeypatch.setattr(optimize, "norm_q_to_p", spy)
+    monkeypatch.setattr(verify_module, "norm_q_to_p", spy)
+    monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
+    verify("theorem1", seed=8, trials=2, restarts=2)
+    assert lists == [50, 50]
+    lists.clear()
+    verify("lemma1", seed=8, trials=2, restarts=2)
+    assert lists == [25] * 6
 
 
 def test_start_stack_memo_leaves_the_reports_unchanged(monkeypatch):
