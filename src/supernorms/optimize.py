@@ -15,18 +15,19 @@ value is therefore a certified lower bound whatever the convergence status.
 One ascent runs any number of cells ``(q, p, constraint)`` on one map and
 one ancilla: all restarts of all cells advance together as one compact stack
 of the active rows, with one forward and one adjoint kernel call per
-iteration.  Each side groups the rows by witness key (the output side by p,
-the input side by ``(q, constraint)``), and each group takes the half-step a
-one-cell ascent would take; a single cell is one group on each side, so
-nothing is gathered or scattered.  A restart leaves the stack, and its row
-goes back into the full stack of iterates, once its gain or step falls under
-fixed tolerances, and the rows still active go back when the iteration cap
-stops the ascent; each cell then picks its best restart.  The ascent applies
-``Phi (x) I_k`` and its adjoint through the one Kraus kernel of
-:mod:`.superop`, whose GEMM operands it lays out once per ascent, and never
-materializes the enlarged map.  The kernel's GEMM can round a row differently
-by where it sits in the stack, so a stacked cell agrees with the same cell
-alone to the stopping tolerance, not bit for bit.
+iteration.  Each side groups the rows by witness key ``(ball exponent,
+constraint)``, ``(p*, "full")`` on the output side and ``(q, constraint)`` on
+the input side, and each group takes the half-step a one-cell ascent would
+take; a single cell is one group on each side, so nothing is gathered or
+scattered.  A restart leaves the stack, and its row goes back into the full
+stack of iterates, once its gain or step falls under fixed tolerances, and
+the rows still active go back when the iteration cap stops the ascent; each
+cell then picks its best restart.  The ascent applies ``Phi (x) I_k`` and
+its adjoint through the one Kraus kernel of :mod:`.superop`, whose GEMM
+operands it lays out once per ascent, and never materializes the enlarged
+map.  The kernel's GEMM can round a row differently by where it sits in the
+stack, so a stacked cell agrees with the same cell alone to the stopping
+tolerance, not bit for bit.
 
 The start stack depends on ``(dim_in, ancilla, q, constraint, restarts,
 seed)`` only, not on the map, so each distinct key is built once per ascent
@@ -268,63 +269,48 @@ def _build_start_stack(base: int, anc: int, q: float, constraint: str, restarts:
     return starts
 
 
-def _output_step(p: float):
-    """The output side's half-step at exponent p, as ``step(W, pair) -> (pair, Y)``."""
-    if math.isinf(p):
-        return _rank_one_witness
-    p_dual = dual_exponent(p)
-    return lambda W, pair: (None, _ball_witness(W, p_dual, "full"))
+# the witness key of the unit trace-norm ball over all matrices
+_TRACE_BALL = (1.0, "full")
 
 
-def _input_step(key):
-    """The input side's half-step at ``(q, constraint)``, as ``step(Z, pair) -> (pair, X)``."""
+def _witness(M: np.ndarray, key: tuple, pair: np.ndarray | None):
+    """Batched maximizer of Re<M, W> over the unit ball of the witness key
+    ``(ball exponent, constraint)``, as ``(pair, W)``: the rank-one power
+    step on the unit trace-norm ball, the ball witness with no pair otherwise."""
+    if key == _TRACE_BALL:
+        return _rank_one_witness(M, pair)
     q, constraint = key
-    if q == 1.0 and constraint == "full":
-        return _rank_one_witness
-    return lambda Z, pair: (None, _ball_witness(Z, q, constraint))
-
-
-def _rows_of(ids: np.ndarray, g: int):
-    """The positions of group ``g`` in ``ids``, or None where there are none."""
-    at = np.flatnonzero(ids == g)
-    return at if at.size else None
+    return None, _ball_witness(M, q, constraint)
 
 
 class _Side:
     """One side's half-step on a stacked ascent's active rows, whose rows fall
-    into groups by witness key; each group makes one call of its key's
-    ``step(rows, pair)`` and keeps its own rank-one pairs, one per active row.
-    With one key the whole stack is the group, and nothing is gathered or
-    scattered."""
+    into groups by witness key; each group makes one ``_witness`` call on its
+    rows and keeps its own rank-one pairs, one per active row.  With one key
+    the whole stack is the group, and nothing is gathered or scattered."""
 
-    def __init__(self, keys: list, restarts: int, step_at):
-        distinct = list(dict.fromkeys(keys))
-        self.steps = [step_at(key) for key in distinct]
-        self.pairs = [None] * len(distinct)
-        self.ids = None
-        self.rows = [slice(None)]
-        if len(distinct) > 1:
-            self.ids = np.repeat([distinct.index(key) for key in keys], restarts)
-            self.rows = [_rows_of(self.ids, g) for g in range(len(distinct))]
+    def __init__(self, keys: list, restarts: int):
+        self.keys = list(dict.fromkeys(keys))
+        self.pairs = [None] * len(self.keys)
+        self.ids = np.repeat([self.keys.index(key) for key in keys], restarts)
 
     def __call__(self, M: np.ndarray) -> np.ndarray:
-        if self.ids is None:
-            self.pairs[0], out = self.steps[0](M, self.pairs[0])
+        if len(self.keys) == 1:
+            self.pairs[0], out = _witness(M, self.keys[0], self.pairs[0])
             return out
         out = np.empty_like(M)
-        for g, rows in enumerate(self.rows):
-            if rows is not None:
-                self.pairs[g], out[rows] = self.steps[g](M[rows], self.pairs[g])
+        for g, key in enumerate(self.keys):
+            rows = np.flatnonzero(self.ids == g)
+            if rows.size:
+                self.pairs[g], out[rows] = _witness(M[rows], key, self.pairs[g])
         return out
 
     def keep(self, keep: np.ndarray) -> None:
         """Drop the rows where ``keep`` is False."""
-        for g, rows in enumerate(self.rows):
-            if self.pairs[g] is not None and rows is not None:
-                self.pairs[g] = self.pairs[g][keep[rows]]
-        if self.ids is not None:
-            self.ids = self.ids[keep]
-            self.rows = [_rows_of(self.ids, g) for g in range(len(self.steps))]
+        for g, pair in enumerate(self.pairs):
+            if pair is not None:
+                self.pairs[g] = pair[keep[self.ids == g]]
+        self.ids = self.ids[keep]
 
 
 def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
@@ -332,24 +318,25 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
     as ``(iterate, converged)``, from one ascent on a stack of ``cells x
     restarts`` rows, cell by cell.
 
-    Each side groups the rows by witness key, the output side by p and the
-    input side by ``(q, constraint)``, and each group takes the one-cell
-    half-step; there is one forward and one adjoint kernel call per
-    iteration.  Each row stops on its own tolerances, and each cell picks its
-    best restart from its own rows."""
+    Each side groups the rows by witness key ``(ball exponent, constraint)``,
+    ``(p*, "full")`` for the output side and ``(q, constraint)`` for the
+    input side, and each group takes the one-cell half-step; there is one
+    forward and one adjoint kernel call per iteration.  Each row stops on its
+    own tolerances, and each cell picks its best restart from its own rows."""
     forward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)
     backward = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k)
     R = cfg.restarts
     x_keys = [(q, constraint) for q, _, constraint in cells]
     starts = {key: _start_stack(phi.dim_in, k, *key, cfg) for key in dict.fromkeys(x_keys)}
     X = starts[x_keys[0]] if len(cells) == 1 else np.concatenate([starts[key] for key in x_keys])
-    # witnesses on the unit trace-norm ball are rank one: the output side's at
-    # p = inf, the input side's at q = 1 over all matrices; those groups keep
-    # their pairs, one row per active restart, and take power steps
-    y_side = _Side([p for _, p, _ in cells], R, _output_step)
-    x_side = _Side(x_keys, R, _input_step)
+    # witnesses at key (1, "full"), the unit trace-norm ball, are rank one: the
+    # output side's at p = inf, the input side's at q = 1 without a constraint;
+    # those groups keep their pairs, one row per active restart, and take
+    # power steps
+    y_side = _Side([(dual_exponent(p), "full") for _, p, _ in cells], R)
+    x_side = _Side(x_keys, R)
     # a rank-one input witness has unit norm, so only the others can stall
-    may_stall = any(step is not _rank_one_witness for step in x_side.steps)
+    may_stall = any(key != _TRACE_BALL for key in x_side.keys)
     converged = np.zeros(len(X), dtype=bool)
     # the active restarts' rows: indices into X, iterates and last values
     active, Xa, values = np.arange(len(X)), X, np.full(len(X), -np.inf)
@@ -471,23 +458,16 @@ def _estimate(phi: SuperOp, jobs: list, cfg: OptimizerConfig) -> list:
     return estimates
 
 
-def _constraint(query: NormQuery) -> str:
-    return "hermitian" if query.hermitian_restricted else "full"
-
-
 def _norms(phi: SuperOp, queries: list, cfg: OptimizerConfig, reduce: bool = True) -> list:
     """``norm_q_to_p`` of each query, from one stacked ascent per distinct
     run ancilla.  With ``reduce=False`` every ascent runs on its query's own
     ancilla, for the checks that compare ancilla sizes (a reduced query would
     compare a number with itself)."""
-    return _estimate(
-        phi,
-        [
-            (query, _constraint(query), _reduced_ancilla(phi, query) if reduce else query.stabilize_dim)
-            for query in queries
-        ],
-        cfg,
-    )
+    jobs = []
+    for query in queries:
+        constraint = "hermitian" if query.hermitian_restricted else "full"
+        jobs.append((query, constraint, _reduced_ancilla(phi, query) if reduce else query.stabilize_dim))
+    return _estimate(phi, jobs, cfg)
 
 
 def norm_q_to_p(

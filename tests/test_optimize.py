@@ -249,9 +249,11 @@ def test_more_iterations_never_lower_the_value(route, phi, query):
 
 def test_rank_one_sides_decompose_only_in_the_first_iteration(monkeypatch):
     # at q = 1 and p = inf both witnesses are rank one: after the first
-    # iteration's two SVDs every half-step is a power step, and the only other
-    # SVDs are the singular values of the final re-evaluation
-    phi, query = random_superop(3, 3, 2, 50), NormQuery(1.0, math.inf)
+    # iteration's two SVDs every half-step is a power step, and every other SVD
+    # takes singular values only.  Stacked beside a 2 -> 2 cell, each side has
+    # two witness groups, and the rank-one group keeps its pairs across the
+    # other group's (decomposition-free) steps
+    phi = random_superop(3, 3, 2, 50)
     calls = []
     svd = np.linalg.svd
 
@@ -260,13 +262,18 @@ def test_rank_one_sides_decompose_only_in_the_first_iteration(monkeypatch):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
-    values = []
-    for iterations in (1, 25):
-        calls.clear()
-        values.append(norm_q_to_p(phi, query, OptimizerConfig(max_iterations=iterations)).value)
-        assert calls[:2] == [True, True]
-        assert not any(calls[2:])
-    assert values[1] > values[0]
+    for query in (NormQuery(1.0, math.inf), [NormQuery(1.0, math.inf), NormQuery(2.0, 2.0)]):
+        values = []
+        for iterations in (1, 25):
+            calls.clear()
+            est = norm_q_to_p(phi, query, OptimizerConfig(max_iterations=iterations))
+            values.append(est[0].value if isinstance(est, list) else est.value)
+            # before the first iteration only the 2 -> 2 cell's start stack
+            # runs an SVD, for singular values only
+            first = calls.index(True)
+            assert calls[first:first + 2] == [True, True]
+            assert not any(calls[first + 2:])
+        assert values[1] > values[0]
 
 
 @pytest.mark.parametrize(
@@ -512,16 +519,43 @@ def test_norm_q_to_p_answers_a_list_of_queries(quick_cfg):
 
 
 def test_one_cell_ascent_gathers_nothing(monkeypatch):
-    # a single cell's ascent is the whole stack as one group on each side: no
-    # group lookup runs, so it makes exactly the operations of a one-cell ascent
-    def never(*args):
-        raise AssertionError("a group was looked up")
+    # a single cell's ascent is the whole stack as one group on each side: each
+    # half-step is one witness call on the kernel's own output, the whole active
+    # stack, so it makes exactly the operations of a one-cell ascent
+    events = []  # ("kernel", output) and ("witness", input), in call order
+    kernel, witness = optimize._kraus_kernel, optimize._witness
 
-    monkeypatch.setattr(optimize, "_rows_of", never)
-    phi = random_superop(3, 2, 2, 71)
-    for query in (NormQuery(1.5, 3.0), NormQuery(1.0, math.inf), NormQuery(1.0, 2.0, True, 2)):
-        norm_q_to_p(phi, query, OptimizerConfig(restarts=5, seed=3))
-    cp_norm(random_cp_channel(2, 2, 2, 72), NormQuery(2.0, 3.0), OptimizerConfig(restarts=5, seed=3))
+    def spy_kernel(left, right, k=1):
+        act = kernel(left, right, k)
+
+        def run(X):
+            events.append(("kernel", act(X)))
+            return events[-1][1]
+
+        return run
+
+    def spy_witness(M, key, pair):
+        events.append(("witness", M))
+        return witness(M, key, pair)
+
+    monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
+    monkeypatch.setattr(optimize, "_witness", spy_witness)
+    cfg = OptimizerConfig(restarts=5, seed=3)
+    phi, cp = random_superop(3, 2, 2, 71), random_cp_channel(2, 2, 2, 72)
+    for ask in (
+        lambda: norm_q_to_p(phi, NormQuery(1.5, 3.0), cfg),
+        lambda: norm_q_to_p(phi, NormQuery(1.0, math.inf), cfg),
+        lambda: norm_q_to_p(phi, NormQuery(1.0, 2.0, True, 2), cfg),
+        lambda: cp_norm(cp, NormQuery(2.0, 3.0), cfg),
+    ):
+        events.clear()
+        ask()
+        # a kernel call and a witness call per half-step, then the final
+        # re-evaluation's kernel call
+        half_steps = len(events) // 2
+        assert half_steps > 2
+        assert [kind for kind, _ in events] == ["kernel", "witness"] * half_steps + ["kernel"]
+        assert all(M is out for (_, out), (_, M) in zip(events[0::2], events[1::2]))
 
 
 def test_results_are_deterministic(quick_cfg):
