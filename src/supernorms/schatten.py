@@ -141,6 +141,30 @@ def duality_witness(X, p) -> np.ndarray:
     return (U * w) @ Vh
 
 
+def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum of ``A`` and its blocks' spectra, one row per block in
+    row-major block order, for an even ``block_rows`` x ``block_cols``
+    partition; the blocks take one batched SVD."""
+    block_rows = require_count(block_rows, "block_rows", 1)
+    block_cols = require_count(block_cols, "block_cols", 1)
+    rows, cols = A.shape
+    if rows % block_rows or cols % block_cols:
+        raise InvalidInputError(
+            f"matrix of shape {A.shape} does not partition into {block_rows}x{block_cols} blocks"
+        )
+    blocks = A.reshape(block_rows, rows // block_rows, block_cols, cols // block_cols).transpose(0, 2, 1, 3)
+    return singular_values(A), np.linalg.svd(blocks, compute_uv=False).reshape(block_rows * block_cols, -1)
+
+
+def _block_bounds(spectra: tuple[np.ndarray, np.ndarray], p: float) -> tuple[float, float]:
+    """:func:`block_norm_bounds` at p from :func:`_block_spectra`."""
+    full, blocks = spectra
+    blocks_sq = 0.0
+    for s in blocks:
+        blocks_sq += float(pnorm(s, p)) ** 2
+    return blocks_sq, float(pnorm(full, p)) ** 2
+
+
 def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, float]:
     """The pair ``(sum_ij ||X_ij||_p^2, ||X||_p^2)`` for an even block partition.
 
@@ -150,21 +174,7 @@ def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, fl
     """
     A = as_matrix(X)
     p = require_exponent(p)
-    block_rows = require_count(block_rows, "block_rows", 1)
-    block_cols = require_count(block_cols, "block_cols", 1)
-    rows, cols = A.shape
-    if rows % block_rows or cols % block_cols:
-        raise InvalidInputError(
-            f"matrix of shape {A.shape} does not partition into {block_rows}x{block_cols} blocks"
-        )
-    h = rows // block_rows
-    w = cols // block_cols
-    blocks_sq = 0.0
-    for i in range(block_rows):
-        for j in range(block_cols):
-            blk = A[i * h : (i + 1) * h, j * w : (j + 1) * w]
-            blocks_sq += schatten_norm(blk, p) ** 2
-    return float(blocks_sq), float(schatten_norm(A, p) ** 2)
+    return _block_bounds(_block_spectra(A, block_rows, block_cols), p)
 
 
 def hoelder_gap(X, Y, p) -> float:

@@ -11,6 +11,11 @@ Claims about optimized quantities use tolerance 2e-3 (two independent
 optimizations carry restart variance); claims that reduce to plain linear
 algebra use 1e-8 .. 1e-10.
 
+The exact claims (``duality``, ``hoelder``, ``block_bounds``,
+``monotone_p``) take each matrix's singular values once and read its norm at
+every grid exponent from them, which is exactly ``schatten_norm`` there;
+``block_bounds`` takes all its blocks' spectra in one batched SVD.
+
 Every randomized claim records each trial as its fields followed by
 ``residual`` (the trial's first largest residual) and ``worst_case`` (that
 case's label).  The five claims on random maps are generators of
@@ -51,12 +56,14 @@ from .optimize import (
     norm_q_to_p,
 )
 from .schatten import (
-    block_norm_bounds,
+    _block_bounds,
+    _block_spectra,
     duality_witness,
     dual_exponent,
     format_exponent,
-    hoelder_gap,
+    pnorm,
     schatten_norm,
+    singular_values,
 )
 from .superop import difference
 from .linalg import inner
@@ -96,6 +103,11 @@ def _random_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray
 
 def _label(q, p) -> str:
     return f"q={format_exponent(q)},p={format_exponent(p)}"
+
+
+# the case labels over the exponent grid, built once
+_P_LABELS = {p: f"p={format_exponent(p)}" for p in _EXPONENT_GRID}
+_QP_LABELS = {(q, p): _label(q, p) for q in _EXPONENT_GRID for p in _EXPONENT_GRID}
 
 
 def _usable_cpus() -> int:
@@ -187,14 +199,14 @@ def _theorem1_cases(phi, cfg):
     grid = [(q, p) for q in _EXPONENT_GRID for p in _EXPONENT_GRID]
     est = norm_q_to_p(phi, [NormQuery(q, p, h) for h in (False, True) for q, p in grid], cfg)
     for cell, plain, herm in zip(grid, est[: len(grid)], est[len(grid) :]):
-        yield abs(plain.value - herm.value), _label(*cell)
+        yield abs(plain.value - herm.value), _QP_LABELS[cell]
 
 
 def _lemma1_cases(phi, cfg):
     """||Phi||_{q->p} <= sqrt(||Phi_L||^H ||Phi_R||^H) for the stored Kraus pair."""
     grid = [(q, p) for q in _EXPONENT_GRID for p in _EXPONENT_GRID]
     for cell, (lhs, rhs) in zip(grid, _factorization_bounds(phi, [NormQuery(*cell) for cell in grid], cfg)):
-        yield max(0.0, lhs - rhs), _label(*cell)
+        yield max(0.0, lhs - rhs), _QP_LABELS[cell]
 
 
 def _theorem2_cases(phi, cfg):
@@ -203,7 +215,7 @@ def _theorem2_cases(phi, cfg):
     v = _values(phi, {(q, p, anc): NormQuery(q, p, False, anc) for anc in (0, 2, 3) for q, p in cells}, cfg)
     for q, p in cells:
         for anc in (2, 3):
-            yield abs(v[q, p, anc] - v[q, p, 0]), f"{_label(q, p)},ancilla={anc}"
+            yield abs(v[q, p, anc] - v[q, p, 0]), f"{_QP_LABELS[q, p]},ancilla={anc}"
 
 
 def _theorem3_cases(phi, cfg):
@@ -217,7 +229,7 @@ def _theorem3_cases(phi, cfg):
     for p in _EXPONENT_GRID:
         for herm in (False, True):
             residual = abs(v[p, herm, ancillas[0]] - v[p, herm, ancillas[1]])
-            yield residual, f"p={format_exponent(p)},hermitian={herm}"
+            yield residual, f"{_P_LABELS[p]},hermitian={herm}"
 
 
 def _ahw_fact_cases(phi, cfg):
@@ -225,7 +237,7 @@ def _ahw_fact_cases(phi, cfg):
     exponents = (1.0, 2.0, math.inf)
     v = _values(phi, {(p, k): NormQuery(1.0, p, True, k) for k in (0, 2) for p in exponents}, cfg)
     for p in exponents:
-        yield abs(v[p, 0] - v[p, 2]), f"p={format_exponent(p)}"
+        yield abs(v[p, 0] - v[p, 2]), _P_LABELS[p]
 
 
 def _run_fixed(salt, cases, seed, trials, restarts):
@@ -260,9 +272,9 @@ def _counterexample_cases(cfg):
     dd = difference(ident, depol)
     for p in (1.5, 2.0, math.inf):
         inv_p = 0.0 if math.isinf(p) else 1.0 / p
-        yield f"depolarizing plain p={format_exponent(p)}", norm_1_to_p(dd, p, config=cfg).value, 1.0
+        yield f"depolarizing plain {_P_LABELS[p]}", norm_1_to_p(dd, p, config=cfg).value, 1.0
         yield (
-            f"depolarizing hermitian p={format_exponent(p)}",
+            f"depolarizing hermitian {_P_LABELS[p]}",
             norm_1_to_p(dd, p, True, config=cfg).value,
             2.0**inv_p / 2.0,
         )
@@ -285,7 +297,7 @@ def _transpose_cases(cfg):
         T = build_example(f"transpose({n})")
         v = _values(T, {(p, k): NormQuery(1.0, p, False, k) for k in (0, n) for p in exponents}, cfg)
         for p in exponents:
-            at = f"p={format_exponent(p)}"
+            at = _P_LABELS[p]
             yield f"transpose({n}) plain {at}", v[p, 0], 1.0
             yield f"transpose({n}) stabilized {at}", v[p, n], n ** (2.0 / p) / n
 
@@ -296,17 +308,24 @@ def _run_exact(salt, trial, seed, trials, restarts):
     return [_record(i, *trial(rng)) for i in range(trials)]
 
 
+def _grid_norms(X) -> dict:
+    """``schatten_norm(X, p)`` for each p on the exponent grid, from one SVD."""
+    s = singular_values(X)
+    return {p: float(pnorm(s, p)) for p in _EXPONENT_GRID}
+
+
 def _duality_trial(rng):
     """The dual-norm witness attains ||X||_p with a unit dual-norm certificate."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(2, 7))
     X = _random_matrix(rng, n, m)
+    norms = _grid_norms(X)
     cases = []
     for p in _EXPONENT_GRID:
         Y = duality_witness(X, p)
-        attained = abs(inner(Y, X) - schatten_norm(X, p))
+        attained = abs(inner(Y, X) - norms[p])
         unit = abs(schatten_norm(Y, dual_exponent(p)) - 1.0)
-        cases.append((max(attained, unit), f"p={format_exponent(p)}"))
+        cases.append((max(attained, unit), _P_LABELS[p]))
     return {"shape": [n, m]}, cases
 
 
@@ -316,7 +335,8 @@ def _hoelder_trial(rng):
     m = int(rng.integers(2, 7))
     X = _random_matrix(rng, n, m)
     Y = _random_matrix(rng, n, m)
-    cases = [(max(0.0, -hoelder_gap(X, Y, p)), f"p={format_exponent(p)}") for p in _EXPONENT_GRID]
+    x, y, overlap = _grid_norms(X), _grid_norms(Y), abs(inner(X, Y))
+    cases = [(max(0.0, overlap - x[p] * y[dual_exponent(p)]), _P_LABELS[p]) for p in _EXPONENT_GRID]
     return {"shape": [n, m]}, cases
 
 
@@ -327,12 +347,13 @@ def _block_bounds_trial(rng):
     h = int(rng.integers(1, 4))
     w = int(rng.integers(1, 4))
     X = _random_matrix(rng, br * h, bc * w)
+    spectra = _block_spectra(X, br, bc)
     cases = []
     for p in _EXPONENT_GRID:
-        lhs, rhs = block_norm_bounds(X, br, bc, p)
+        lhs, rhs = _block_bounds(spectra, p)
         slack = lhs - rhs if p <= 2.0 else rhs - lhs
         r = abs(slack) if p == 2.0 else max(0.0, slack)
-        cases.append((r, f"p={format_exponent(p)}"))
+        cases.append((r, _P_LABELS[p]))
     return {"blocks": [br, bc], "block_shape": [h, w]}, cases
 
 
@@ -340,11 +361,11 @@ def _monotone_p_trial(rng):
     """||A||_p <= ||A||_q whenever p >= q."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(2, 7))
-    A = _random_matrix(rng, n, m)
+    norms = _grid_norms(_random_matrix(rng, n, m))
     cases = []
     for qi, q in enumerate(_EXPONENT_GRID):
         for p in _EXPONENT_GRID[qi:]:
-            cases.append((max(0.0, schatten_norm(A, p) - schatten_norm(A, q)), _label(q, p)))
+            cases.append((max(0.0, norms[p] - norms[q]), _QP_LABELS[q, p]))
     return {"shape": [n, m]}, cases
 
 

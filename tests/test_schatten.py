@@ -215,6 +215,31 @@ def test_block_counts_must_be_whole_numbers(slot, count, whole):
     check_count(build, count, whole)
 
 
+def _per_block_bounds(X, block_rows, block_cols, p):
+    # the per-block formula, one schatten_norm call per block: the reference
+    # that block_norm_bounds's batched SVD of the blocks must match bit for bit
+    h, w = X.shape[0] // block_rows, X.shape[1] // block_cols
+    blocks_sq = 0.0
+    for i in range(block_rows):
+        for j in range(block_cols):
+            blocks_sq += schatten_norm(X[i * h : (i + 1) * h, j * w : (j + 1) * w], p) ** 2
+    return float(blocks_sq), float(schatten_norm(X, p) ** 2)
+
+
+def test_block_bounds_match_the_per_block_formula_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    for block_rows in (1, 2, 3):
+        for block_cols in (1, 2, 3):
+            for _ in range(8):
+                h, w = (int(v) for v in rng.integers(1, 4, size=2))
+                X = complex_matrix(rng, block_rows * h, block_cols * w)
+                for p in EXPONENTS:
+                    got = block_norm_bounds(X, block_rows, block_cols, p)
+                    want = _per_block_bounds(X, block_rows, block_cols, p)
+                    assert got == want, (block_rows, block_cols, h, w, p)
+                    assert all(type(v) is float for v in got)
+
+
 @given(seeds, exponents)
 def test_block_bounds_direction(seed, p):
     rng = np.random.default_rng(seed)

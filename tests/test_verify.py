@@ -14,11 +14,18 @@ from supernorms import (
     NormQuery,
     OptimizerConfig,
     VerificationReport,
+    block_norm_bounds,
     claim_ids,
     claim_tolerance,
+    dual_exponent,
+    duality_witness,
     explore_open_question,
+    format_exponent,
+    hoelder_gap,
+    inner,
     norm_q_to_p,
     random_cp_channel,
+    schatten_norm,
     verify,
 )
 
@@ -167,6 +174,95 @@ def test_exact_claim_records_are_pinned(claim):
     for got, want in zip(details, EXACT_RECORDS[claim], strict=True):
         assert list(got) == [*want, "residual", "worst_case"]
         assert {k: got[k] for k in want} == want
+
+
+# exact claim -> (salt, trial, np.linalg.svd calls per trial)
+EXACT_TRIALS = {
+    "duality": (8, "_duality_trial", 11),
+    "hoelder": (9, "_hoelder_trial", 2),
+    "block_bounds": (10, "_block_bounds_trial", 2),
+    "monotone_p": (11, "_monotone_p_trial", 1),
+}
+
+
+@pytest.mark.parametrize("claim", EXACT_TRIALS)
+def test_exact_trials_decompose_each_matrix_once(claim, monkeypatch):
+    # each matrix's singular values are taken once and every exponent's norm
+    # is read from them; duality also asks the public witness and dual norm
+    # at each of the five exponents
+    salt, trial, want = EXACT_TRIALS[claim]
+    calls = []
+    real = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rng = verify_module._rng(42, salt)
+    for _ in range(3):
+        calls.clear()
+        getattr(verify_module, trial)(rng)
+        assert len(calls) == want
+
+
+def _one_exponent_cases(claim, fields, matrices):
+    """A trial's cases rebuilt from the public one-exponent functions."""
+    if claim == "duality":
+        (X,) = matrices
+        for p in EXPONENTS:
+            Y = duality_witness(X, p)
+            attained = abs(inner(Y, X) - schatten_norm(X, p))
+            unit = abs(schatten_norm(Y, dual_exponent(p)) - 1.0)
+            yield max(attained, unit), f"p={format_exponent(p)}"
+    elif claim == "hoelder":
+        X, Y = matrices
+        for p in EXPONENTS:
+            yield max(0.0, -hoelder_gap(X, Y, p)), f"p={format_exponent(p)}"
+    elif claim == "block_bounds":
+        (X,) = matrices
+        for p in EXPONENTS:
+            lhs, rhs = block_norm_bounds(X, *fields["blocks"], p)
+            slack = lhs - rhs if p <= 2.0 else rhs - lhs
+            yield (abs(slack) if p == 2.0 else max(0.0, slack)), f"p={format_exponent(p)}"
+    else:
+        (A,) = matrices
+        for qi, q in enumerate(EXPONENTS):
+            for p in EXPONENTS[qi:]:
+                yield (
+                    max(0.0, schatten_norm(A, p) - schatten_norm(A, q)),
+                    f"q={format_exponent(q)},p={format_exponent(p)}",
+                )
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+@pytest.mark.parametrize("claim", EXACT_TRIALS)
+def test_exact_trials_check_the_library_definitions(claim, rank_one, monkeypatch):
+    # every per-exponent residual equals, bit for bit, the one built from the
+    # public functions that each take one exponent.  Rank-one draws u v^T
+    # (one u and v for every draw, so hoelder's Y is its X) meet the hoelder
+    # and block bounds with equality, so their residuals are roundoff, not
+    # clipped to zero; monotone_p is never tight for p > q
+    salt, trial, _ = EXACT_TRIALS[claim]
+    u, v = np.random.default_rng(3).standard_normal((2, 9)) + 1j
+    drawn = []
+    real = verify_module._random_matrix
+
+    def keep(rng, rows, cols):
+        drawn.append(np.outer(u[:rows], v[:cols]) if rank_one else real(rng, rows, cols))
+        return drawn[-1]
+
+    monkeypatch.setattr(verify_module, "_random_matrix", keep)
+    nonzero = 0
+    for seed in (42, 7):
+        rng = verify_module._rng(seed, salt)
+        for _ in range(10):
+            drawn.clear()
+            fields, cases = getattr(verify_module, trial)(rng)
+            want = list(_one_exponent_cases(claim, fields, drawn))
+            assert [(float(r).hex(), at) for r, at in cases] == [(float(r).hex(), at) for r, at in want]
+            nonzero += sum(r > 0.0 for r, _ in cases)
+    assert nonzero > 0 or not rank_one or claim == "monotone_p"
 
 
 @pytest.mark.parametrize("claim", TRIAL_CLAIMS)
