@@ -5,12 +5,15 @@ bilinear form Re<Y, Phi(X)> maximized jointly over the unit p*-ball in Y and
 the unit q-ball in X.  Each partial maximization has a closed form (a Hoelder
 witness read off a singular value or eigenvalue decomposition; at exponent 2
 it is the normalized matrix and no decomposition runs), and the optimizer
-alternates the half-steps.  On the unit trace-norm ball (Y at p = inf, X at
-q = 1 without the Hermitian restriction) the witness is rank one: after the
-first iteration's SVD those sides keep its vector pair and take one power
-step per iteration instead of a decomposition.  The objective value never
-decreases along the iteration, every iterate is feasible, and the reported
-value is therefore a certified lower bound whatever the convergence status.
+alternates the half-steps.  Long stacks of 2x2 slices are decomposed in
+closed form, in LAPACK's order (``linalg._batched_svd``); shorter stacks
+and larger slices call LAPACK.  On the unit trace-norm ball (Y at
+p = inf, X at q = 1 without the Hermitian restriction) the witness is rank
+one: after the first iteration's SVD those sides keep its vector pair and
+take one power step per iteration instead of a decomposition.  The
+objective value never decreases along the iteration, every iterate is
+feasible, and the reported value is therefore a certified lower bound
+whatever the convergence status.
 
 One ascent runs any number of cells ``(q, p, constraint)`` on one map and
 one ancilla: all restarts of all cells advance together as one compact stack
@@ -61,6 +64,7 @@ from .errors import (
     require_count,
     require_entries,
 )
+from .linalg import _batched_eigh, _batched_svd
 from .schatten import dual_exponent, format_exponent, holder_weights, pnorm, require_exponent
 from .superop import (
     SuperOp,
@@ -152,7 +156,8 @@ def _ball_witness(Z: np.ndarray, q: float, constraint: str) -> np.ndarray:
     back to the top eigendirection when nothing positive remains).  At
     q = 2 the ball is the Frobenius ball, so for ``full`` and ``hermitian``
     the witness is the (Hermitian part of the) matrix normalized, and no
-    decomposition runs; zero slices stay zero.
+    decomposition runs; zero slices stay zero.  Long stacks of 2x2 slices
+    take the closed-form decompositions, which keep LAPACK's order.
     """
     if constraint != "full":
         Z = (Z + Z.conj().transpose(0, 2, 1)) / 2.0
@@ -160,10 +165,10 @@ def _ball_witness(Z: np.ndarray, q: float, constraint: str) -> np.ndarray:
         nrm = _frobenius(Z)[:, None, None]
         return np.divide(Z, nrm, out=np.zeros_like(Z), where=nrm > 0.0)
     if constraint == "full":
-        U, s, Vh = np.linalg.svd(Z)
+        U, s, Vh = _batched_svd(Z)
         w = holder_weights(s, q)
         return (U * w[..., None, :]) @ Vh
-    lam, V = np.linalg.eigh(Z)
+    lam, V = _batched_eigh(Z)
     if constraint == "psd":
         lam = np.maximum(lam, 0.0)
         dead = lam[..., -1] <= 0.0
@@ -192,7 +197,7 @@ def _rank_one_witness(Z: np.ndarray, pair: np.ndarray | None):
     never decreases.  A slice whose product vanishes keeps its vector.
     """
     if pair is None:
-        U, _, Vh = np.linalg.svd(Z)
+        U, _, Vh = _batched_svd(Z)
         pair = np.stack([U[:, :, 0], Vh[:, 0]], axis=1)
     else:
         u, vh = pair[:, 0], pair[:, 1]
@@ -307,6 +312,11 @@ class _Side:
 
     def keep(self, keep: np.ndarray) -> None:
         """Drop the rows where ``keep`` is False."""
+        if len(self.keys) == 1:
+            # the group is the whole stack, and ``ids`` is not read
+            if self.pairs[0] is not None:
+                self.pairs[0] = self.pairs[0][keep]
+            return
         for g, pair in enumerate(self.pairs):
             if pair is not None:
                 self.pairs[g] = pair[keep[self.ids == g]]
@@ -366,7 +376,7 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
     else:
         # the cap: the rows still active go back as they stand
         X[active] = Xa
-    s = np.linalg.svd(forward(X), compute_uv=False)
+    s = _batched_svd(forward(X), compute_uv=False)
     best = []
     for c, (_, p, _) in enumerate(cells):
         rows = slice(c * R, (c + 1) * R)
@@ -600,9 +610,11 @@ def _sphere_chunks(axes, chunk: int):
 
 class _Workspace:
     """Per-point buffers of one oracle call, sized for one chunk: every chunk
-    fills views of the same arrays, so the walk allocates nothing per chunk."""
+    fills views of the same arrays, so the walk allocates nothing per chunk.
+    ``hermitian`` says that every matrix the call measures is Hermitian."""
 
-    def __init__(self, points: int, dout: int):
+    def __init__(self, points: int, dout: int, hermitian: bool = False):
+        self.hermitian = hermitian
         self.out = np.empty((points, 2 * dout * dout))  # real view of the outputs
         self.sq, self.f, self.det2, self.tmp = np.empty((4, points))
         self.det, self.cross = np.empty((2, points), dtype=np.complex128)
@@ -611,11 +623,15 @@ class _Workspace:
 
 def _flat_sq_pnorm(flat: np.ndarray, d: int, p: float, ws: _Workspace) -> np.ndarray:
     """Squared Schatten p-norms of a stack of row-major flattened d x d
-    matrices, as a view of ``ws`` that the next call with ``ws`` overwrites."""
+    matrices, as a view of ``ws`` that the next call with ``ws`` overwrites.
+    Beyond 2x2, Hermitian matrices (``ws.hermitian``) take their singular
+    values as the moduli of their eigenvalues, from ``eigvalsh``."""
     n = len(flat)
     sq = ws.sq[:n]
     if d != 2:
-        return np.square(pnorm(np.linalg.svd(flat.reshape(-1, d, d), compute_uv=False), p), out=sq)
+        M = flat.reshape(-1, d, d)
+        s = np.linalg.eigvalsh(M) if ws.hermitian else np.linalg.svd(M, compute_uv=False)
+        return np.square(pnorm(s, p), out=sq)
     # squared moduli from the real views: np.abs would take a hypot per entry
     r = flat.view(np.float64)
     f = np.einsum("ij,ij->i", r, r, out=ws.f[:n])
@@ -667,6 +683,25 @@ def _flat_sq_pnorm(flat: np.ndarray, d: int, p: float, ws: _Workspace) -> np.nda
     return sq
 
 
+def _run_head_sq_norms(axes, basis: np.ndarray, q: float, ws: _Workspace) -> np.ndarray:
+    """Squared q-norms of the Hermitian sphere walk's inputs, one per run of
+    its last angle, in walk order, computed in the buffers of ``ws``.
+
+    The input ``[[x0, x2 + i x3], [x2 - i x3, x1]]`` depends on the last angle
+    only through ``x2^2 + x3^2``, the squared product of the polar sines, so
+    its norm holds along each run; it is taken at the run's head, where the
+    last angle is 0 and so ``x3 = 0``."""
+    heads = _sphere_coords(axes[:-1])
+    real = basis[:-1].view(np.float64)
+    step, buf = len(ws.sq), ws.out.reshape(-1)
+    sq = np.empty(len(heads))
+    for i in range(0, len(heads), step):
+        h = heads[i : i + step]
+        inputs = np.matmul(h, real, out=buf[: real.shape[1] * len(h)].reshape(len(h), -1))
+        sq[i : i + len(h)] = _flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws)
+    return sq
+
+
 def _rank_one_chunks(states: np.ndarray, chunk: int):
     """``u v*`` for every pair of ``states`` (u slowest) in runs of at most
     ``chunk``, as the real view of the row-major entries, which are the
@@ -715,6 +750,12 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     without the Hermitian restriction has no grid that comes near the norm at
     a usable resolution; it raises ``UnsupportedInstanceError``.
 
+    Outputs larger than 2x2 take their singular values from a batched SVD,
+    except where every output is Hermitian: for a Hermitian-restricted query
+    whose map sends the basis and I to exactly Hermitian images (any
+    Hermiticity-preserving map), they are the moduli of the ``eigvalsh``
+    eigenvalues.
+
     For even ``resolution`` only half of each sphere grid except the q = 1
     one is evaluated: the grid is closed under ``X -> -X``, the objective is
     even, and every skipped point's antipode lies on the evaluated half, so
@@ -757,9 +798,18 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
         lead = R // 2 if R % 2 == 0 and q != 1.0 else R
         axes = [thetas[:lead]] + [thetas] * (n_angles - 2) + [phis]
         coords, points = _sphere_chunks(axes, chunk), lead * R ** (n_angles - 1)
-    ws = _Workspace(min(chunk, points), dout)
     image = basis @ transfer_t
     eye = transfer_t[0] + transfer_t[3]  # the image of I
+    # Hermitian inputs have Hermitian outputs when the images of the basis and
+    # of I are exactly Hermitian, as they are for Hermiticity-preserving maps;
+    # only outputs beyond 2x2 take their spectra from a decomposition
+    hermitian = False
+    if herm and dout > 2:
+        images = np.vstack([image, eye]).reshape(-1, dout, dout)
+        hermitian = np.array_equal(images, images.conj().transpose(0, 2, 1))
+    ws = _Workspace(min(chunk, points), dout, hermitian)
+    if finite:
+        in_sq, walked = _run_head_sq_norms(axes, basis, q, ws), 0
     # every objective is compared squared; one square root of the maximum ends the walk
     best, shift = 0.0, None
     if q == 1.0 and herm:
@@ -767,10 +817,6 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
         image, shift = image / 2.0, (eye / 2.0).view(np.float64)
     elif math.isinf(q) and herm:
         best = float(_flat_sq_pnorm(eye[None], dout, p, ws)[0])
-    elif finite:
-        # the inputs' own norms, taken while the outputs' are still held, one
-        # per run of the last angle
-        ws_in, basis = _Workspace(max(1, chunk // R), 2), basis.view(np.float64)
     # real coordinates times the real view of a complex matrix give the real
     # view of the complex product
     image = image.view(np.float64)
@@ -780,14 +826,12 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
             out += shift
         vals = _flat_sq_pnorm(out.view(np.complex128), dout, p, ws)
         if finite:
-            # the input [[x0, x2 + i x3], [x2 - i x3, x1]] depends on the last
-            # angle only through x2^2 + x3^2, the squared product of the polar
-            # sines, so its norm holds along each run of the last angle; a
-            # chunk is whole runs, or part of one when R exceeds the chunk
+            # a chunk is whole runs of the last angle, or part of one when R
+            # exceeds the chunk, and each run shares its head's input norm
             run = min(R, len(x))
             vals = vals.reshape(-1, run).max(axis=1)
-            inputs = np.matmul(x[::run], basis, out=ws_in.out[: len(vals)])
-            vals /= _flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws_in)
+            vals /= in_sq[walked // R : walked // R + len(vals)]
+            walked += len(x)
         best = max(best, float(vals.max()))
     return math.sqrt(best)
 

@@ -1,4 +1,6 @@
+import importlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +35,7 @@ from supernorms import (
     stabilized_norm,
     tensor_identity,
 )
-from supernorms import optimize
+from supernorms import linalg, optimize
 from supernorms.optimize import _ball_witness
 from supernorms.schatten import dual_exponent
 from supernorms.superop import _dagger, _kraus_kernel
@@ -603,6 +605,146 @@ def test_ball_witness_at_q2_matches_the_decompositions(d):
     assert np.trace(psd[3]).real == pytest.approx(1.0, abs=1e-12)
 
 
+def _two_by_two_stacks(n: int = 64) -> dict:
+    """Stacks of ``n`` 2x2 slices of each kind the closed-form kernels must take."""
+    rng = np.random.default_rng(311)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    Q, W = np.linalg.qr(cplx(n, 2, 2))[0], np.linalg.qr(cplx(n, 2, 2))[0]
+    lam = rng.uniform(0.1, 10.0, n)[:, None, None]
+    spaced = np.array([1.0, 1.0 + 1e-9])
+    diagonal = np.zeros((n, 2, 2), dtype=np.complex128)
+    diagonal[:, 0, 0], diagonal[:, 1, 1] = cplx(n), cplx(n)
+    triangular = cplx(n, 2, 2)
+    triangular[:, 1, 0] = 0.0
+    # an off-diagonal entry far above the diagonal ones takes dlasv2's own branch
+    dominant = triangular * [[1e-17, 1.0], [0.0, 1e-18]]
+    # +-lam: diag(lam, -lam) and [[0, lam e], [lam e*, 0]]
+    ties = np.zeros((n, 2, 2), dtype=np.complex128)
+    ties[::2] = np.diag([1.0, -1.0]) * lam[::2]
+    e = np.exp(2j * math.pi * rng.uniform(size=n // 2))[:, None, None]
+    ties[1::2] = lam[1::2] * (e * [[0, 1], [0, 0]] + e.conj() * [[0, 0], [1, 0]])
+    return {
+        "random": cplx(n, 2, 2),
+        "rank one": np.einsum("na,nb->nab", cplx(n, 2), cplx(n, 2).conj()),
+        "zero": np.zeros((n, 2, 2), dtype=np.complex128),
+        "tiny": 1e-16 * cplx(n, 2, 2),
+        "huge": 1e200 * cplx(n, 2, 2),
+        "equal singular values": lam * Q,
+        "equal eigenvalues": lam * np.eye(2),
+        "spaced singular values": lam * (Q * spaced) @ W,
+        "spaced eigenvalues": lam * (Q * spaced) @ Q.conj().transpose(0, 2, 1),
+        "diagonal": diagonal,
+        "triangular": triangular,
+        "g dominant": dominant,
+        "ties": ties,
+    }
+
+
+# the stacks on which each witness is unique, so that the closed form must
+# reproduce LAPACK's, tie rule included; the others are checked for attainment
+# and feasibility only
+_UNIQUE_WITNESS = ("random", "tiny", "huge", "diagonal", "triangular", "ties")
+
+
+@pytest.mark.parametrize("constraint", ["full", "hermitian", "psd"])
+@pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_closed_form_witness_matches_lapack(r, constraint, monkeypatch):
+    # each witness the ascent takes on 2x2 slices, from the closed forms and
+    # from LAPACK: it attains ||Z||_{r*} (over the constraint's set) and lies
+    # in the unit r-ball, to 1e-13 relative; where it is unique the two agree
+    # to 1e-12, and on +-lam ties both pick the first (negative) eigenvalue.
+    # The closed forms must raise no floating-point warning on any slice
+    key, rs = (r, constraint), dual_exponent(r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, Z in _two_by_two_stacks().items():
+            if name == "huge" and r == 2.0 and constraint != "psd":
+                # this witness takes no decomposition, and its Frobenius
+                # norm overflows on 1e200-scaled slices (see CHANGES.md)
+                continue
+            monkeypatch.setattr(linalg, "_CLOSED_FORM_ROWS", 1)
+            got = optimize._witness(Z, key, None)[1]
+            s, lam = linalg._svd_2x2(Z, compute_uv=False), linalg._eigh_2x2(Z)[0]
+            monkeypatch.setattr(linalg, "_CLOSED_FORM_ROWS", 10**9)
+            want = optimize._witness(Z, key, None)[1]
+            sv = np.linalg.svd(Z, compute_uv=False)
+            H = Z if constraint == "full" else (Z + Z.conj().transpose(0, 2, 1)) / 2.0
+            if constraint == "full":
+                best = pnorm(sv, rs)
+            else:
+                spectrum = np.linalg.eigvalsh(H)
+                top = spectrum[:, -1]
+                if constraint == "psd":
+                    spectrum = np.maximum(spectrum, 0.0)
+                best = pnorm(spectrum, rs)
+                if constraint == "psd":
+                    # nothing positive: the top eigendirection
+                    best = np.where(top > 0.0, best, top)
+            attained = np.einsum("nab,nab->n", H.conj(), got).real
+            assert np.all(np.abs(attained - best) <= 1e-13 * sv[:, 0]), name
+            np.testing.assert_array_less(pnorm(np.linalg.svd(got, compute_uv=False), r), 1.0 + 1e-13, err_msg=name)
+            if constraint != "full":
+                np.testing.assert_allclose(got, got.conj().transpose(0, 2, 1), rtol=0.0, atol=1e-15, err_msg=name)
+            if name in _UNIQUE_WITNESS and not (name == "ties" and key == (1.0, "full")):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12, err_msg=name)
+            # LAPACK's order: singular values descending, eigenvalues ascending
+            assert np.all(s[:, 0] >= s[:, 1]) and np.all(lam[:, 0] <= lam[:, 1]), name
+    lam = linalg._eigh_2x2(_two_by_two_stacks()["ties"])[0]
+    np.testing.assert_array_equal(lam[:, 0], -lam[:, 1])
+    assert np.all(lam[:, 0] < 0.0)
+
+
+def _spy_decompositions(monkeypatch) -> list:
+    """Record ``(name, shape)`` of every ``np.linalg.svd``/``eigh`` call."""
+    calls = []
+    for name in ("svd", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, real=real, name=name, **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+def test_long_two_by_two_stacks_take_no_lapack_call(monkeypatch):
+    # a theorem1 trial on a 2 -> 2 map stacks 50 cells of 32 restarts: no 2x2
+    # stack of at least the cutoff reaches LAPACK, while shorter stacks and
+    # the achievers' re-evaluations still do
+    calls = _spy_decompositions(monkeypatch)
+    verify_module = importlib.import_module("supernorms.verify")
+    phi = random_cp_channel(2, 2, 2, 5)
+    assert all(r < 2e-3 for r, _ in verify_module._theorem1_cases(phi, OptimizerConfig(seed=5)))
+    shapes = [shape for _, shape in calls]
+    assert not [s for s in shapes if s[1:] == (2, 2) and s[0] >= linalg._CLOSED_FORM_ROWS]
+    assert (2, 2) in shapes and any(s[1:] == (2, 2) for s in shapes)
+
+
+@pytest.mark.parametrize(
+    "query", [NormQuery(1.5, 3.0), NormQuery(3.0, 1.0, True), NormQuery(1.0, math.inf), NormQuery(1.5, 1.5)]
+)
+def test_default_queries_keep_their_lapack_calls(query, monkeypatch):
+    # a one-cell ascent at the default 32 restarts is under the cutoff: it makes
+    # the same LAPACK calls, and gets the same bits, as with no closed form
+    assert OptimizerConfig().restarts < linalg._CLOSED_FORM_ROWS
+    phi = random_superop(2, 2, 2, 81)
+    runs = []
+    for rows in (linalg._CLOSED_FORM_ROWS, 10**9):
+        monkeypatch.setattr(linalg, "_CLOSED_FORM_ROWS", rows)
+        optimize._memo_start_stack.cache_clear()
+        with monkeypatch.context() as m:
+            calls = _spy_decompositions(m)
+            runs.append((calls, norm_q_to_p(phi, query)))
+    (calls, est), (lapack_calls, lapack_est) = runs
+    assert calls == lapack_calls and len(calls) > 2
+    assert est.value == lapack_est.value and est.converged == lapack_est.converged
+    np.testing.assert_array_equal(est.achiever, lapack_est.achiever)
+
+
 @pytest.mark.parametrize("k", [0, 2])
 def test_two_to_two_norm_is_the_top_singular_value_of_the_realigned_choi(k, quick_cfg):
     # ||Phi (x) I_k||_{2->2} = ||Phi||_{2->2}: the operator norm of the map acting on
@@ -903,6 +1045,63 @@ def test_oracle_hermitian_input_norm_holds_along_the_last_angle(monkeypatch, q, 
             ratios = ratios / pnorm(np.linalg.svd(X, compute_uv=False), q)
             got = brute_force_oracle(phi, NormQuery(q, p, True), R)
             assert got == pytest.approx(ratios.max(), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5, 3.0])
+def test_oracle_takes_eigvalsh_only_on_hermitian_outputs(q, monkeypatch):
+    # Hermitian inputs under a Hermiticity-preserving map: outputs beyond 2x2
+    # take eigvalsh, and the value is the one the SVD gives to 1e-13 relative
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    def svd_spectra(a, *args, **kwargs):
+        return np.linalg.svd(a, compute_uv=False)
+
+    cp = {
+        "dim4_pair": difference(*build_example("dim4_pair")),
+        "cp difference": difference(random_cp_channel(2, 3, 2, 91), random_cp_channel(2, 3, 3, 92)),
+    }
+    for name, phi in cp.items():
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+            query = NormQuery(q, p, True)
+            calls.clear()
+            monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+            got = brute_force_oracle(phi, query, 9)
+            assert calls and all(shape[1:] == (phi.dim_out,) * 2 for shape in calls), name
+            monkeypatch.setattr(np.linalg, "eigvalsh", svd_spectra)
+            assert got == pytest.approx(brute_force_oracle(phi, query, 9), rel=1e-13, abs=0.0), (name, p)
+    # not Hermiticity-preserving, or not Hermitian-restricted: the SVD throughout
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    calls.clear()
+    brute_force_oracle(random_superop(2, 3, 2, 93), NormQuery(q, 2.0, True), 9)
+    if q in (1.0, math.inf):
+        for phi in cp.values():
+            brute_force_oracle(phi, NormQuery(q, 2.0), 9)
+    assert not calls
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("R", [100, 400, 11])
+def test_run_head_norms_are_the_per_chunk_heads_bit_for_bit(q, R):
+    # the Hermitian finite-q walk divides each run of the last angle by its
+    # head's input norm; taken once per call, the norms are the bits the walk
+    # took chunk by chunk from each chunk's heads x[::R] (R = 100 and 400 are
+    # the criterion-9 and oracle_grid resolutions, whose chunks are whole runs)
+    basis = optimize._SPHERE_BASES[True, True]
+    thetas = np.linspace(0.0, math.pi, R)
+    phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
+    axes = [thetas[: R // 2 if R % 2 == 0 else R], thetas, phis]
+    chunk = optimize._ORACLE_CHUNK_ENTRIES // 4
+    ws, real, want = optimize._Workspace(chunk // R, 2), basis.view(np.float64), []
+    for x in optimize._sphere_chunks(axes, chunk):
+        inputs = np.matmul(x[::R], real, out=ws.out[: len(x) // R])
+        want.append(optimize._flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws).copy())
+    got = optimize._run_head_sq_norms(axes, basis, q, optimize._Workspace(min(chunk, len(axes[0]) * R * R), 2))
+    np.testing.assert_array_equal(got, np.concatenate(want))
 
 
 def test_oracle_scalar_input_space():
