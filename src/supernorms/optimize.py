@@ -312,11 +312,6 @@ class _Side:
 
     def keep(self, keep: np.ndarray) -> None:
         """Drop the rows where ``keep`` is False."""
-        if len(self.keys) == 1:
-            # the group is the whole stack, and ``ids`` is not read
-            if self.pairs[0] is not None:
-                self.pairs[0] = self.pairs[0][keep]
-            return
         for g, pair in enumerate(self.pairs):
             if pair is not None:
                 self.pairs[g] = pair[keep[self.ids == g]]
@@ -610,27 +605,26 @@ def _sphere_chunks(axes, chunk: int):
 
 class _Workspace:
     """Per-point buffers of one oracle call, sized for one chunk: every chunk
-    fills views of the same arrays, so the walk allocates nothing per chunk.
-    ``hermitian`` says that every matrix the call measures is Hermitian."""
+    fills views of the same arrays, so the walk allocates nothing per chunk."""
 
-    def __init__(self, points: int, dout: int, hermitian: bool = False):
-        self.hermitian = hermitian
+    def __init__(self, points: int, dout: int):
         self.out = np.empty((points, 2 * dout * dout))  # real view of the outputs
         self.sq, self.f, self.det2, self.tmp = np.empty((4, points))
         self.det, self.cross = np.empty((2, points), dtype=np.complex128)
         self.near = np.empty(points, dtype=bool)
 
 
-def _flat_sq_pnorm(flat: np.ndarray, d: int, p: float, ws: _Workspace) -> np.ndarray:
+def _flat_sq_pnorm(flat: np.ndarray, d: int, p: float, ws: _Workspace, hermitian: bool = False) -> np.ndarray:
     """Squared Schatten p-norms of a stack of row-major flattened d x d
     matrices, as a view of ``ws`` that the next call with ``ws`` overwrites.
-    Beyond 2x2, Hermitian matrices (``ws.hermitian``) take their singular
-    values as the moduli of their eigenvalues, from ``eigvalsh``."""
+    Beyond 2x2, matrices the caller knows to be Hermitian (``hermitian``)
+    take their singular values as the moduli of their eigenvalues, from
+    ``eigvalsh``."""
     n = len(flat)
     sq = ws.sq[:n]
     if d != 2:
         M = flat.reshape(-1, d, d)
-        s = np.linalg.eigvalsh(M) if ws.hermitian else np.linalg.svd(M, compute_uv=False)
+        s = np.linalg.eigvalsh(M) if hermitian else np.linalg.svd(M, compute_uv=False)
         return np.square(pnorm(s, p), out=sq)
     # squared moduli from the real views: np.abs would take a hypot per entry
     r = flat.view(np.float64)
@@ -683,9 +677,9 @@ def _flat_sq_pnorm(flat: np.ndarray, d: int, p: float, ws: _Workspace) -> np.nda
     return sq
 
 
-def _run_head_sq_norms(axes, basis: np.ndarray, q: float, ws: _Workspace) -> np.ndarray:
+def _run_head_sq_norms(axes, basis: np.ndarray, q: float, chunk: int) -> np.ndarray:
     """Squared q-norms of the Hermitian sphere walk's inputs, one per run of
-    its last angle, in walk order, computed in the buffers of ``ws``.
+    its last angle, in walk order, in batches of at most ``chunk``.
 
     The input ``[[x0, x2 + i x3], [x2 - i x3, x1]]`` depends on the last angle
     only through ``x2^2 + x3^2``, the squared product of the polar sines, so
@@ -693,11 +687,12 @@ def _run_head_sq_norms(axes, basis: np.ndarray, q: float, ws: _Workspace) -> np.
     last angle is 0 and so ``x3 = 0``."""
     heads = _sphere_coords(axes[:-1])
     real = basis[:-1].view(np.float64)
-    step, buf = len(ws.sq), ws.out.reshape(-1)
+    step = min(chunk, len(heads))
+    ws = _Workspace(step, 2)
     sq = np.empty(len(heads))
     for i in range(0, len(heads), step):
         h = heads[i : i + step]
-        inputs = np.matmul(h, real, out=buf[: real.shape[1] * len(h)].reshape(len(h), -1))
+        inputs = np.matmul(h, real, out=ws.out[: len(h)])
         sq[i : i + len(h)] = _flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws)
     return sq
 
@@ -807,16 +802,16 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     if herm and dout > 2:
         images = np.vstack([image, eye]).reshape(-1, dout, dout)
         hermitian = np.array_equal(images, images.conj().transpose(0, 2, 1))
-    ws = _Workspace(min(chunk, points), dout, hermitian)
+    ws = _Workspace(min(chunk, points), dout)
     if finite:
-        in_sq, walked = _run_head_sq_norms(axes, basis, q, ws), 0
+        in_sq, walked = _run_head_sq_norms(axes, basis, q, chunk), 0
     # every objective is compared squared; one square root of the maximum ends the walk
     best, shift = 0.0, None
     if q == 1.0 and herm:
         # the pure states (I + n.sigma) / 2
         image, shift = image / 2.0, (eye / 2.0).view(np.float64)
     elif math.isinf(q) and herm:
-        best = float(_flat_sq_pnorm(eye[None], dout, p, ws)[0])
+        best = float(_flat_sq_pnorm(eye[None], dout, p, ws, hermitian)[0])
     # real coordinates times the real view of a complex matrix give the real
     # view of the complex product
     image = image.view(np.float64)
@@ -824,7 +819,7 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
         out = np.matmul(x, image, out=ws.out[: len(x)])
         if shift is not None:
             out += shift
-        vals = _flat_sq_pnorm(out.view(np.complex128), dout, p, ws)
+        vals = _flat_sq_pnorm(out.view(np.complex128), dout, p, ws, hermitian)
         if finite:
             # a chunk is whole runs of the last angle, or part of one when R
             # exceeds the chunk, and each run shares its head's input norm

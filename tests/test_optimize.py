@@ -939,10 +939,10 @@ def test_oracle_chunk_holds_at_most_2_16_output_entries(monkeypatch):
     batches = []
     flat_sq_pnorm = optimize._flat_sq_pnorm
 
-    def spy(flat, d, p, ws):
+    def spy(flat, d, p, ws, *hermitian):
         if d == 6:
             batches.append(flat.shape[0])
-        return flat_sq_pnorm(flat, d, p, ws)
+        return flat_sq_pnorm(flat, d, p, ws, *hermitian)
 
     monkeypatch.setattr(optimize, "_flat_sq_pnorm", spy)
     got = brute_force_oracle(phi, NormQuery(2.0, 1.0, True), 64)
@@ -963,9 +963,9 @@ def test_oracle_rank_one_walk_splits_a_state_grid_larger_than_a_chunk(monkeypatc
     batches = []
     flat_sq_pnorm = optimize._flat_sq_pnorm
 
-    def spy(flat, d, p, ws):
+    def spy(flat, d, p, ws, *hermitian):
         batches.append(flat.shape[0])
-        return flat_sq_pnorm(flat, d, p, ws)
+        return flat_sq_pnorm(flat, d, p, ws, *hermitian)
 
     monkeypatch.setattr(optimize, "_ORACLE_CHUNK_ENTRIES", 80)
     monkeypatch.setattr(optimize, "_flat_sq_pnorm", spy)
@@ -1100,8 +1100,36 @@ def test_run_head_norms_are_the_per_chunk_heads_bit_for_bit(q, R):
     for x in optimize._sphere_chunks(axes, chunk):
         inputs = np.matmul(x[::R], real, out=ws.out[: len(x) // R])
         want.append(optimize._flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws).copy())
-    got = optimize._run_head_sq_norms(axes, basis, q, optimize._Workspace(min(chunk, len(axes[0]) * R * R), 2))
+    got = optimize._run_head_sq_norms(axes, basis, q, chunk)
     np.testing.assert_array_equal(got, np.concatenate(want))
+
+
+# 2 -> 1 maps at NormQuery(1.5, p, True): the trace functional, whose norm is
+# 2^(1/3), and a random one; the values the walk took with its input norms
+# taken chunk by chunk
+_SCALAR_OUTPUT_ORACLE = {
+    (2, 1 << 16): (1.0, 0.28549585284194834),
+    (3, 1 << 16): (1.0000000000000002, 3.661942513895438),
+    (40, 1 << 10): (1.2597932862538375, 3.8307881654895533),
+    (41, 1 << 10): (1.2599210498948732, 3.8334318577171165),
+}
+
+
+@pytest.mark.parametrize("R, entries", list(_SCALAR_OUTPUT_ORACLE))
+def test_oracle_hermitian_finite_q_on_scalar_outputs(R, entries, monkeypatch):
+    # the run heads' input norms have buffers of their own, 2x2 whatever the
+    # output dimension: a 1x1 output's buffer holds a quarter of a head, too
+    # short at R = 2 and 3 and, at a 2^10-entry chunk, once the heads (R = 40
+    # or 41) outnumber a quarter of the chunk, as they do at R = 400 by default
+    monkeypatch.setattr(optimize, "_ORACLE_CHUNK_ENTRIES", entries)
+    rng = np.random.default_rng(7)
+    maps = (
+        SuperOp.from_kraus(np.array([[[1.0, 0.0]], [[0.0, 1.0]]])),
+        SuperOp.from_kraus(rng.standard_normal((2, 1, 2)) + 1j * rng.standard_normal((2, 1, 2))),
+    )
+    for phi, want in zip(maps, _SCALAR_OUTPUT_ORACLE[R, entries]):
+        for p in (1.0, 3.0):
+            assert brute_force_oracle(phi, NormQuery(1.5, p, True), R) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_oracle_scalar_input_space():
