@@ -20,17 +20,23 @@ one ancilla: all restarts of all cells advance together as one compact stack
 of the active rows, with one forward and one adjoint kernel call per
 iteration.  Each side groups the rows by witness key ``(ball exponent,
 constraint)``, ``(p*, "full")`` on the output side and ``(q, constraint)`` on
-the input side, and each group takes the half-step a one-cell ascent would
-take; a single cell is one group on each side, so nothing is gathered or
-scattered.  A restart leaves the stack, and its row goes back into the full
-stack of iterates, once its gain or step falls under fixed tolerances, and
-the rows still active go back when the iteration cap stops the ascent; each
-cell then picks its best restart.  The ascent applies ``Phi (x) I_k`` and
-its adjoint through the one Kraus kernel of :mod:`.superop`, whose GEMM
-operands it lays out once per ascent, and never materializes the enlarged
-map.  The kernel's GEMM can round a row differently by where it sits in the
-stack, so a stacked cell agrees with the same cell alone to the stopping
-tolerance, not bit for bit.
+the input side.  A single cell is one group on each side, which takes the
+one-cell half-step, so nothing is gathered or scattered.  Several groups
+share their decompositions: per half-step, one SVD of all the rows of
+``full`` groups and one eigendecomposition of the Hermitian parts of all the
+rows of ``hermitian`` and ``psd`` groups, each group weighting its own rows'
+spectra, so that short groups of 2x2 slices merge into stacks long enough
+for the closed forms; exponent-2 groups and rank-one power steps take no
+decomposition and step on their own rows.  A restart leaves the stack, and
+its row goes back into the full stack of iterates, once its gain or step
+falls under fixed tolerances, and the rows still active go back when the
+iteration cap stops the ascent; each cell then picks its best restart.
+The ascent applies ``Phi (x) I_k`` and its adjoint through the one Kraus
+kernel of :mod:`.superop`, whose GEMM operands it lays out once per ascent,
+and never materializes the enlarged map.  The kernel's GEMM can round a row
+differently by where it sits in the stack, and a merged stack can take the
+closed form where a group alone would call LAPACK, so a stacked cell agrees
+with the same cell alone to the stopping tolerance, not bit for bit.
 
 The start stack depends on ``(dim_in, ancilla, q, constraint, restarts,
 seed)`` only, not on the map, so each distinct key is built once per ascent
@@ -40,10 +46,11 @@ works on its own copy, and the values are bit-identical with or without the
 memo.
 
 ``norm_q_to_p`` given a sequence of queries on one map runs one such ascent
-per ancilla the queries run on, and given one query the one-cell ascent.  It
-answers an ancilla query on a smaller space where the paper proves the value
-there: without the Hermitian restriction and with ``q <= 2 <= p`` on no
-ancilla (Theorem 2), at q = 1 with ``k > dim_in`` on the ancilla ``dim_in``
+per ancilla the queries run on, and given one query the one-cell ascent;
+``cp_norm`` does the same with PSD cells.  ``norm_q_to_p`` answers an
+ancilla query on a smaller space where the paper proves the value there:
+without the Hermitian restriction and with ``q <= 2 <= p`` on no ancilla
+(Theorem 2), at q = 1 with ``k > dim_in`` on the ancilla ``dim_in``
 (Theorem 3).  The achiever is embedded in the query's space, where ``value``
 is re-evaluated.
 """
@@ -148,34 +155,68 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("rab,rab->r", X, X.conj()).real)
 
 
+# a Frobenius norm below this may have lost its sum of squares to underflow
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _unit_frobenius(Z: np.ndarray) -> np.ndarray:
+    """Each slice of Z over its Frobenius norm; zero slices stay zero.  A
+    nonzero slice whose plain sum of squares overflows or underflows is
+    divided by its largest entry first; every other slice keeps the plain
+    quotient's bits."""
+    nrm = _frobenius(Z)
+    out = np.divide(Z, nrm[:, None, None], out=np.zeros_like(Z), where=nrm[:, None, None] > 0.0)
+    off = np.flatnonzero((nrm < _SQRT_TINY) | np.isinf(nrm))
+    if off.size:
+        # the largest real or imaginary part, which cannot overflow
+        scale = np.abs(Z[off].view(np.float64)).max(axis=(1, 2))
+        off, scale = off[scale > 0.0], scale[scale > 0.0]
+        scaled = Z[off] / scale[:, None, None]
+        out[off] = scaled / _frobenius(scaled)[:, None, None]
+    return out
+
+
+def _hermitian_part(Z: np.ndarray) -> np.ndarray:
+    return (Z + Z.conj().transpose(0, 2, 1)) / 2.0
+
+
+def _spectral_weights(spectrum: np.ndarray, q: float, constraint: str) -> np.ndarray:
+    """Hoelder weights on a witness's spectrum, the singular values for
+    ``full`` and the ascending eigenvalues of the Hermitian part otherwise;
+    ``psd`` clamps the eigenvalues at zero, and a slice with nothing positive
+    left puts its weight on the top eigendirection."""
+    if constraint == "psd":
+        spectrum = np.maximum(spectrum, 0.0)
+        dead = spectrum[..., -1] <= 0.0
+        if np.any(dead):
+            spectrum[dead, -1] = 1.0
+    return holder_weights(spectrum, q)
+
+
+def _rebuild(U: np.ndarray, w: np.ndarray, Vh: np.ndarray) -> np.ndarray:
+    return (U * w[..., None, :]) @ Vh
+
+
 def _ball_witness(Z: np.ndarray, q: float, constraint: str) -> np.ndarray:
     """Batched maximizer of Re<Z, X> over the unit q-ball of the given set.
 
     ``full`` uses the singular triplet of Z, ``hermitian`` the eigensystem of
-    its Hermitian part, ``psd`` additionally clamps the spectrum (falling
-    back to the top eigendirection when nothing positive remains).  At
-    q = 2 the ball is the Frobenius ball, so for ``full`` and ``hermitian``
-    the witness is the (Hermitian part of the) matrix normalized, and no
-    decomposition runs; zero slices stay zero.  Long stacks of 2x2 slices
-    take the closed-form decompositions, which keep LAPACK's order.
+    its Hermitian part, ``psd`` additionally clamps the spectrum (see
+    ``_spectral_weights``).  At q = 2 the ball is the Frobenius ball, so for
+    ``full`` and ``hermitian`` the witness is the (Hermitian part of the)
+    matrix normalized, and no decomposition runs; zero slices stay zero.
+    Long stacks of 2x2 slices take the closed-form decompositions, which keep
+    LAPACK's order.
     """
     if constraint != "full":
-        Z = (Z + Z.conj().transpose(0, 2, 1)) / 2.0
+        Z = _hermitian_part(Z)
     if q == 2.0 and constraint != "psd":
-        nrm = _frobenius(Z)[:, None, None]
-        return np.divide(Z, nrm, out=np.zeros_like(Z), where=nrm > 0.0)
+        return _unit_frobenius(Z)
     if constraint == "full":
         U, s, Vh = _batched_svd(Z)
-        w = holder_weights(s, q)
-        return (U * w[..., None, :]) @ Vh
+        return _rebuild(U, _spectral_weights(s, q, constraint), Vh)
     lam, V = _batched_eigh(Z)
-    if constraint == "psd":
-        lam = np.maximum(lam, 0.0)
-        dead = lam[..., -1] <= 0.0
-        if np.any(dead):
-            lam[dead, -1] = 1.0
-    w = holder_weights(lam, q)
-    return (V * w[..., None, :]) @ V.conj().transpose(0, 2, 1)
+    return _rebuild(V, _spectral_weights(lam, q, constraint), V.conj().transpose(0, 2, 1))
 
 
 def _normalize_rows(x: np.ndarray, out: np.ndarray) -> None:
@@ -219,8 +260,8 @@ def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerC
     The stack depends on the key ``(base, anc, q, constraint, restarts,
     seed)`` only, not on the map or ``max_iterations``, so a stack of at most
     ``_MEMO_ENTRIES`` entries is memoized read-only under that key (the last
-    8 keys, so that the five Hermitian keys of one exponent column serve
-    both CP sides of a ``lemma1`` trial); the caller always gets its own
+    8 keys, so that the five PSD keys of one exponent column serve both CP
+    sides of a ``lemma1`` trial); the caller always gets its own
     writable copy, which the ascent overwrites.  A larger stack is built
     fresh."""
     key = (base, anc, q, constraint, cfg.restarts, cfg.seed)
@@ -288,26 +329,81 @@ def _witness(M: np.ndarray, key: tuple, pair: np.ndarray | None):
     return None, _ball_witness(M, q, constraint)
 
 
+def _decomposition(key: tuple, pair: np.ndarray | None) -> str | None:
+    """The decomposition a witness step at ``key`` takes: ``"svd"`` on the
+    full ball, ``"eigh"`` of the Hermitian part on the Hermitian and PSD
+    balls, and none at exponent 2 outside the PSD cone or for a rank-one
+    group's power step, once it holds its pairs."""
+    q, constraint = key
+    if pair is not None or (q == 2.0 and constraint != "psd"):
+        return None
+    return "svd" if constraint == "full" else "eigh"
+
+
 class _Side:
     """One side's half-step on a stacked ascent's active rows, whose rows fall
-    into groups by witness key; each group makes one ``_witness`` call on its
-    rows and keeps its own rank-one pairs, one per active row.  With one key
-    the whole stack is the group, and nothing is gathered or scattered."""
+    into groups by witness key; each group keeps its own rank-one pairs, one
+    per active row.  With one key the whole stack is the group and makes one
+    ``_witness`` call, so nothing is gathered or scattered.
+
+    With several keys, the groups that take a decomposition share it: all
+    their rows of one kind go through one ``_batched_svd`` (``full``) or one
+    ``_batched_eigh`` of their Hermitian parts (``hermitian`` and ``psd``),
+    each group weights its own rows' spectra, and each kind is rebuilt and
+    scattered back once.  A rank-one group takes its first step, the top
+    singular pair, from the shared SVD.  The groups that need no
+    decomposition make their own ``_witness`` calls."""
 
     def __init__(self, keys: list, restarts: int):
         self.keys = list(dict.fromkeys(keys))
         self.pairs = [None] * len(self.keys)
         self.ids = np.repeat([self.keys.index(key) for key in keys], restarts)
+        if len(self.keys) > 1:
+            self._index()
+
+    def _index(self) -> None:
+        """Each group's rows of the active stack; for each decomposition, the
+        rows of the groups that take it, group after group, with each group's
+        span of them."""
+        self.rows = [np.flatnonzero(self.ids == g) for g in range(len(self.keys))]
+        self.own, kinds = [], {"svd": [], "eigh": []}
+        for g, key in enumerate(self.keys):
+            if self.rows[g].size:
+                kind = _decomposition(key, self.pairs[g])
+                (kinds[kind] if kind else self.own).append(g)
+        self.merged = []
+        for kind, groups in kinds.items():
+            if groups:
+                spans, end = [], 0
+                for g in groups:
+                    spans.append((g, slice(end, end + self.rows[g].size)))
+                    end += self.rows[g].size
+                self.merged.append((kind, np.concatenate([self.rows[g] for g in groups]), spans))
 
     def __call__(self, M: np.ndarray) -> np.ndarray:
         if len(self.keys) == 1:
             self.pairs[0], out = _witness(M, self.keys[0], self.pairs[0])
             return out
         out = np.empty_like(M)
-        for g, key in enumerate(self.keys):
-            rows = np.flatnonzero(self.ids == g)
-            if rows.size:
-                self.pairs[g], out[rows] = _witness(M[rows], key, self.pairs[g])
+        for g in self.own:
+            rows = self.rows[g]
+            self.pairs[g], out[rows] = _witness(M[rows], self.keys[g], self.pairs[g])
+        first = False
+        for kind, rows, spans in self.merged:
+            if kind == "svd":
+                U, s, Vh = _batched_svd(M[rows])
+            else:
+                s, U = _batched_eigh(_hermitian_part(M[rows]))
+                Vh = U.conj().transpose(0, 2, 1)
+            w = np.empty_like(s)
+            for g, at in spans:
+                if self.keys[g] == _TRACE_BALL:
+                    self.pairs[g], first = np.stack([U[at, :, 0], Vh[at, 0]], axis=1), True
+                w[at] = _spectral_weights(s[at], *self.keys[g])
+            out[rows] = _rebuild(U, w, Vh)
+        if first:
+            # the rank-one groups step on their pairs from now on
+            self._index()
         return out
 
     def keep(self, keep: np.ndarray) -> None:
@@ -316,6 +412,8 @@ class _Side:
             if pair is not None:
                 self.pairs[g] = pair[keep[self.ids == g]]
         self.ids = self.ids[keep]
+        if len(self.keys) > 1:
+            self._index()
 
 
 def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
@@ -325,7 +423,7 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
 
     Each side groups the rows by witness key ``(ball exponent, constraint)``,
     ``(p*, "full")`` for the output side and ``(q, constraint)`` for the
-    input side, and each group takes the one-cell half-step; there is one
+    input side, and takes its half-step through ``_Side``; there is one
     forward and one adjoint kernel call per iteration.  Each row stops on its
     own tolerances, and each cell picks its best restart from its own rows."""
     forward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)
@@ -503,15 +601,24 @@ def norm_1_to_p(
     return norm_q_to_p(phi, NormQuery(1.0, p, hermitian_restricted), config)
 
 
-def cp_norm(phi: SuperOp, query: NormQuery, config: OptimizerConfig | None = None) -> NormEstimate:
+def cp_norm(
+    phi: SuperOp, query: NormQuery | Sequence[NormQuery], config: OptimizerConfig | None = None
+) -> NormEstimate | list[NormEstimate]:
     """The induced norm of a completely positive map, searched over PSD
-    inputs only (for CP maps this loses nothing and the achiever is a state
-    when q = 1).  The query's ``hermitian_restricted`` flag is immaterial
-    here since the PSD cone sits inside the Hermitian space."""
+    inputs only (for CP maps this loses nothing, by Theorem 1, and the
+    achiever is a state when q = 1).  The query's ``hermitian_restricted``
+    flag is immaterial here since the PSD cone sits inside the Hermitian
+    space.
+
+    Given a sequence of queries, returns the list of their estimates from one
+    stacked PSD ascent per ancilla, as ``norm_q_to_p`` does; no query is
+    answered on a smaller ancilla."""
     if not is_completely_positive(phi):
         raise PreconditionError("cp_norm requires a completely positive map")
     cfg = config if config is not None else OptimizerConfig()
-    return _estimate(phi, [(query, "psd", query.stabilize_dim)], cfg)[0]
+    queries = [query] if isinstance(query, NormQuery) else list(query)
+    estimates = _estimate(phi, [(q, "psd", q.stabilize_dim) for q in queries], cfg)
+    return estimates[0] if isinstance(query, NormQuery) else estimates
 
 
 def stabilized_norm(
@@ -537,7 +644,10 @@ def factorization_bound(
     """The pair (||Phi||_{q->p}, sqrt(||Phi_L||^H_{q->p} ||Phi_R||^H_{q->p})).
 
     The first entry never exceeds the second beyond optimizer slack; the
-    right-hand side depends on the stored Kraus representation.
+    right-hand side depends on the stored Kraus representation.  ``Phi_L``
+    and ``Phi_R`` are completely positive, so their Hermitian norms are
+    searched over PSD inputs (``cp_norm``), which by Theorem 1 gives the same
+    values; at q = 1 they run on an ancilla of at most ``dim_in`` (Theorem 3).
     """
     cfg = config if config is not None else OptimizerConfig()
     return _factorization_bounds(phi, [query], cfg)[0]
@@ -547,8 +657,13 @@ def _factorization_bounds(phi: SuperOp, queries: list, cfg: OptimizerConfig) -> 
     """``factorization_bound`` of each query, from one stacked ascent on each
     of ``Phi``, ``Phi_L`` and ``Phi_R`` per run ancilla."""
     lhs = norm_q_to_p(phi, [replace(query, hermitian_restricted=False) for query in queries], cfg)
-    herm = [replace(query, hermitian_restricted=True) for query in queries]
-    left, right = norm_q_to_p(left_cp_map(phi), herm, cfg), norm_q_to_p(right_cp_map(phi), herm, cfg)
+    # Theorem 3 on the PSD cone: at q = 1 the ancilla dim_in already attains
+    # the value, since the extreme points u u* have Schmidt rank <= dim_in
+    sides = [
+        replace(query, stabilize_dim=min(query.stabilize_dim, phi.dim_in)) if query.q == 1.0 else query
+        for query in queries
+    ]
+    left, right = cp_norm(left_cp_map(phi), sides, cfg), cp_norm(right_cp_map(phi), sides, cfg)
     return [(a.value, math.sqrt(lv.value * rv.value)) for a, lv, rv in zip(lhs, left, right)]
 
 
@@ -617,17 +732,19 @@ class _Workspace:
 def _flat_sq_pnorm(flat: np.ndarray, d: int, p: float, ws: _Workspace, hermitian: bool = False) -> np.ndarray:
     """Squared Schatten p-norms of a stack of row-major flattened d x d
     matrices, as a view of ``ws`` that the next call with ``ws`` overwrites.
-    Beyond 2x2, matrices the caller knows to be Hermitian (``hermitian``)
-    take their singular values as the moduli of their eigenvalues, from
-    ``eigvalsh``."""
+    A 1x1 matrix's norm is its entry's modulus at every p.  Beyond 2x2,
+    matrices the caller knows to be Hermitian (``hermitian``) take their
+    singular values as the moduli of their eigenvalues, from ``eigvalsh``."""
     n = len(flat)
     sq = ws.sq[:n]
+    # squared moduli from the real views: np.abs would take a hypot per entry
+    r = flat.view(np.float64)
+    if d == 1:
+        return np.einsum("ij,ij->i", r, r, out=sq)
     if d != 2:
         M = flat.reshape(-1, d, d)
         s = np.linalg.eigvalsh(M) if hermitian else np.linalg.svd(M, compute_uv=False)
         return np.square(pnorm(s, p), out=sq)
-    # squared moduli from the real views: np.abs would take a hypot per entry
-    r = flat.view(np.float64)
     f = np.einsum("ij,ij->i", r, r, out=ws.f[:n])
     if p == 2.0:
         return f
@@ -745,11 +862,11 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     without the Hermitian restriction has no grid that comes near the norm at
     a usable resolution; it raises ``UnsupportedInstanceError``.
 
-    Outputs larger than 2x2 take their singular values from a batched SVD,
-    except where every output is Hermitian: for a Hermitian-restricted query
-    whose map sends the basis and I to exactly Hermitian images (any
-    Hermiticity-preserving map), they are the moduli of the ``eigvalsh``
-    eigenvalues.
+    A 1x1 output's norm is its modulus.  Outputs larger than 2x2 take their
+    singular values from a batched SVD, except where every output is
+    Hermitian: for a Hermitian-restricted query whose map sends the basis
+    and I to exactly Hermitian images (any Hermiticity-preserving map), they
+    are the moduli of the ``eigvalsh`` eigenvalues.
 
     For even ``resolution`` only half of each sphere grid except the q = 1
     one is evaluated: the grid is closed under ``X -> -X``, the objective is

@@ -133,12 +133,15 @@ def duality_witness(X, p) -> np.ndarray:
     flatly, the p = inf limit keeps only the top singular pair.
     """
     p = require_exponent(p)
-    A = as_matrix(X)
+    return _duality_witnesses(as_matrix(X), [p])[0]
+
+
+def _duality_witnesses(A: np.ndarray, exponents) -> list:
+    """``duality_witness(A, p)`` for each exponent, from one SVD of ``A``."""
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     if s[0] <= 0.0:
         raise InvalidInputError("duality witness is undefined for the zero matrix")
-    w = holder_weights(s, dual_exponent(p))
-    return (U * w) @ Vh
+    return [(U * holder_weights(s, dual_exponent(p))) @ Vh for p in exponents]
 
 
 def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, np.ndarray]:

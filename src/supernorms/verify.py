@@ -14,19 +14,23 @@ algebra use 1e-8 .. 1e-10.
 The exact claims (``duality``, ``hoelder``, ``block_bounds``,
 ``monotone_p``) take each matrix's singular values once and read its norm at
 every grid exponent from them, which is exactly ``schatten_norm`` there;
-``block_bounds`` takes all its blocks' spectra in one batched SVD.
+``block_bounds`` takes all its blocks' spectra in one batched SVD, and
+``duality`` builds its five witnesses from one more SVD of X, as
+``duality_witness`` does.
 
 Every randomized claim records each trial as its fields followed by
 ``residual`` (the trial's first largest residual) and ``worst_case`` (that
 case's label).  The five claims on random maps are generators of
 ``(residual, label)`` cases on one seeded map per trial.  A trial asks all
 its queries on one map at once, so they run as one stacked ascent per
-ancilla size: ``theorem1`` one of 50 cells, ``lemma1`` one of 25 cells on
-each of the map and its two CP sides (both through ``norm_q_to_p`` given a
-list of queries without an ancilla).  The trials run on
-up to the usable CPUs, in the calling process and in forked workers, where
-fork is the start method and no other thread runs; the reports are identical
-to a serial run.
+ancilla size: ``theorem1`` one of 50 cells through ``norm_q_to_p``, and
+``lemma1`` one of 25 cells on the map through ``norm_q_to_p`` and one of 25
+PSD cells on each of its two CP sides through ``cp_norm`` (Theorem 1: a CP
+map attains its norm on a PSD input), all given a list of queries without
+an ancilla.  ``theorem1`` checks Theorem 1 itself, so it runs its ``full``
+and ``hermitian`` cells as asked.  The trials run on up to the usable
+CPUs, in the calling process and in forked workers, where fork is the start
+method and no other thread runs; the reports are identical to a serial run.
 
 The claims that compare ancilla sizes run every query on its own ancilla
 (``optimize._norms`` with ``reduce=False``): ``norm_q_to_p`` answers some
@@ -58,7 +62,7 @@ from .optimize import (
 from .schatten import (
     _block_bounds,
     _block_spectra,
-    duality_witness,
+    _duality_witnesses,
     dual_exponent,
     format_exponent,
     pnorm,
@@ -203,7 +207,8 @@ def _theorem1_cases(phi, cfg):
 
 
 def _lemma1_cases(phi, cfg):
-    """||Phi||_{q->p} <= sqrt(||Phi_L||^H ||Phi_R||^H) for the stored Kraus pair."""
+    """||Phi||_{q->p} <= sqrt(||Phi_L||^H ||Phi_R||^H) for the stored Kraus pair;
+    the CP sides' Hermitian norms come from PSD cells (Theorem 1)."""
     grid = [(q, p) for q in _EXPONENT_GRID for p in _EXPONENT_GRID]
     for cell, (lhs, rhs) in zip(grid, _factorization_bounds(phi, [NormQuery(*cell) for cell in grid], cfg)):
         yield max(0.0, lhs - rhs), _QP_LABELS[cell]
@@ -321,8 +326,7 @@ def _duality_trial(rng):
     X = _random_matrix(rng, n, m)
     norms = _grid_norms(X)
     cases = []
-    for p in _EXPONENT_GRID:
-        Y = duality_witness(X, p)
+    for p, Y in zip(_EXPONENT_GRID, _duality_witnesses(X, _EXPONENT_GRID)):
         attained = abs(inner(Y, X) - norms[p])
         unit = abs(schatten_norm(Y, dual_exponent(p)) - 1.0)
         cases.append((max(attained, unit), _P_LABELS[p]))

@@ -25,12 +25,14 @@ from supernorms import (
     holder_weights,
     identity_superop,
     is_hermitian,
+    left_cp_map,
     norm_1_to_p,
     norm_q_to_p,
     pnorm,
     random_cp_channel,
     random_superop,
     random_unitary,
+    right_cp_map,
     schatten_norm,
     stabilized_norm,
     tensor_identity,
@@ -355,24 +357,71 @@ def test_start_stacks_over_the_memo_cap_are_not_retained(restarts, base, anc, ke
     np.testing.assert_array_equal(stack, optimize._build_start_stack(base, anc, 2.0, "hermitian", restarts, 8))
 
 
+def reference_side(Z, keys, pairs, first):
+    """One side's half-step as the stacked ascent takes it, on the active rows
+    ``Z`` with witness keys ``keys`` (row by row) and rank-one pairs ``pairs``
+    (row by row, updated in place).  A side with one key hands the whole
+    stack to one witness call.  With several, each exponent-2 group and each
+    rank-one group after the first iteration takes its own witness call on
+    its rows as an index array, since matmul can round a strided array
+    differently from a contiguous copy; every other row goes through one SVD
+    (``full``) or one eigendecomposition of its Hermitian part (``hermitian``
+    and ``psd``) of all such rows in stack order, weighted by its key, and a
+    rank-one row keeps its top singular pair from the first iteration's."""
+    trace = (1.0, "full")
+    if len(set(keys)) == 1:
+        if keys[0] == trace:
+            pair, out = optimize._rank_one_witness(Z, None if first else pairs.copy())
+            pairs[:] = pair
+            return out
+        return _ball_witness(Z, *keys[0])
+    out = np.empty_like(Z)
+    kinds = []
+    for key in keys:
+        q, constraint = key
+        own = (key == trace and not first) or (q == 2.0 and constraint != "psd")
+        kinds.append(None if own else "svd" if constraint == "full" else "eigh")
+    for key in set(keys):
+        sel = np.flatnonzero([k == key and kind is None for k, kind in zip(keys, kinds)])
+        if sel.size == 0:
+            continue
+        if key == trace:
+            pair, out[sel] = optimize._rank_one_witness(Z[sel], pairs[sel])
+            pairs[sel] = pair
+        else:
+            out[sel] = _ball_witness(Z[sel], *key)
+    for name in ("svd", "eigh"):
+        sel = np.flatnonzero([kind == name for kind in kinds])
+        if sel.size == 0:
+            continue
+        if name == "svd":
+            U, s, Vh = linalg._batched_svd(Z[sel])
+        else:
+            H = Z[sel]
+            s, U = linalg._batched_eigh((H + H.conj().transpose(0, 2, 1)) / 2.0)
+            Vh = U.conj().transpose(0, 2, 1)
+        w = np.empty_like(s)
+        for key in set(keys[i] for i in sel):
+            mine = np.flatnonzero([keys[i] == key for i in sel])
+            w[mine] = optimize._spectral_weights(s[mine], *key)
+            if key == trace:
+                pairs[sel[mine]] = np.stack([U[mine, :, 0], Vh[mine, 0]], axis=1)
+        out[sel] = (U * w[..., None, :]) @ Vh
+    return out
+
+
 def gather_scatter_ascent(phi, k, cells, cfg):
     """The stacked ascent as one loop over the full stack of ``cells x
-    restarts`` rows: gather the active rows, step each witness group on its
-    rows with the rank-one pairs kept by absolute row, scatter them back;
-    returns the final stack and the converged flags.  Like the ascent, it
-    hands a side's only witness group the whole stack, and each of several
-    groups its rows as an index array, since matmul can round a strided array
-    differently from a contiguous copy."""
+    restarts`` rows: gather the active rows, take each side's half-step with
+    ``reference_side`` on them, with the rank-one pairs kept by absolute row,
+    scatter them back; returns the final stack and the converged flags."""
     forward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)
     backward = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k)
     X = np.concatenate([optimize._start_stack(phi.dim_in, k, q, constraint, cfg) for q, _, constraint in cells])
     cell = np.repeat(np.arange(len(cells)), cfg.restarts)
-    y_key = np.array([p for _, p, _ in cells])[cell]
-    x_key = np.array([f"{q} {constraint}" for q, _, constraint in cells])[cell]
-
-    def rows(keys, key):
-        return slice(None) if len(set(keys)) == 1 else np.flatnonzero(keys[active] == key)
-
+    y_key = [(dual_exponent(cells[c][1]), "full") for c in cell]
+    x_key = [(cells[c][0], cells[c][2]) for c in cell]
+    may_stall = any(key != (1.0, "full") for key in x_key)
     y_pairs = np.zeros((len(X), 2, phi.dim_out * k), dtype=complex)
     x_pairs = np.zeros((len(X), 2, phi.dim_in * k), dtype=complex)
     values = np.full(len(X), -np.inf)
@@ -381,30 +430,18 @@ def gather_scatter_ascent(phi, k, cells, cfg):
     for it in range(cfg.max_iterations):
         Xa = X[active]
         W = forward(Xa)
-        Y = np.empty_like(W)
-        for p in set(y_key[active]):
-            sel = rows(y_key, p)
-            if math.isinf(p):
-                pair, Y[sel] = optimize._rank_one_witness(W[sel], None if it == 0 else y_pairs[active[sel]])
-                y_pairs[active[sel]] = pair
-            else:
-                Y[sel] = _ball_witness(W[sel], dual_exponent(p), "full")
+        pairs = y_pairs[active]
+        Y = reference_side(W, [y_key[i] for i in active], pairs, it == 0)
+        y_pairs[active] = pairs
         vals = np.einsum("rab,rab->r", W.conj(), Y).real
         gain = vals - values[active]
         values[active] = vals
-        Z = backward(Y)
-        Xn = np.empty_like(Z)
-        for key in set(x_key[active]):
-            sel = rows(x_key, key)
-            q, constraint = float(key.split()[0]), key.split()[1]
-            if q == 1.0 and constraint == "full":
-                pair, Xn[sel] = optimize._rank_one_witness(Z[sel], None if it == 0 else x_pairs[active[sel]])
-                x_pairs[active[sel]] = pair
-            else:
-                Xs = _ball_witness(Z[sel], q, constraint)
-                stalled = optimize._frobenius(Xs) <= 1e-14
-                Xs[stalled] = Xa[sel][stalled]
-                Xn[sel] = Xs
+        pairs = x_pairs[active]
+        Xn = reference_side(backward(Y), [x_key[i] for i in active], pairs, it == 0)
+        x_pairs[active] = pairs
+        if may_stall:
+            stalled = optimize._frobenius(Xn) <= 1e-14
+            Xn[stalled] = Xa[stalled]
         step = optimize._frobenius(Xn - Xa)
         X[active] = Xn
         done = (np.abs(gain) <= 1e-10 * (1.0 + np.abs(vals))) | (step <= 1e-9)
@@ -520,6 +557,28 @@ def test_norm_q_to_p_answers_a_list_of_queries(quick_cfg):
     assert norm_q_to_p(phi, [], quick_cfg) == []
 
 
+def test_cp_norm_answers_a_list_of_queries():
+    # a sequence of queries runs one stacked PSD ascent per ancilla: each
+    # estimate agrees with the query asked alone to the stacking bound, a
+    # one-query list is the one-cell ascent, and a map that is not CP is
+    # refused before any ascent
+    cp, cfg = random_cp_channel(2, 3, 2, 74), OptimizerConfig(restarts=6, seed=12)
+    queries = [NormQuery(q, p, h, k) for k in (0, 2) for h in (False, True) for q, p in
+               [(1.0, 1.0), (1.5, 3.0), (2.0, 2.0), (math.inf, 1.5), (3.0, math.inf)]]
+    got = cp_norm(cp, tuple(queries), cfg)
+    assert len(got) == len(queries)
+    for query, est in zip(queries, got):
+        alone = cp_norm(cp, query, cfg)
+        assert est.value == pytest.approx(alone.value, rel=STACKED_REL, abs=0.0), query
+        assert est.converged == alone.converged, query
+        assert est.achiever.shape == alone.achiever.shape
+        (single,) = cp_norm(cp, [query], cfg)
+        assert single.value == alone.value
+    assert cp_norm(cp, [], cfg) == []
+    with pytest.raises(PreconditionError):
+        cp_norm(build_example("transpose(2)"), queries[:3], cfg)
+
+
 def test_one_cell_ascent_gathers_nothing(monkeypatch):
     # a single cell's ascent is the whole stack as one group on each side: each
     # half-step is one witness call on the kernel's own output, the whole active
@@ -605,6 +664,30 @@ def test_ball_witness_at_q2_matches_the_decompositions(d):
     assert np.trace(psd[3]).real == pytest.approx(1.0, abs=1e-12)
 
 
+def test_q2_witness_rescales_only_slices_whose_norm_over_or_underflows():
+    # at exponent 2 the witness is Z / ||Z||_F: a slice whose plain sum of
+    # squares overflows (entries beyond about 1e154) or underflows (below
+    # about 1e-162) is scaled first, and every other slice keeps the plain
+    # quotient's bits
+    rng = np.random.default_rng(312)
+    Z = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+    Z[1] *= 1e200
+    Z[2] *= 1e-200
+    Z[3] = 0.0
+    Z[4] *= 1e-155  # sum of squares subnormal, not zero
+    for constraint in ("full", "hermitian"):
+        with np.errstate(all="raise"):
+            got = _ball_witness(Z, 2.0, constraint)
+        H = Z if constraint == "full" else (Z + Z.conj().transpose(0, 2, 1)) / 2.0
+        for i in (0, 5):
+            np.testing.assert_array_equal(got[i], H[i] / optimize._frobenius(H[i : i + 1])[0])
+        assert not got[3].any()
+        for i in (1, 2, 4):
+            unit = H[i] / np.abs(H[i]).max()
+            np.testing.assert_allclose(got[i], unit / np.linalg.norm(unit), rtol=0.0, atol=1e-15)
+            assert np.linalg.norm(got[i]) == pytest.approx(1.0, abs=1e-15)
+
+
 def _two_by_two_stacks(n: int = 64) -> dict:
     """Stacks of ``n`` 2x2 slices of each kind the closed-form kernels must take."""
     rng = np.random.default_rng(311)
@@ -632,6 +715,7 @@ def _two_by_two_stacks(n: int = 64) -> dict:
         "zero": np.zeros((n, 2, 2), dtype=np.complex128),
         "tiny": 1e-16 * cplx(n, 2, 2),
         "huge": 1e200 * cplx(n, 2, 2),
+        "minute": 1e-200 * cplx(n, 2, 2),
         "equal singular values": lam * Q,
         "equal eigenvalues": lam * np.eye(2),
         "spaced singular values": lam * (Q * spaced) @ W,
@@ -646,7 +730,7 @@ def _two_by_two_stacks(n: int = 64) -> dict:
 # the stacks on which each witness is unique, so that the closed form must
 # reproduce LAPACK's, tie rule included; the others are checked for attainment
 # and feasibility only
-_UNIQUE_WITNESS = ("random", "tiny", "huge", "diagonal", "triangular", "ties")
+_UNIQUE_WITNESS = ("random", "tiny", "huge", "minute", "diagonal", "triangular", "ties")
 
 
 @pytest.mark.parametrize("constraint", ["full", "hermitian", "psd"])
@@ -661,10 +745,6 @@ def test_closed_form_witness_matches_lapack(r, constraint, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, Z in _two_by_two_stacks().items():
-            if name == "huge" and r == 2.0 and constraint != "psd":
-                # this witness takes no decomposition, and its Frobenius
-                # norm overflows on 1e200-scaled slices (see CHANGES.md)
-                continue
             monkeypatch.setattr(linalg, "_CLOSED_FORM_ROWS", 1)
             got = optimize._witness(Z, key, None)[1]
             s, lam = linalg._svd_2x2(Z, compute_uv=False), linalg._eigh_2x2(Z)[0]
@@ -709,6 +789,60 @@ def _spy_decompositions(monkeypatch) -> list:
 
         monkeypatch.setattr(np.linalg, name, spy)
     return calls
+
+
+# a side with a group of every kind: three merged SVD groups, the rank-one
+# trace ball, exponent 2 outside the PSD cone, and merged eigh groups on the
+# Hermitian and PSD balls
+_EVERY_KIND = [(1.5, "full"), (3.0, "full"), (math.inf, "full"), (1.0, "full"), (2.0, "full"),
+               (1.5, "hermitian"), (1.0, "hermitian"), (2.0, "hermitian"), (math.inf, "hermitian"),
+               (2.0, "psd"), (1.0, "psd"), (3.0, "psd")]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_merged_side_decomposes_each_kind_once_per_step(d, monkeypatch):
+    # with several keys a side takes one _batched_svd over its full rows and
+    # one _batched_eigh over its Hermitian and PSD rows per step, and each
+    # row's witness is the one-key _witness on that row's key to 1e-12.  At
+    # d = 2 every SVD or eigh group is under the closed-form cutoff on its
+    # own, and the merged stacks reach it
+    restarts = 24
+    assert restarts < linalg._CLOSED_FORM_ROWS <= 3 * restarts
+    calls = []
+    for name in ("_batched_svd", "_batched_eigh"):
+        real = getattr(optimize, name)
+
+        def spy(Z, *args, real=real, name=name, **kwargs):
+            calls.append((name, len(Z)))
+            return real(Z, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, name, spy)
+    rng = np.random.default_rng(313 + d)
+    side = optimize._Side(_EVERY_KIND, restarts)
+    ids = np.repeat(np.arange(len(_EVERY_KIND)), restarts)
+    for step in range(5):
+        M = rng.standard_normal((len(ids), d, d)) + 1j * rng.standard_normal((len(ids), d, d))
+        before = [None if pair is None else pair.copy() for pair in side.pairs]
+        calls.clear()
+        out = side(M)
+        assert sorted(name for name, _ in calls) == ["_batched_eigh", "_batched_svd"], step
+        if d == 2 and step < 2:
+            assert all(rows >= linalg._CLOSED_FORM_ROWS for _, rows in calls)
+        with monkeypatch.context() as m:
+            m.setattr(optimize, "_batched_svd", linalg._batched_svd)
+            m.setattr(optimize, "_batched_eigh", linalg._batched_eigh)
+            for g, key in enumerate(_EVERY_KIND):
+                rows = np.flatnonzero(ids == g)
+                if rows.size:
+                    _, want = optimize._witness(M[rows], key, before[g])
+                    np.testing.assert_allclose(out[rows], want, rtol=0.0, atol=1e-12, err_msg=f"{key} {step}")
+        # drop rows after every step but the first, all of one group's after the third
+        keep = rng.uniform(size=len(ids)) < (0.8 if step else 1.0)
+        if step == 2:
+            keep[ids == 1] = False
+        side.keep(keep)
+        ids = ids[keep]
+    assert side.pairs[3] is not None and len(side.pairs[3]) == np.sum(ids == 3)
 
 
 def test_long_two_by_two_stacks_take_no_lapack_call(monkeypatch):
@@ -806,6 +940,28 @@ def test_factorization_bound_holds(quick_cfg):
     phi = random_superop(2, 2, 2, 37)
     lhs, rhs = factorization_bound(phi, NormQuery(1.5, 2.0), quick_cfg)
     assert lhs <= rhs + 2e-3
+
+
+def test_factorization_bound_runs_its_cp_sides_on_at_most_dim_in(monkeypatch):
+    # the CP sides run PSD cells; at q = 1 on an ancilla of dim_in (Theorem 3
+    # on the PSD cone), which gives the value of the query's own ancilla
+    runs = []
+    ascend = optimize._ascend
+
+    def spy(phi, k, cells, cfg):
+        runs.append((k, sorted({c for _, _, c in cells})))
+        return ascend(phi, k, cells, cfg)
+
+    monkeypatch.setattr(optimize, "_ascend", spy)
+    phi, cfg = random_superop(2, 2, 2, 37), OptimizerConfig(restarts=8, seed=3)
+    for q, k in ((1.0, 4), (1.5, 3)):
+        runs.clear()
+        query = NormQuery(q, 1.0, False, k)
+        lhs, rhs = factorization_bound(phi, query, cfg)
+        assert [k for k, constraints in runs if constraints == ["psd"]] == [min(k, 2) if q == 1.0 else k] * 2
+        own = [optimize._estimate(side(phi), [(query, "psd", k)], cfg)[0].value for side in (left_cp_map, right_cp_map)]
+        assert rhs == pytest.approx(math.sqrt(own[0] * own[1]), rel=1e-8)
+        assert lhs <= rhs + 2e-3
 
 
 def test_oracle_identity_small_grid():
@@ -1130,6 +1286,26 @@ def test_oracle_hermitian_finite_q_on_scalar_outputs(R, entries, monkeypatch):
     for phi, want in zip(maps, _SCALAR_OUTPUT_ORACLE[R, entries]):
         for p in (1.0, 3.0):
             assert brute_force_oracle(phi, NormQuery(1.5, p, True), R) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("q, hermitian", [(1.0, False), (1.0, True), (math.inf, False), (math.inf, True), (1.5, True)])
+def test_oracle_takes_no_svd_on_scalar_outputs(q, hermitian, monkeypatch):
+    # a map to 1x1 outputs is X -> <K, X>: every grid takes its outputs'
+    # moduli, with no decomposition, and stays below the dual norm ||K||_{q*}
+    rng = np.random.default_rng(8)
+    phi = SuperOp.from_kraus(rng.standard_normal((2, 1, 2)) + 1j * rng.standard_normal((2, 1, 2)))
+    # the dual matrix, read off the matrix units
+    units = np.eye(4).reshape(4, 2, 2)
+    K = np.array([apply(phi, E)[0, 0] for E in units]).conj().reshape(2, 2)
+    dual = schatten_norm(K, dual_exponent(q))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    got = brute_force_oracle(phi, NormQuery(q, 2.0, hermitian), 16)
+    assert not calls
+    assert got <= dual * (1.0 + 1e-12)
+    if not hermitian:
+        assert got >= dual * (1.0 - 1e-2)
 
 
 def test_oracle_scalar_input_space():

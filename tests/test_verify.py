@@ -178,7 +178,7 @@ def test_exact_claim_records_are_pinned(claim):
 
 # exact claim -> (salt, trial, np.linalg.svd calls per trial)
 EXACT_TRIALS = {
-    "duality": (8, "_duality_trial", 11),
+    "duality": (8, "_duality_trial", 7),
     "hoelder": (9, "_hoelder_trial", 2),
     "block_bounds": (10, "_block_bounds_trial", 2),
     "monotone_p": (11, "_monotone_p_trial", 1),
@@ -188,8 +188,8 @@ EXACT_TRIALS = {
 @pytest.mark.parametrize("claim", EXACT_TRIALS)
 def test_exact_trials_decompose_each_matrix_once(claim, monkeypatch):
     # each matrix's singular values are taken once and every exponent's norm
-    # is read from them; duality also asks the public witness and dual norm
-    # at each of the five exponents
+    # is read from them; duality also builds its five witnesses from one SVD
+    # of X and asks the public dual norm of each
     salt, trial, want = EXACT_TRIALS[claim]
     calls = []
     real = np.linalg.svd
@@ -440,7 +440,8 @@ GRID = [(q, p) for q in EXPONENTS for p in EXPONENTS]
     [
         # per trial: (ancilla the ascent runs on, its cells as (q, p, constraint))
         ("theorem1", [(1, [(q, p, c) for c in ("full", "hermitian") for q, p in GRID])]),
-        ("lemma1", [(1, [(q, p, c) for q, p in GRID]) for c in ("full", "hermitian", "hermitian")]),
+        # the map, then its two CP sides on the PSD route (Theorem 1)
+        ("lemma1", [(1, [(q, p, c) for q, p in GRID]) for c in ("full", "psd", "psd")]),
         ("theorem2", [(k, [(q, p, "full") for q in (1.0, 1.5, 2.0) for p in EXPONENTS[2:]]) for k in (1, 2, 3)]),
         # both trials' maps have dim_in 2
         ("theorem3", [(k, [(1.0, p, c) for c in ("full", "hermitian") for p in EXPONENTS]) for k in (2, 3)]),
@@ -461,23 +462,26 @@ def test_map_claims_run_one_ascent_per_map_and_ancilla(monkeypatch, claim, ascen
 
 
 def test_stacked_claims_ask_through_norm_q_to_p(monkeypatch):
-    # theorem1 and lemma1 hand each map's queries to the public norm_q_to_p as
-    # one list, so a wrapper around it sees every stacked ascent they run
+    # theorem1 and lemma1 hand each map's queries to the public norm_q_to_p
+    # (and lemma1 its CP sides' to cp_norm) as one list, so a wrapper around
+    # them sees every stacked ascent they run
     lists = []
-    real = optimize.norm_q_to_p
+    for name in ("norm_q_to_p", "cp_norm"):
+        real = getattr(optimize, name)
 
-    def spy(phi, query, config=None):
-        lists.append(len(query))
-        return real(phi, query, config)
+        def spy(phi, query, config=None, real=real, name=name):
+            lists.append((name, len(query)))
+            return real(phi, query, config)
 
-    monkeypatch.setattr(optimize, "norm_q_to_p", spy)
-    monkeypatch.setattr(verify_module, "norm_q_to_p", spy)
+        monkeypatch.setattr(optimize, name, spy)
+        if hasattr(verify_module, name):
+            monkeypatch.setattr(verify_module, name, spy)
     monkeypatch.setattr(verify_module, "_usable_cpus", lambda: 1)
     verify("theorem1", seed=8, trials=2, restarts=2)
-    assert lists == [50, 50]
+    assert lists == [("norm_q_to_p", 50)] * 2
     lists.clear()
     verify("lemma1", seed=8, trials=2, restarts=2)
-    assert lists == [25] * 6
+    assert lists == [("norm_q_to_p", 25), ("cp_norm", 25), ("cp_norm", 25)] * 2
 
 
 def test_start_stack_memo_leaves_the_reports_unchanged(monkeypatch):
