@@ -2,41 +2,42 @@
 
 The target quantity sup { ||Phi(X)||_p : ||X||_q = 1 } is treated as the
 bilinear form Re<Y, Phi(X)> maximized jointly over the unit p*-ball in Y and
-the unit q-ball in X.  Each partial maximization has a closed form (a Hoelder
-witness read off a singular value or eigenvalue decomposition; at exponent 2
-it is the normalized matrix and no decomposition runs), and the optimizer
-alternates the half-steps.  Long stacks of 2x2 slices are decomposed in
-closed form, in LAPACK's order (``linalg._batched_svd``); shorter stacks
-and larger slices call LAPACK.  On the unit trace-norm ball (Y at
-p = inf, X at q = 1 without the Hermitian restriction) the witness is rank
-one: after the first iteration's SVD those sides keep its vector pair and
-take one power step per iteration instead of a decomposition.  The
-objective value never decreases along the iteration, every iterate is
-feasible, and the reported value is therefore a certified lower bound
-whatever the convergence status.
+the unit q-ball in X.  Each partial maximization has a closed form (a
+Hoelder witness read off a singular value or eigenvalue decomposition; at
+exponent 2 it is the normalized matrix and no decomposition runs), and the
+optimizer alternates the half-steps.  Long stacks of 2x2 slices are
+decomposed in closed form, in LAPACK's order (``linalg._batched_svd``);
+shorter stacks and larger slices call LAPACK.  On the unit trace-norm ball
+(Y at p = inf, X at q = 1 without the Hermitian restriction) the witness is
+rank one: the first iteration takes the top singular pair from an SVD, and
+after that those rows keep their vector pair and take one power step per
+iteration instead of a decomposition.  The objective value never decreases
+along the iteration, every iterate is feasible, and the reported value is
+therefore a certified lower bound whatever the convergence status.
 
 One ascent runs any number of cells ``(q, p, constraint)`` on one map and
 one ancilla: all restarts of all cells advance together as one compact stack
 of the active rows, with one forward and one adjoint kernel call per
 iteration.  Each side groups the rows by witness key ``(ball exponent,
-constraint)``, ``(p*, "full")`` on the output side and ``(q, constraint)`` on
-the input side.  A single cell is one group on each side, which takes the
-one-cell half-step, so nothing is gathered or scattered.  Several groups
-share their decompositions: per half-step, one SVD of all the rows of
-``full`` groups and one eigendecomposition of the Hermitian parts of all the
-rows of ``hermitian`` and ``psd`` groups, each group weighting its own rows'
-spectra, so that short groups of 2x2 slices merge into stacks long enough
-for the closed forms; exponent-2 groups and rank-one power steps take no
-decomposition and step on their own rows.  A restart leaves the stack, and
-its row goes back into the full stack of iterates, once its gain or step
-falls under fixed tolerances, and the rows still active go back when the
-iteration cap stops the ascent; each cell then picks its best restart.
-The ascent applies ``Phi (x) I_k`` and its adjoint through the one Kraus
-kernel of :mod:`.superop`, whose GEMM operands it lays out once per ascent,
-and never materializes the enlarged map.  The kernel's GEMM can round a row
-differently by where it sits in the stack, and a merged stack can take the
-closed form where a group alone would call LAPACK, so a stacked cell agrees
-with the same cell alone to the stopping tolerance, not bit for bit.
+constraint)``, ``(p*, "full")`` on the output side and ``(q, constraint)``
+on the input side.  Every side takes one half-step for any number of groups:
+per half-step, one SVD of all the rows of ``full`` groups and one
+eigendecomposition of the Hermitian parts of all the rows of ``hermitian``
+and ``psd`` groups, each group weighting its own rows' spectra, so that
+short groups of 2x2 slices merge into stacks long enough for the closed
+forms; the rank-one group (its first SVD, then its power steps) and the
+exponent-2 groups step on their own rows.  A single cell is one group on
+each side, whose rows are the whole stack as it is, so nothing is gathered
+or scattered.  A restart leaves the stack, and its row goes back into the
+full stack of iterates, once its gain or step falls under fixed tolerances,
+and the rows still active go back when the iteration cap stops the ascent;
+each cell then picks its best restart.  The ascent applies ``Phi (x) I_k``
+and its adjoint through the one Kraus kernel of :mod:`.superop`, whose GEMM
+operands it lays out once per ascent, and never materializes the enlarged
+map.  The kernel's GEMM can round a row differently by where it sits in the
+stack, and a merged stack can take the closed form where a group alone would
+call LAPACK, so a stacked cell agrees with the same cell alone to the
+stopping tolerance, not bit for bit.
 
 The start stack depends on ``(dim_in, ancilla, q, constraint, restarts,
 seed)`` only, not on the map, so each distinct key is built once per ascent
@@ -159,21 +160,38 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
 _SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
+def _unit_rows(x: np.ndarray, nrm: np.ndarray, out: np.ndarray) -> None:
+    """Write each nonzero row of ``x`` over its 2-norm into ``out``, given the
+    plain norms ``nrm`` (one per row, shaped to broadcast against ``x``); the
+    rows of ``out`` where ``x`` is zero keep their values.  A nonzero row whose
+    plain sum of squares overflows or underflows is divided by its largest
+    entry first; every other row keeps the plain quotient's bits."""
+    plain = (nrm >= _SQRT_TINY) & np.isfinite(nrm)
+    if np.count_nonzero(plain) == plain.size:
+        # the common case, where the unmasked quotient is cheaper
+        np.divide(x, nrm, out=out)
+        return
+    np.divide(x, nrm, out=out, where=plain)
+    off = np.flatnonzero(~plain)
+    flat = x[off].reshape(off.size, -1)
+    # the largest real or imaginary part, which cannot overflow
+    scale = np.abs(flat.view(np.float64)).max(axis=1)
+    off, flat = off[scale > 0.0], flat[scale > 0.0] / scale[scale > 0.0, None]
+    out[off] = (flat / np.linalg.norm(flat, axis=1)[:, None]).reshape((off.size,) + x.shape[1:])
+
+
 def _unit_frobenius(Z: np.ndarray) -> np.ndarray:
-    """Each slice of Z over its Frobenius norm; zero slices stay zero.  A
-    nonzero slice whose plain sum of squares overflows or underflows is
-    divided by its largest entry first; every other slice keeps the plain
-    quotient's bits."""
-    nrm = _frobenius(Z)
-    out = np.divide(Z, nrm[:, None, None], out=np.zeros_like(Z), where=nrm[:, None, None] > 0.0)
-    off = np.flatnonzero((nrm < _SQRT_TINY) | np.isinf(nrm))
-    if off.size:
-        # the largest real or imaginary part, which cannot overflow
-        scale = np.abs(Z[off].view(np.float64)).max(axis=(1, 2))
-        off, scale = off[scale > 0.0], scale[scale > 0.0]
-        scaled = Z[off] / scale[:, None, None]
-        out[off] = scaled / _frobenius(scaled)[:, None, None]
+    """Each slice of Z over its Frobenius norm; zero slices stay zero."""
+    out = np.zeros_like(Z)
+    _unit_rows(Z, _frobenius(Z)[:, None, None], out)
     return out
+
+
+def _normalize_rows(x: np.ndarray, out: np.ndarray) -> None:
+    """Write each nonzero row of ``x``, normalized, into ``out``; the rows of
+    ``out`` where ``x`` is zero keep their values."""
+    r = x.view(np.float64)
+    _unit_rows(x, np.sqrt(np.einsum("ra,ra->r", r, r))[:, None], out)
 
 
 def _hermitian_part(Z: np.ndarray) -> np.ndarray:
@@ -195,56 +213,6 @@ def _spectral_weights(spectrum: np.ndarray, q: float, constraint: str) -> np.nda
 
 def _rebuild(U: np.ndarray, w: np.ndarray, Vh: np.ndarray) -> np.ndarray:
     return (U * w[..., None, :]) @ Vh
-
-
-def _ball_witness(Z: np.ndarray, q: float, constraint: str) -> np.ndarray:
-    """Batched maximizer of Re<Z, X> over the unit q-ball of the given set.
-
-    ``full`` uses the singular triplet of Z, ``hermitian`` the eigensystem of
-    its Hermitian part, ``psd`` additionally clamps the spectrum (see
-    ``_spectral_weights``).  At q = 2 the ball is the Frobenius ball, so for
-    ``full`` and ``hermitian`` the witness is the (Hermitian part of the)
-    matrix normalized, and no decomposition runs; zero slices stay zero.
-    Long stacks of 2x2 slices take the closed-form decompositions, which keep
-    LAPACK's order.
-    """
-    if constraint != "full":
-        Z = _hermitian_part(Z)
-    if q == 2.0 and constraint != "psd":
-        return _unit_frobenius(Z)
-    if constraint == "full":
-        U, s, Vh = _batched_svd(Z)
-        return _rebuild(U, _spectral_weights(s, q, constraint), Vh)
-    lam, V = _batched_eigh(Z)
-    return _rebuild(V, _spectral_weights(lam, q, constraint), V.conj().transpose(0, 2, 1))
-
-
-def _normalize_rows(x: np.ndarray, out: np.ndarray) -> None:
-    """Write each nonzero row of ``x``, normalized, into ``out``; the rows of
-    ``out`` where ``x`` is zero keep their values."""
-    r = x.view(np.float64)
-    nrm = np.sqrt(np.einsum("ra,ra->r", r, r))[:, None]
-    np.divide(x, nrm, out=out, where=nrm > 0.0)
-
-
-def _rank_one_witness(Z: np.ndarray, pair: np.ndarray | None):
-    """Batched rank-one witness ``u v*`` for Re<Z, X> over the unit trace-norm
-    ball, returned with its pair stacked as ``pair[:, 0] = u``, ``pair[:, 1] = v*``.
-
-    Without a pair it is the top singular pair of Z, from one SVD, and so the
-    exact maximizer.  Otherwise ``pair`` takes one power step in place:
-    ``v' = Z* u / |Z* u|``, then ``u' = Z v' / |Z v'|``, so that
-    ``Re u* Z v <= |Z* u| = u* Z v' <= |Z v'| = u'* Z v'`` and the objective
-    never decreases.  A slice whose product vanishes keeps its vector.
-    """
-    if pair is None:
-        U, _, Vh = _batched_svd(Z)
-        pair = np.stack([U[:, :, 0], Vh[:, 0]], axis=1)
-    else:
-        u, vh = pair[:, 0], pair[:, 1]
-        _normalize_rows((u[:, None].conj() @ Z)[:, 0], out=vh)
-        _normalize_rows((Z @ vh[:, :, None].conj())[:, :, 0], out=u)
-    return pair, pair[:, 0, :, None] * pair[:, 1, None, :]
 
 
 def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -319,100 +287,115 @@ def _build_start_stack(base: int, anc: int, q: float, constraint: str, restarts:
 _TRACE_BALL = (1.0, "full")
 
 
-def _witness(M: np.ndarray, key: tuple, pair: np.ndarray | None):
-    """Batched maximizer of Re<M, W> over the unit ball of the witness key
-    ``(ball exponent, constraint)``, as ``(pair, W)``: the rank-one power
-    step on the unit trace-norm ball, the ball witness with no pair otherwise."""
-    if key == _TRACE_BALL:
-        return _rank_one_witness(M, pair)
+def _decomposition(key: tuple) -> str | None:
+    """The decomposition a group at witness key ``key`` shares: ``"svd"`` on
+    the full ball, ``"eigh"`` of the Hermitian part on the Hermitian and PSD
+    balls, and none on the unit trace-norm ball or at exponent 2 outside the
+    PSD cone, whose groups step on their own rows through ``_witness``."""
     q, constraint = key
-    return None, _ball_witness(M, q, constraint)
-
-
-def _decomposition(key: tuple, pair: np.ndarray | None) -> str | None:
-    """The decomposition a witness step at ``key`` takes: ``"svd"`` on the
-    full ball, ``"eigh"`` of the Hermitian part on the Hermitian and PSD
-    balls, and none at exponent 2 outside the PSD cone or for a rank-one
-    group's power step, once it holds its pairs."""
-    q, constraint = key
-    if pair is not None or (q == 2.0 and constraint != "psd"):
+    if key == _TRACE_BALL or (q == 2.0 and constraint != "psd"):
         return None
     return "svd" if constraint == "full" else "eigh"
 
 
+def _witness(M: np.ndarray, key: tuple, pair: np.ndarray | None):
+    """Batched maximizer of Re<M, W> over the unit ball of a witness key that
+    takes no shared decomposition, as ``(pair, W)``.
+
+    At exponent 2 the ball is the Frobenius ball, and W is the matrix
+    (``full``) or its Hermitian part, normalized, with no pair.  On the unit
+    trace-norm ball W is rank one, ``u v*``, with its pair stacked as
+    ``pair[:, 0] = u``, ``pair[:, 1] = v*``.  Without a pair it is the top
+    singular pair of M, from one SVD, and so the exact maximizer, also on a
+    zero slice.  Otherwise ``pair`` takes one power step in place:
+    ``v' = M* u / |M* u|``, then ``u' = M v' / |M v'|``, so that
+    ``Re u* M v <= |M* u| = u* M v' <= |M v'| = u'* M v'`` and the objective
+    never decreases.  A slice whose product vanishes keeps its vector.
+    """
+    if key != _TRACE_BALL:
+        return None, _unit_frobenius(M if key[1] == "full" else _hermitian_part(M))
+    if pair is None:
+        U, _, Vh = _batched_svd(M)
+        pair = np.stack([U[:, :, 0], Vh[:, 0]], axis=1)
+    else:
+        u, vh = pair[:, 0], pair[:, 1]
+        _normalize_rows((u[:, None].conj() @ M)[:, 0], out=vh)
+        _normalize_rows((M @ vh[:, :, None].conj())[:, :, 0], out=u)
+    return pair, pair[:, 0, :, None] * pair[:, 1, None, :]
+
+
 class _Side:
     """One side's half-step on a stacked ascent's active rows, whose rows fall
-    into groups by witness key; each group keeps its own rank-one pairs, one
-    per active row.  With one key the whole stack is the group and makes one
-    ``_witness`` call, so nothing is gathered or scattered.
-
-    With several keys, the groups that take a decomposition share it: all
-    their rows of one kind go through one ``_batched_svd`` (``full``) or one
-    ``_batched_eigh`` of their Hermitian parts (``hermitian`` and ``psd``),
-    each group weights its own rows' spectra, and each kind is rebuilt and
-    scattered back once.  A rank-one group takes its first step, the top
-    singular pair, from the shared SVD.  The groups that need no
-    decomposition make their own ``_witness`` calls."""
+    into groups by witness key.  The groups that take a decomposition share
+    it: all their rows of one kind go through one ``_batched_svd`` (``full``)
+    or one ``_batched_eigh`` of their Hermitian parts (``hermitian`` and
+    ``psd``), each group weights its own rows' spectra, and each kind is
+    rebuilt once.  The rank-one group, which keeps its pairs, one per active
+    row, and the exponent-2 groups step on their own rows through
+    ``_witness``.  With one key the group's rows are the whole stack, taken as
+    a view, and its witness is returned as it is, so nothing is gathered or
+    scattered."""
 
     def __init__(self, keys: list, restarts: int):
         self.keys = list(dict.fromkeys(keys))
         self.pairs = [None] * len(self.keys)
         self.ids = np.repeat([self.keys.index(key) for key in keys], restarts)
-        if len(self.keys) > 1:
-            self._index()
+        self._index()
 
     def _index(self) -> None:
-        """Each group's rows of the active stack; for each decomposition, the
-        rows of the groups that take it, group after group, with each group's
-        span of them."""
-        self.rows = [np.flatnonzero(self.ids == g) for g in range(len(self.keys))]
+        """Each group's rows of the active stack (all of it, with one key);
+        for each decomposition, the rows of the groups that take it, group
+        after group, with each group's span of them."""
+        whole = len(self.keys) == 1
+        self.rows = [slice(None)] if whole else [np.flatnonzero(self.ids == g) for g in range(len(self.keys))]
         self.own, kinds = [], {"svd": [], "eigh": []}
         for g, key in enumerate(self.keys):
-            if self.rows[g].size:
-                kind = _decomposition(key, self.pairs[g])
+            if whole or self.rows[g].size:
+                kind = _decomposition(key)
                 (kinds[kind] if kind else self.own).append(g)
         self.merged = []
         for kind, groups in kinds.items():
-            if groups:
+            if len(groups) == 1:
+                self.merged.append((kind, self.rows[groups[0]], [(groups[0], slice(None))]))
+            elif groups:
                 spans, end = [], 0
                 for g in groups:
                     spans.append((g, slice(end, end + self.rows[g].size)))
                     end += self.rows[g].size
                 self.merged.append((kind, np.concatenate([self.rows[g] for g in groups]), spans))
 
-    def __call__(self, M: np.ndarray) -> np.ndarray:
-        if len(self.keys) == 1:
-            self.pairs[0], out = _witness(M, self.keys[0], self.pairs[0])
-            return out
-        out = np.empty_like(M)
+    def _parts(self, M: np.ndarray):
+        """``(rows, witness)`` of each group that steps on its own rows and of
+        each merged kind, one at a time, so that each is scattered before the
+        next is built."""
         for g in self.own:
-            rows = self.rows[g]
-            self.pairs[g], out[rows] = _witness(M[rows], self.keys[g], self.pairs[g])
-        first = False
+            self.pairs[g], W = _witness(M[self.rows[g]], self.keys[g], self.pairs[g])
+            yield self.rows[g], W
         for kind, rows, spans in self.merged:
             if kind == "svd":
                 U, s, Vh = _batched_svd(M[rows])
             else:
                 s, U = _batched_eigh(_hermitian_part(M[rows]))
                 Vh = U.conj().transpose(0, 2, 1)
-            w = np.empty_like(s)
-            for g, at in spans:
-                if self.keys[g] == _TRACE_BALL:
-                    self.pairs[g], first = np.stack([U[at, :, 0], Vh[at, 0]], axis=1), True
-                w[at] = _spectral_weights(s[at], *self.keys[g])
-            out[rows] = _rebuild(U, w, Vh)
-        if first:
-            # the rank-one groups step on their pairs from now on
-            self._index()
+            w = [_spectral_weights(s[at], *self.keys[g]) for g, at in spans]
+            yield rows, _rebuild(U, w[0] if len(w) == 1 else np.concatenate(w), Vh)
+
+    def __call__(self, M: np.ndarray) -> np.ndarray:
+        if len(self.keys) == 1:
+            ((_, W),) = self._parts(M)
+            return W
+        out = np.empty_like(M)
+        for rows, W in self._parts(M):
+            out[rows] = W
         return out
 
     def keep(self, keep: np.ndarray) -> None:
         """Drop the rows where ``keep`` is False."""
         for g, pair in enumerate(self.pairs):
             if pair is not None:
-                self.pairs[g] = pair[keep[self.ids == g]]
-        self.ids = self.ids[keep]
+                self.pairs[g] = pair[keep[self.rows[g]]]
         if len(self.keys) > 1:
+            self.ids = self.ids[keep]
             self._index()
 
 

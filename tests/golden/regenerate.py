@@ -9,12 +9,21 @@ root with
 
 and says in CHANGES.md why the values moved. The script also rewrites the
 random maps' channel files, so the queries read committed inputs.
+
+    PYTHONPATH=src python tests/golden/regenerate.py --check
+
+writes nothing: it lists each channel file and each case whose output
+differs byte for byte from the committed file, and exits 1 if any does.
+Other BLAS kernels move last bits, so this byte check is for local use; the
+test gate compares floats to a tolerance.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import sys
 from pathlib import Path
 
 from supernorms import channel_to_json, random_superop
@@ -96,12 +105,33 @@ def run_case(case: str) -> str:
     return out.getvalue()
 
 
-def regenerate() -> None:
+def outputs():
+    """Each golden file's name and fresh contents, channel files first, then
+    the cases in roster order (examples before the queries that read them)."""
     for name, args in RANDOM_MAPS.items():
-        (GOLDEN / name).write_text(channel_to_json(random_superop(*args)) + "\n", encoding="utf-8")
-    for case in CASES:  # examples before the queries that read them
-        (GOLDEN / f"{case}.out").write_text(run_case(case), encoding="utf-8")
+        yield name, channel_to_json(random_superop(*args)) + "\n"
+    for case in CASES:
+        yield f"{case}.out", run_case(case)
+
+
+def regenerate() -> None:
+    for name, text in outputs():
+        (GOLDEN / name).write_text(text, encoding="utf-8")
+
+
+def check() -> int:
+    """List the golden files whose fresh contents differ byte for byte from
+    the committed ones; 1 if any does, else 0."""
+    differ = [name for name, text in outputs() if (GOLDEN / name).read_bytes() != text.encode("utf-8")]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(RANDOM_MAPS) + len(CASES)} golden files differ")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Rewrite the golden files, or with --check compare them.")
+    parser.add_argument("--check", action="store_true", help="write nothing; exit 1 if any file would change")
+    if parser.parse_args().check:
+        sys.exit(check())
     regenerate()

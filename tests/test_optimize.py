@@ -38,7 +38,6 @@ from supernorms import (
     tensor_identity,
 )
 from supernorms import linalg, optimize
-from supernorms.optimize import _ball_witness
 from supernorms.schatten import dual_exponent
 from supernorms.superop import _dagger, _kraus_kernel
 
@@ -357,55 +356,49 @@ def test_start_stacks_over_the_memo_cap_are_not_retained(restarts, base, anc, ke
     np.testing.assert_array_equal(stack, optimize._build_start_stack(base, anc, 2.0, "hermitian", restarts, 8))
 
 
-def reference_side(Z, keys, pairs, first):
+def reference_side(Z, keys, pairs, first, whole):
     """One side's half-step as the stacked ascent takes it, on the active rows
     ``Z`` with witness keys ``keys`` (row by row) and rank-one pairs ``pairs``
-    (row by row, updated in place).  A side with one key hands the whole
-    stack to one witness call.  With several, each exponent-2 group and each
-    rank-one group after the first iteration takes its own witness call on
-    its rows as an index array, since matmul can round a strided array
-    differently from a contiguous copy; every other row goes through one SVD
-    (``full``) or one eigendecomposition of its Hermitian part (``hermitian``
-    and ``psd``) of all such rows in stack order, weighted by its key, and a
-    rank-one row keeps its top singular pair from the first iteration's."""
+    (row by row, updated in place).  Each rank-one group (on the first
+    iteration its SVD, then its power steps) and each exponent-2 group takes
+    its own witness call on its rows as an index array, since matmul can round
+    a strided array (the kernel's output is one) differently from a
+    contiguous copy; every other row goes through one SVD (``full``) or one
+    eigendecomposition of its Hermitian part (``hermitian`` and ``psd``) of
+    all such rows in stack order, weighted by its key.  A side with one key
+    (``whole``) takes the same steps on the whole stack as it is."""
     trace = (1.0, "full")
-    if len(set(keys)) == 1:
-        if keys[0] == trace:
-            pair, out = optimize._rank_one_witness(Z, None if first else pairs.copy())
-            pairs[:] = pair
-            return out
-        return _ball_witness(Z, *keys[0])
+
+    def rows(sel):
+        return slice(None) if whole else sel
+
     out = np.empty_like(Z)
     kinds = []
     for key in keys:
         q, constraint = key
-        own = (key == trace and not first) or (q == 2.0 and constraint != "psd")
+        own = key == trace or (q == 2.0 and constraint != "psd")
         kinds.append(None if own else "svd" if constraint == "full" else "eigh")
     for key in set(keys):
         sel = np.flatnonzero([k == key and kind is None for k, kind in zip(keys, kinds)])
         if sel.size == 0:
             continue
+        pair, out[sel] = optimize._witness(Z[rows(sel)], key, None if first else pairs[sel])
         if key == trace:
-            pair, out[sel] = optimize._rank_one_witness(Z[sel], pairs[sel])
             pairs[sel] = pair
-        else:
-            out[sel] = _ball_witness(Z[sel], *key)
     for name in ("svd", "eigh"):
         sel = np.flatnonzero([kind == name for kind in kinds])
         if sel.size == 0:
             continue
         if name == "svd":
-            U, s, Vh = linalg._batched_svd(Z[sel])
+            U, s, Vh = linalg._batched_svd(Z[rows(sel)])
         else:
-            H = Z[sel]
+            H = Z[rows(sel)]
             s, U = linalg._batched_eigh((H + H.conj().transpose(0, 2, 1)) / 2.0)
             Vh = U.conj().transpose(0, 2, 1)
         w = np.empty_like(s)
         for key in set(keys[i] for i in sel):
             mine = np.flatnonzero([keys[i] == key for i in sel])
             w[mine] = optimize._spectral_weights(s[mine], *key)
-            if key == trace:
-                pairs[sel[mine]] = np.stack([U[mine, :, 0], Vh[mine, 0]], axis=1)
         out[sel] = (U * w[..., None, :]) @ Vh
     return out
 
@@ -431,13 +424,13 @@ def gather_scatter_ascent(phi, k, cells, cfg):
         Xa = X[active]
         W = forward(Xa)
         pairs = y_pairs[active]
-        Y = reference_side(W, [y_key[i] for i in active], pairs, it == 0)
+        Y = reference_side(W, [y_key[i] for i in active], pairs, it == 0, len(set(y_key)) == 1)
         y_pairs[active] = pairs
         vals = np.einsum("rab,rab->r", W.conj(), Y).real
         gain = vals - values[active]
         values[active] = vals
         pairs = x_pairs[active]
-        Xn = reference_side(backward(Y), [x_key[i] for i in active], pairs, it == 0)
+        Xn = reference_side(backward(Y), [x_key[i] for i in active], pairs, it == 0, len(set(x_key)) == 1)
         x_pairs[active] = pairs
         if may_stall:
             stalled = optimize._frobenius(Xn) <= 1e-14
@@ -581,42 +574,58 @@ def test_cp_norm_answers_a_list_of_queries():
 
 def test_one_cell_ascent_gathers_nothing(monkeypatch):
     # a single cell's ascent is the whole stack as one group on each side: each
-    # half-step is one witness call on the kernel's own output, the whole active
-    # stack, so it makes exactly the operations of a one-cell ascent
-    events = []  # ("kernel", output) and ("witness", input), in call order
-    kernel, witness = optimize._kraus_kernel, optimize._witness
+    # half-step hands the kernel's own output, as a view and not a gathered
+    # copy, to its decomposition or its _witness call, and the output side
+    # returns its witness as it is, as the adjoint kernel call's input
+    events = []  # ("kernel", input, output), ("take", input), ("make", output)
+    kernel = optimize._kraus_kernel
 
     def spy_kernel(left, right, k=1):
         act = kernel(left, right, k)
 
         def run(X):
-            events.append(("kernel", act(X)))
-            return events[-1][1]
+            events.append(("kernel", X, act(X)))
+            return events[-1][2]
 
         return run
 
-    def spy_witness(M, key, pair):
-        events.append(("witness", M))
-        return witness(M, key, pair)
+    def spy(name, take, make):
+        real = getattr(optimize, name)
+
+        def run(*args, **kwargs):
+            if take:
+                events.append(("take", args[0]))
+            out = real(*args, **kwargs)
+            if make:
+                events.append(("make", out[1] if name == "_witness" else out))
+            return out
+
+        monkeypatch.setattr(optimize, name, run)
 
     monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
-    monkeypatch.setattr(optimize, "_witness", spy_witness)
+    for name, take, make in [("_witness", True, True), ("_batched_svd", True, False),
+                             ("_hermitian_part", True, False), ("_rebuild", False, True)]:
+        spy(name, take, make)
     cfg = OptimizerConfig(restarts=5, seed=3)
     phi, cp = random_superop(3, 2, 2, 71), random_cp_channel(2, 2, 2, 72)
     for ask in (
         lambda: norm_q_to_p(phi, NormQuery(1.5, 3.0), cfg),
         lambda: norm_q_to_p(phi, NormQuery(1.0, math.inf), cfg),
         lambda: norm_q_to_p(phi, NormQuery(1.0, 2.0, True, 2), cfg),
+        lambda: norm_q_to_p(phi, NormQuery(2.0, 1.5, True), cfg),
         lambda: cp_norm(cp, NormQuery(2.0, 3.0), cfg),
     ):
         events.clear()
         ask()
-        # a kernel call and a witness call per half-step, then the final
-        # re-evaluation's kernel call
-        half_steps = len(events) // 2
-        assert half_steps > 2
-        assert [kind for kind, _ in events] == ["kernel", "witness"] * half_steps + ["kernel"]
-        assert all(M is out for (_, out), (_, M) in zip(events[0::2], events[1::2]))
+        kernels = [i for i, event in enumerate(events) if event[0] == "kernel"]
+        # forward and adjoint calls alternate, then the final re-evaluation's
+        assert len(kernels) % 2 == 1 and len(kernels) > 4
+        for n, i in enumerate(kernels[:-1]):
+            (_, _, out), (kind, M) = events[i], events[i + 1]
+            assert kind == "take" and M.shape == out.shape and np.shares_memory(M, out)
+            if n % 2:
+                made = [event[1] for event in events[:i] if event[0] == "make"]
+                assert events[i][1] is made[-1]
 
 
 def test_results_are_deterministic(quick_cfg):
@@ -641,6 +650,11 @@ def test_zero_map(quick_cfg):
         assert est.converged
 
 
+def one_key_witness(Z, key):
+    """The half-step of a one-key side at witness key ``key`` on the stack ``Z``."""
+    return optimize._Side([key], len(Z))(Z)
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_ball_witness_at_q2_matches_the_decompositions(d):
     rng = np.random.default_rng(300 + d)
@@ -651,12 +665,12 @@ def test_ball_witness_at_q2_matches_the_decompositions(d):
     lam, V = np.linalg.eigh((Z + Z.conj().transpose(0, 2, 1)) / 2.0)
     Vd = V.conj().transpose(0, 2, 1)
     herm = (V * holder_weights(lam, 2.0)[..., None, :]) @ Vd
-    assert np.allclose(_ball_witness(Z, 2.0, "full"), full, rtol=0.0, atol=1e-12)
-    assert np.allclose(_ball_witness(Z, 2.0, "hermitian"), herm, rtol=0.0, atol=1e-12)
+    assert np.allclose(one_key_witness(Z, (2.0, "full")), full, rtol=0.0, atol=1e-12)
+    assert np.allclose(one_key_witness(Z, (2.0, "hermitian")), herm, rtol=0.0, atol=1e-12)
     for constraint in ("full", "hermitian"):
-        assert not _ball_witness(Z, 2.0, constraint)[3].any()
+        assert not one_key_witness(Z, (2.0, constraint))[3].any()
     # psd keeps the clamped spectrum; an all-zero slice falls back to a unit projector
-    psd = _ball_witness(Z, 2.0, "psd")
+    psd = one_key_witness(Z, (2.0, "psd"))
     clamped = (V * holder_weights(np.maximum(lam, 0.0), 2.0)[..., None, :]) @ Vd
     live = [0, 1, 2, 4]
     assert np.allclose(psd[live], clamped[live], rtol=0.0, atol=1e-12)
@@ -677,7 +691,7 @@ def test_q2_witness_rescales_only_slices_whose_norm_over_or_underflows():
     Z[4] *= 1e-155  # sum of squares subnormal, not zero
     for constraint in ("full", "hermitian"):
         with np.errstate(all="raise"):
-            got = _ball_witness(Z, 2.0, constraint)
+            got = one_key_witness(Z, (2.0, constraint))
         H = Z if constraint == "full" else (Z + Z.conj().transpose(0, 2, 1)) / 2.0
         for i in (0, 5):
             np.testing.assert_array_equal(got[i], H[i] / optimize._frobenius(H[i : i + 1])[0])
@@ -746,10 +760,10 @@ def test_closed_form_witness_matches_lapack(r, constraint, monkeypatch):
         warnings.simplefilter("error")
         for name, Z in _two_by_two_stacks().items():
             monkeypatch.setattr(linalg, "_CLOSED_FORM_ROWS", 1)
-            got = optimize._witness(Z, key, None)[1]
+            got = one_key_witness(Z, key)
             s, lam = linalg._svd_2x2(Z, compute_uv=False), linalg._eigh_2x2(Z)[0]
             monkeypatch.setattr(linalg, "_CLOSED_FORM_ROWS", 10**9)
-            want = optimize._witness(Z, key, None)[1]
+            want = one_key_witness(Z, key)
             sv = np.linalg.svd(Z, compute_uv=False)
             H = Z if constraint == "full" else (Z + Z.conj().transpose(0, 2, 1)) / 2.0
             if constraint == "full":
@@ -799,13 +813,39 @@ _EVERY_KIND = [(1.5, "full"), (3.0, "full"), (math.inf, "full"), (1.0, "full"), 
                (2.0, "psd"), (1.0, "psd"), (3.0, "psd")]
 
 
+def reference_witness(Z, key, pair=None):
+    """The half-step at witness key ``key`` on the stack ``Z``, from
+    ``np.linalg.svd``/``eigh`` and ``holder_weights``: the Hoelder-weighted
+    singular triplets (``full``) or eigensystems of the Hermitian parts
+    (``hermitian``; ``psd`` clamps the spectrum at zero, and a slice with
+    nothing positive takes its top eigendirection).  Given the rank-one pairs
+    ``pair`` of the unit trace-norm ball, the power step from them instead:
+    ``v* = u* Z / |u* Z|``, ``u' = Z v / |Z v|``, and the witness ``u' v*``."""
+    q, constraint = key
+    if pair is not None:
+        vh = np.einsum("ra,rab->rb", pair[:, 0].conj(), Z)
+        vh /= np.linalg.norm(vh, axis=1)[:, None]
+        u = np.einsum("rab,rb->ra", Z, vh.conj())
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        return u[:, :, None] * vh[:, None, :]
+    if constraint == "full":
+        U, s, Vh = np.linalg.svd(Z)
+        return (U * holder_weights(s, q)[..., None, :]) @ Vh
+    lam, V = np.linalg.eigh((Z + Z.conj().transpose(0, 2, 1)) / 2.0)
+    if constraint == "psd":
+        lam = np.maximum(lam, 0.0)
+        lam[lam[:, -1] <= 0.0, -1] = 1.0
+    return (V * holder_weights(lam, q)[..., None, :]) @ V.conj().transpose(0, 2, 1)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_merged_side_decomposes_each_kind_once_per_step(d, monkeypatch):
     # with several keys a side takes one _batched_svd over its full rows and
-    # one _batched_eigh over its Hermitian and PSD rows per step, and each
-    # row's witness is the one-key _witness on that row's key to 1e-12.  At
-    # d = 2 every SVD or eigh group is under the closed-form cutoff on its
-    # own, and the merged stacks reach it
+    # one _batched_eigh over its Hermitian and PSD rows per step, besides the
+    # rank-one group's own SVD on the first step, and each row's witness is
+    # the reference's on that row's key to 1e-12.  At d = 2 every SVD or eigh
+    # group is under the closed-form cutoff on its own, and the merged stacks
+    # reach it
     restarts = 24
     assert restarts < linalg._CLOSED_FORM_ROWS <= 3 * restarts
     calls = []
@@ -817,6 +857,9 @@ def test_merged_side_decomposes_each_kind_once_per_step(d, monkeypatch):
             return real(Z, *args, **kwargs)
 
         monkeypatch.setattr(optimize, name, spy)
+    # the groups of the merged SVD, the rank-one group, and the merged eigh groups
+    svd, trace, eigh = [0, 1, 2], 3, [5, 6, 8, 9, 10, 11]
+    assert _EVERY_KIND[trace] == (1.0, "full")
     rng = np.random.default_rng(313 + d)
     side = optimize._Side(_EVERY_KIND, restarts)
     ids = np.repeat(np.arange(len(_EVERY_KIND)), restarts)
@@ -825,24 +868,49 @@ def test_merged_side_decomposes_each_kind_once_per_step(d, monkeypatch):
         before = [None if pair is None else pair.copy() for pair in side.pairs]
         calls.clear()
         out = side(M)
-        assert sorted(name for name, _ in calls) == ["_batched_eigh", "_batched_svd"], step
+        merged = [("_batched_svd", np.isin(ids, svd).sum()), ("_batched_eigh", np.isin(ids, eigh).sum())]
+        first = [("_batched_svd", np.sum(ids == trace))] if step == 0 else []
+        assert sorted(calls) == sorted(merged + first), step
         if d == 2 and step < 2:
-            assert all(rows >= linalg._CLOSED_FORM_ROWS for _, rows in calls)
-        with monkeypatch.context() as m:
-            m.setattr(optimize, "_batched_svd", linalg._batched_svd)
-            m.setattr(optimize, "_batched_eigh", linalg._batched_eigh)
-            for g, key in enumerate(_EVERY_KIND):
-                rows = np.flatnonzero(ids == g)
-                if rows.size:
-                    _, want = optimize._witness(M[rows], key, before[g])
-                    np.testing.assert_allclose(out[rows], want, rtol=0.0, atol=1e-12, err_msg=f"{key} {step}")
+            assert all(rows >= linalg._CLOSED_FORM_ROWS for _, rows in merged)
+        for g, key in enumerate(_EVERY_KIND):
+            rows = np.flatnonzero(ids == g)
+            if rows.size:
+                want = reference_witness(M[rows], key, before[g])
+                np.testing.assert_allclose(out[rows], want, rtol=0.0, atol=1e-12, err_msg=f"{key} {step}")
         # drop rows after every step but the first, all of one group's after the third
         keep = rng.uniform(size=len(ids)) < (0.8 if step else 1.0)
         if step == 2:
             keep[ids == 1] = False
         side.keep(keep)
         ids = ids[keep]
-    assert side.pairs[3] is not None and len(side.pairs[3]) == np.sum(ids == 3)
+    assert side.pairs[trace] is not None and len(side.pairs[trace]) == np.sum(ids == trace)
+
+
+def test_rank_one_first_step_is_unit_on_zero_slices():
+    # the first step on the unit trace-norm ball is the top singular pair u v*,
+    # of unit norm also on a zero slice, beside other keys as alone
+    rng = np.random.default_rng(320)
+    restarts, d = 4, 3
+    M = rng.standard_normal((2 * restarts, d, d)) + 1j * rng.standard_normal((2 * restarts, d, d))
+    M[1] = 0.0
+    got = optimize._Side([(1.0, "full"), (1.5, "full")], restarts)(M)
+    np.testing.assert_array_equal(got[:restarts], one_key_witness(M[:restarts], (1.0, "full")))
+    assert np.linalg.norm(got[1]) == pytest.approx(1.0, abs=1e-15)
+    assert np.linalg.svd(got[1], compute_uv=False)[1] == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200])
+def test_huge_maps_keep_their_rank_one_norms(scale):
+    # the rank-one power step's row norms overflow on maps whose entries pass
+    # about 1e154; such rows are divided by their largest entry first, so the
+    # 1->1 and 1->inf norms of a scaled map are the scale times the map's
+    phi, cfg = random_superop(2, 2, 2, 5), OptimizerConfig(restarts=4)
+    huge = SuperOp.from_kraus(scale * phi.kraus_left, phi.kraus_right)
+    for p in (1.0, math.inf):
+        want = norm_q_to_p(phi, NormQuery(1.0, p), cfg).value
+        got = norm_q_to_p(huge, NormQuery(1.0, p), cfg).value
+        assert got == pytest.approx(scale * want, rel=1e-9, abs=0.0), p
 
 
 def test_long_two_by_two_stacks_take_no_lapack_call(monkeypatch):
