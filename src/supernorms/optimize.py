@@ -40,11 +40,7 @@ call LAPACK, so a stacked cell agrees with the same cell alone to the
 stopping tolerance, not bit for bit.
 
 The start stack depends on ``(dim_in, ancilla, q, constraint, restarts,
-seed)`` only, not on the map, so each distinct key is built once per ascent
-and memoized under exactly that key: at most 8 stacks, each of at most 2^16
-complex entries (larger ones are built fresh), held read-only.  Every ascent
-works on its own copy, and the values are bit-identical with or without the
-memo.
+seed)`` only, not on the map, so each distinct key is built once per ascent.
 
 ``norm_q_to_p`` given a sequence of queries on one map runs one such ascent
 per ancilla the queries run on, and given one query the one-cell ascent;
@@ -58,7 +54,6 @@ is re-evaluated.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -91,10 +86,6 @@ from .superop import (
 # refills the same chunk buffers, so they stay in cache (2^16 ran fastest in a
 # sweep of 2^14 .. 2^18, see BENCH_2026-10-18-oracle-workspace.json)
 _ORACLE_CHUNK_ENTRIES = 1 << 16
-
-# start stacks of at most this many complex entries are memoized (1 MiB
-# each); a larger ascent costs far more than building its own stack
-_MEMO_ENTRIES = 1 << 16
 
 # the ascent's stopping tolerances: objective gain relative to 1 + |value|, step
 _OBJECTIVE_TOLERANCE = 1e-10
@@ -225,28 +216,11 @@ def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerC
     the first slots (maximally entangled projector when anc >= 2, normalized
     identity, uniform-superposition projector), Gaussian draws after that.
 
-    The stack depends on the key ``(base, anc, q, constraint, restarts,
-    seed)`` only, not on the map or ``max_iterations``, so a stack of at most
-    ``_MEMO_ENTRIES`` entries is memoized read-only under that key (the last
-    8 keys, so that the five PSD keys of one exponent column serve both CP
-    sides of a ``lemma1`` trial); the caller always gets its own
-    writable copy, which the ascent overwrites.  A larger stack is built
-    fresh."""
-    key = (base, anc, q, constraint, cfg.restarts, cfg.seed)
-    if cfg.restarts * (base * anc) ** 2 > _MEMO_ENTRIES:
-        return _build_start_stack(*key)
-    return _memo_start_stack(*key).copy()
-
-
-@functools.lru_cache(maxsize=8)
-def _memo_start_stack(base: int, anc: int, q: float, constraint: str, restarts: int, seed: int) -> np.ndarray:
-    starts = _build_start_stack(base, anc, q, constraint, restarts, seed)
-    starts.setflags(write=False)
-    return starts
-
-
-def _build_start_stack(base: int, anc: int, q: float, constraint: str, restarts: int, seed: int) -> np.ndarray:
+    The stack depends on ``(base, anc, q, constraint, cfg.restarts,
+    cfg.seed)`` only, not on the map or ``max_iterations``; the ascent
+    overwrites it."""
     n = base * anc
+    restarts = cfg.restarts
     starts = np.zeros((restarts, n, n), dtype=np.complex128)
     hints = []
     if anc >= 2:
@@ -260,7 +234,7 @@ def _build_start_stack(base: int, anc: int, q: float, constraint: str, restarts:
     n_hints = min(len(hints), restarts)
     for i in range(n_hints):
         starts[i] = hints[i]
-    streams = np.random.SeedSequence(seed).spawn(restarts)
+    streams = np.random.SeedSequence(cfg.seed).spawn(restarts)
     for r in range(n_hints, restarts):
         rng = np.random.default_rng(streams[r])
         if q == 1.0:

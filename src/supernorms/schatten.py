@@ -4,6 +4,12 @@ Exponents are floats in [1, inf].  Infinity is ``math.inf`` and is always an
 explicit branch (the operator norm is the top singular value, never a large-p
 approximation).  The serialized form of an exponent is either the string
 ``"inf"`` or a decimal number >= 1.
+
+A 1-D spectrum is read in one pass at any number of exponents
+(``_spectrum_pnorms``): its magnitudes, peak and scaled entries are taken
+once, and each exponent's value has the same bits as ``pnorm`` gives, which
+takes that path for a 1-D spectrum itself.  ``block_norm_bounds`` reads the
+full matrix and each block that way.
 """
 
 from __future__ import annotations
@@ -76,10 +82,16 @@ def pnorm(values, p, axis: int = -1):
     """p-norm of a (possibly batched) spectrum along ``axis``.
 
     Scales by the peak entry before powering so large exponents neither
-    overflow nor underflow.
+    overflow nor underflow.  An empty spectrum has norm 0 at every exponent.
+    A 1-D spectrum gives a float, computed as :func:`_spectrum_pnorms` does.
     """
     p = require_exponent(p)
-    a = np.abs(np.asarray(values, dtype=float))
+    a = np.asarray(values, dtype=float)
+    if a.ndim == 1 and axis in (0, -1):
+        return _spectrum_pnorms(a, (p,))[0]
+    a = np.abs(a)
+    if a.size == 0:
+        return a.sum(axis=axis)
     if math.isinf(p):
         return a.max(axis=axis)
     if p < 1.0001:
@@ -90,6 +102,37 @@ def pnorm(values, p, axis: int = -1):
     safe = np.where(peak > 0.0, peak, 1.0)
     out = ((a / safe) ** p).sum(axis=axis) ** (1.0 / p) * np.squeeze(safe, axis=axis)
     return out
+
+
+def _spectrum_pnorms(values, exponents) -> list[float]:
+    """``float(pnorm(values, p))`` for each p of ``exponents`` (validated
+    floats) on one 1-D spectrum, bit for bit.
+
+    The magnitudes, their peak and the scaled spectrum are taken once; each
+    exponent then only floors (p < 1.0001), powers, sums and takes its root.
+    Flooring the scaled spectrum is flooring before scaling: the peak is
+    either kept or, with every other entry, floored to 0.
+    """
+    a = np.abs(np.asarray(values, dtype=float))
+    if a.size == 0:
+        return [0.0] * len(exponents)
+    peak = scaled = None
+    norms = []
+    for p in exponents:
+        if p == 1.0:
+            norms.append(float(np.where(a < _UNDERFLOW_FLOOR, 0.0, a).sum()))
+            continue
+        if peak is None:
+            peak = a.max()
+        if math.isinf(p):
+            norms.append(float(peak))
+            continue
+        if scaled is None:
+            safe = peak if peak > 0.0 else 1.0
+            scaled = a / safe
+        x = np.where(a < _UNDERFLOW_FLOOR, 0.0, scaled) if p < 1.0001 else scaled
+        norms.append(float((x**p).sum() ** (1.0 / p) * safe))
+    return norms
 
 
 def schatten_norm(X, p) -> float:
@@ -104,20 +147,21 @@ def holder_weights(values, ball_exponent) -> np.ndarray:
     ``||values||_{q*}``.  q = 1 puts all weight on the largest magnitude
     (first index on ties), q = inf weights every nonzero entry by its sign,
     and finite q > 1 uses magnitudes to the power 1/(q-1).  Rows that are
-    entirely zero come back as zero weights.  Operates on the last axis.
+    entirely zero come back as zero weights, and an empty spectrum as empty
+    weights.  Operates on the last axis.
     """
     q = require_exponent(ball_exponent)
     v = np.asarray(values, dtype=float)
     a = np.abs(v)
     sign = np.sign(v)
+    if math.isinf(q) or v.size == 0:
+        return sign
     if q == 1.0:
         idx = a.argmax(axis=-1)[..., None]
         top = np.take_along_axis(sign, idx, axis=-1)
         w = np.zeros_like(v)
         np.put_along_axis(w, idx, top, axis=-1)
         return w
-    if math.isinf(q):
-        return sign
     peak = a.max(axis=-1, keepdims=True)
     scaled = np.divide(a, peak, out=np.zeros_like(a), where=peak > 0.0)
     w = sign * scaled ** (1.0 / (q - 1.0))
@@ -145,9 +189,9 @@ def _duality_witnesses(A: np.ndarray, exponents) -> list:
 
 
 def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, np.ndarray]:
-    """The spectrum of ``A`` and its blocks' spectra, one row per block in
-    row-major block order, for an even ``block_rows`` x ``block_cols``
-    partition; the blocks take one batched SVD."""
+    """The spectrum of the validated matrix ``A`` and its blocks' spectra, one
+    row per block in row-major block order, for an even ``block_rows`` x
+    ``block_cols`` partition; the blocks take one batched SVD."""
     block_rows = require_count(block_rows, "block_rows", 1)
     block_cols = require_count(block_cols, "block_cols", 1)
     rows, cols = A.shape
@@ -156,16 +200,21 @@ def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, n
             f"matrix of shape {A.shape} does not partition into {block_rows}x{block_cols} blocks"
         )
     blocks = A.reshape(block_rows, rows // block_rows, block_cols, cols // block_cols).transpose(0, 2, 1, 3)
-    return singular_values(A), np.linalg.svd(blocks, compute_uv=False).reshape(block_rows * block_cols, -1)
+    return (
+        np.linalg.svd(A, compute_uv=False),
+        np.linalg.svd(blocks, compute_uv=False).reshape(block_rows * block_cols, -1),
+    )
 
 
-def _block_bounds(spectra: tuple[np.ndarray, np.ndarray], p: float) -> tuple[float, float]:
-    """:func:`block_norm_bounds` at p from :func:`_block_spectra`."""
+def _block_bounds(spectra: tuple[np.ndarray, np.ndarray], exponents) -> list[tuple[float, float]]:
+    """:func:`block_norm_bounds` at each p of ``exponents`` from
+    :func:`_block_spectra`, one pass per spectrum."""
     full, blocks = spectra
-    blocks_sq = 0.0
+    blocks_sq = [0.0] * len(exponents)
     for s in blocks:
-        blocks_sq += float(pnorm(s, p)) ** 2
-    return blocks_sq, float(pnorm(full, p)) ** 2
+        for i, norm in enumerate(_spectrum_pnorms(s, exponents)):
+            blocks_sq[i] += norm**2
+    return [(b, norm**2) for b, norm in zip(blocks_sq, _spectrum_pnorms(full, exponents))]
 
 
 def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, float]:
@@ -177,7 +226,7 @@ def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, fl
     """
     A = as_matrix(X)
     p = require_exponent(p)
-    return _block_bounds(_block_spectra(A, block_rows, block_cols), p)
+    return _block_bounds(_block_spectra(A, block_rows, block_cols), (p,))[0]
 
 
 def hoelder_gap(X, Y, p) -> float:

@@ -13,10 +13,14 @@ algebra use 1e-8 .. 1e-10.
 
 The exact claims (``duality``, ``hoelder``, ``block_bounds``,
 ``monotone_p``) take each matrix's singular values once and read its norm at
-every grid exponent from them, which is exactly ``schatten_norm`` there;
-``block_bounds`` takes all its blocks' spectra in one batched SVD, and
+every grid exponent from them in one pass (``schatten._spectrum_pnorms``),
+which is exactly ``schatten_norm`` there; ``block_bounds`` takes all its
+blocks' spectra in one batched SVD and reads each block in one pass.  The
+trials decompose and pair the finite complex matrices they draw with
+``np.linalg.svd`` and ``np.vdot``, without validating them again.
 ``duality`` builds its five witnesses from one more SVD of X, as
-``duality_witness`` does.
+``duality_witness`` does, and checks each witness's unit dual norm with the
+public ``schatten_norm``.
 
 Every randomized claim records each trial as its fields followed by
 ``residual`` (the trial's first largest residual) and ``worst_case`` (that
@@ -63,14 +67,12 @@ from .schatten import (
     _block_bounds,
     _block_spectra,
     _duality_witnesses,
+    _spectrum_pnorms,
     dual_exponent,
     format_exponent,
-    pnorm,
     schatten_norm,
-    singular_values,
 )
 from .superop import difference
-from .linalg import inner
 
 _EXPONENT_GRID = (1.0, 1.5, 2.0, 3.0, math.inf)
 _DIMS_ROTATION = ((2, 2), (2, 3), (3, 2), (3, 3))
@@ -109,8 +111,9 @@ def _label(q, p) -> str:
     return f"q={format_exponent(q)},p={format_exponent(p)}"
 
 
-# the case labels over the exponent grid, built once
+# the case labels and dual exponents over the exponent grid, built once
 _P_LABELS = {p: f"p={format_exponent(p)}" for p in _EXPONENT_GRID}
+_DUAL = {p: dual_exponent(p) for p in _EXPONENT_GRID}
 _QP_LABELS = {(q, p): _label(q, p) for q in _EXPONENT_GRID for p in _EXPONENT_GRID}
 
 
@@ -313,10 +316,10 @@ def _run_exact(salt, trial, seed, trials, restarts):
     return [_record(i, *trial(rng)) for i in range(trials)]
 
 
-def _grid_norms(X) -> dict:
-    """``schatten_norm(X, p)`` for each p on the exponent grid, from one SVD."""
-    s = singular_values(X)
-    return {p: float(pnorm(s, p)) for p in _EXPONENT_GRID}
+def _grid_norms(X: np.ndarray) -> dict:
+    """``schatten_norm(X, p)`` for each p on the exponent grid, from one SVD of
+    a drawn matrix and one pass over its spectrum."""
+    return dict(zip(_EXPONENT_GRID, _spectrum_pnorms(np.linalg.svd(X, compute_uv=False), _EXPONENT_GRID)))
 
 
 def _duality_trial(rng):
@@ -327,8 +330,8 @@ def _duality_trial(rng):
     norms = _grid_norms(X)
     cases = []
     for p, Y in zip(_EXPONENT_GRID, _duality_witnesses(X, _EXPONENT_GRID)):
-        attained = abs(inner(Y, X) - norms[p])
-        unit = abs(schatten_norm(Y, dual_exponent(p)) - 1.0)
+        attained = abs(complex(np.vdot(Y, X)) - norms[p])
+        unit = abs(schatten_norm(Y, _DUAL[p]) - 1.0)
         cases.append((max(attained, unit), _P_LABELS[p]))
     return {"shape": [n, m]}, cases
 
@@ -339,8 +342,8 @@ def _hoelder_trial(rng):
     m = int(rng.integers(2, 7))
     X = _random_matrix(rng, n, m)
     Y = _random_matrix(rng, n, m)
-    x, y, overlap = _grid_norms(X), _grid_norms(Y), abs(inner(X, Y))
-    cases = [(max(0.0, overlap - x[p] * y[dual_exponent(p)]), _P_LABELS[p]) for p in _EXPONENT_GRID]
+    x, y, overlap = _grid_norms(X), _grid_norms(Y), abs(complex(np.vdot(X, Y)))
+    cases = [(max(0.0, overlap - x[p] * y[_DUAL[p]]), _P_LABELS[p]) for p in _EXPONENT_GRID]
     return {"shape": [n, m]}, cases
 
 
@@ -351,10 +354,8 @@ def _block_bounds_trial(rng):
     h = int(rng.integers(1, 4))
     w = int(rng.integers(1, 4))
     X = _random_matrix(rng, br * h, bc * w)
-    spectra = _block_spectra(X, br, bc)
     cases = []
-    for p in _EXPONENT_GRID:
-        lhs, rhs = _block_bounds(spectra, p)
+    for p, (lhs, rhs) in zip(_EXPONENT_GRID, _block_bounds(_block_spectra(X, br, bc), _EXPONENT_GRID)):
         slack = lhs - rhs if p <= 2.0 else rhs - lhs
         r = abs(slack) if p == 2.0 else max(0.0, slack)
         cases.append((r, _P_LABELS[p]))

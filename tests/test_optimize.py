@@ -297,63 +297,18 @@ def test_random_starts_match_a_per_restart_reference(q, constraint):
         np.testing.assert_array_equal(starts[r], G / schatten_norm(G, q))
 
 
-@pytest.mark.parametrize("q", EXPONENTS)
-@pytest.mark.parametrize("constraint", ["full", "hermitian", "psd"])
-def test_memoized_start_stacks_give_bit_identical_estimates(q, constraint):
-    phi = random_cp_channel(2, 2, 2, 61) if constraint == "psd" else random_superop(2, 2, 2, 61)
-    cfg = OptimizerConfig(restarts=8, seed=11)
-    for k in (0, 2):
-        query = NormQuery(q, 3.0, constraint == "hermitian", k)
-        route = cp_norm if constraint == "psd" else norm_q_to_p
-        optimize._memo_start_stack.cache_clear()
-        cold = route(phi, query, cfg)
-        hits = optimize._memo_start_stack.cache_info().hits
-        warm = route(phi, query, cfg)
-        assert optimize._memo_start_stack.cache_info().hits == hits + 1
-        assert warm.value == cold.value and warm.converged == cold.converged
-        np.testing.assert_array_equal(warm.achiever, cold.achiever)
-
-
-def test_memoized_stack_is_read_only_and_outlives_a_capped_ascent():
-    # the ascent writes its rows into the start stack it gets, so it must get a
-    # copy: the memoized stack is the same after an ascent stopped by the cap
-    optimize._memo_start_stack.cache_clear()
-    phi, cfg = random_superop(3, 2, 3, 60), OptimizerConfig(restarts=7, max_iterations=3, seed=4)
-    optimize._ascend(phi, 2, [(1.5, 3.0, "full")], cfg)
-    memo = optimize._memo_start_stack(3, 2, 1.5, "full", 7, 4)
-    assert optimize._memo_start_stack.cache_info().hits == 1
-    assert not memo.flags.writeable
-    with pytest.raises(ValueError):
-        memo[0, 0, 0] = 0.0
-    np.testing.assert_array_equal(memo, optimize._build_start_stack(3, 2, 1.5, "full", 7, 4))
-    assert optimize._start_stack(3, 2, 1.5, "full", cfg).flags.writeable
-
-
 def test_every_key_field_changes_the_start_stack():
     base = dict(base=3, anc=2, q=1.5, constraint="full")
     cfg = OptimizerConfig(restarts=9, seed=5)
     reference = optimize._start_stack(**base, cfg=cfg)
-    # max_iterations is not part of the key: the same stack, from the memo
-    hits = optimize._memo_start_stack.cache_info().hits
+    # max_iterations is not part of the key: the same stack
     capped = OptimizerConfig(restarts=9, max_iterations=7, seed=5)
     np.testing.assert_array_equal(optimize._start_stack(**base, cfg=capped), reference)
-    assert optimize._memo_start_stack.cache_info().hits == hits + 1
     for field, value in [("base", 2), ("anc", 3), ("q", 3.0), ("constraint", "hermitian")]:
         other = optimize._start_stack(**{**base, field: value}, cfg=cfg)
         assert not np.array_equal(other, reference), field
     for other_cfg in (OptimizerConfig(restarts=10, seed=5), OptimizerConfig(restarts=9, seed=6)):
         assert not np.array_equal(optimize._start_stack(**base, cfg=other_cfg), reference), other_cfg
-
-
-@pytest.mark.parametrize("restarts, base, anc, kept", [(16, 8, 8, True), (32, 4, 12, False)])
-def test_start_stacks_over_the_memo_cap_are_not_retained(restarts, base, anc, kept):
-    # 16 x 64^2 = 2^16 entries is the largest stack kept; 32 x 48^2 is built fresh
-    optimize._memo_start_stack.cache_clear()
-    cfg = OptimizerConfig(restarts=restarts, seed=8)
-    stack = optimize._start_stack(base, anc, 2.0, "hermitian", cfg)
-    assert optimize._memo_start_stack.cache_info().currsize == int(kept)
-    assert stack.flags.writeable
-    np.testing.assert_array_equal(stack, optimize._build_start_stack(base, anc, 2.0, "hermitian", restarts, 8))
 
 
 def reference_side(Z, keys, pairs, first, whole):
@@ -937,7 +892,6 @@ def test_default_queries_keep_their_lapack_calls(query, monkeypatch):
     runs = []
     for rows in (linalg._CLOSED_FORM_ROWS, 10**9):
         monkeypatch.setattr(linalg, "_CLOSED_FORM_ROWS", rows)
-        optimize._memo_start_stack.cache_clear()
         with monkeypatch.context() as m:
             calls = _spy_decompositions(m)
             runs.append((calls, norm_q_to_p(phi, query)))

@@ -24,6 +24,8 @@ from supernorms import (
     singular_values,
 )
 
+from supernorms.schatten import _spectrum_pnorms
+
 from conftest import COUNTS, check_count, complex_matrix
 
 EXPONENTS = [1.0, 1.5, 2.0, 3.0, math.inf]
@@ -116,6 +118,57 @@ def test_pnorm_peak_scaling_avoids_overflow():
 
 def test_pnorm_zero_spectrum():
     assert pnorm(np.zeros(3), 2.5) == 0.0
+
+
+@pytest.mark.parametrize("p", EXPONENTS)
+def test_empty_spectra_have_norm_zero_and_empty_weights(p):
+    # every exponent answers as p = 1 and q = inf always did
+    assert pnorm([], p) == 0.0
+    assert _spectrum_pnorms([], [p]) == [0.0]
+    np.testing.assert_array_equal(pnorm(np.zeros((3, 0)), p), np.zeros(3))
+    assert holder_weights([], p).shape == (0,)
+    assert holder_weights(np.zeros((3, 0)), p).shape == (3, 0)
+
+
+def _reference_pnorm(values, p):
+    # pnorm's batched formula on one spectrum: keepdims peak, squeezed scale
+    a = np.abs(np.asarray(values, dtype=float))
+    if math.isinf(p):
+        return float(a.max(axis=-1))
+    if p < 1.0001:
+        a = np.where(a < 1e-300, 0.0, a)
+    if p == 1.0:
+        return float(a.sum(axis=-1))
+    peak = a.max(axis=-1, keepdims=True)
+    safe = np.where(peak > 0.0, peak, 1.0)
+    return float(((a / safe) ** p).sum(axis=-1) ** (1.0 / p) * np.squeeze(safe, axis=-1))
+
+
+def _table_spectra():
+    rng = np.random.default_rng(2027)
+    for n in range(1, 13):
+        for scale in (1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300):
+            s = np.sort(rng.random(n))[::-1] * scale
+            yield s
+            yield np.where(rng.random(n) < 0.4, 0.0, s)  # with zeros
+        yield np.zeros(n)
+        tiny = rng.random(n) * 1e-301  # every entry under the floor
+        yield tiny
+        yield np.concatenate([rng.random(n), tiny])  # some entries under it
+        yield -rng.standard_normal(n)  # signed, as eigenvalue spectra are
+
+
+def test_spectrum_pnorms_match_pnorm_bit_for_bit():
+    exponents = (1.0, 1.00005, 1.5, 2.0, 3.0, 7.3, math.inf)
+    count = 0
+    for s in _table_spectra():
+        got = _spectrum_pnorms(s, exponents)
+        assert all(type(v) is float for v in got)
+        for p, v in zip(exponents, got):
+            want = _reference_pnorm(s, p)
+            assert v.hex() == want.hex() == float(pnorm(s, p)).hex(), (s, p)
+        count += 1
+    assert count == 12 * 18
 
 
 def test_singular_values_sorted():

@@ -482,17 +482,3 @@ def test_stacked_claims_ask_through_norm_q_to_p(monkeypatch):
     lists.clear()
     verify("lemma1", seed=8, trials=2, restarts=2)
     assert lists == [("norm_q_to_p", 25), ("cp_norm", 25), ("cp_norm", 25)] * 2
-
-
-def test_start_stack_memo_leaves_the_reports_unchanged(monkeypatch):
-    # a trial's ascents share start stacks through the memo; bypassing it must
-    # give the same reports, in process and with forked workers, which inherit
-    # the calling process's memo
-    for claim in ("theorem1", "lemma1", "theorem2", "theorem3"):
-        for cpus in (1, 2):
-            monkeypatch.setattr(verify_module, "_usable_cpus", lambda: cpus)
-            shipped = verify(claim, seed=5, trials=2, restarts=4).to_json()
-            with monkeypatch.context() as bypass:
-                bypass.setattr(optimize, "_memo_start_stack", optimize._build_start_stack)
-                assert verify(claim, seed=5, trials=2, restarts=4).to_json() == shipped, (claim, cpus)
-            assert multiprocessing.active_children() == []
