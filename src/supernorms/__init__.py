@@ -60,14 +60,14 @@ from .optimize import (
     NormEstimate,
     NormQuery,
     OptimizerConfig,
-    brute_force_oracle,
     cp_norm,
-    explore_open_question,
     factorization_bound,
     norm_1_to_p,
     norm_q_to_p,
     stabilized_norm,
 )
+from .oracle import brute_force_oracle
+from .explore import explore_open_question
 from .serialize import (
     channel_from_json,
     channel_from_obj,

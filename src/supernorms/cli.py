@@ -22,13 +22,8 @@ from numpy.linalg import LinAlgError
 
 from .channels import EXAMPLE_NAMES, build_example
 from .errors import InvalidInputError
-from .optimize import (
-    NormQuery,
-    OptimizerConfig,
-    explore_open_question,
-    norm_q_to_p,
-    stabilized_norm,
-)
+from .explore import explore_open_question
+from .optimize import NormQuery, OptimizerConfig, norm_q_to_p, stabilized_norm
 from .schatten import parse_exponent, schatten_norm
 from .serialize import channel_to_json, load_channel, load_matrix
 from .superop import difference

@@ -78,16 +78,37 @@ def singular_values(X) -> np.ndarray:
     return np.linalg.svd(as_matrix(X), compute_uv=False)
 
 
+def _real_spectrum(values, what: str) -> np.ndarray:
+    """``values`` as a float array of at least one axis; non-real, non-finite
+    and 0-d input is refused, with ``what`` naming the caller."""
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind not in "biufO":
+            raise TypeError(f"got dtype {a.dtype}")
+        a = a.astype(float, copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what} entries must be real numbers: {exc}") from exc
+    if a.ndim == 0:
+        raise InvalidInputError(f"{what} needs an array of at least one axis, got a scalar")
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{what} entries must be finite (no NaN or Inf)")
+    return a
+
+
 def pnorm(values, p, axis: int = -1):
     """p-norm of a (possibly batched) spectrum along ``axis``.
 
     Scales by the peak entry before powering so large exponents neither
     overflow nor underflow.  An empty spectrum has norm 0 at every exponent.
     A 1-D spectrum gives a float, computed as :func:`_spectrum_pnorms` does.
+    Non-real or non-finite entries, 0-d input and an axis out of range raise
+    :class:`InvalidInputError`.
     """
     p = require_exponent(p)
-    a = np.asarray(values, dtype=float)
-    if a.ndim == 1 and axis in (0, -1):
+    a = _real_spectrum(values, "pnorm")
+    if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not -a.ndim <= axis < a.ndim:
+        raise InvalidInputError(f"pnorm axis must be an integer in [{-a.ndim}, {a.ndim}), got {axis!r}")
+    if a.ndim == 1:
         return _spectrum_pnorms(a, (p,))[0]
     a = np.abs(a)
     if a.size == 0:
@@ -148,10 +169,16 @@ def holder_weights(values, ball_exponent) -> np.ndarray:
     (first index on ties), q = inf weights every nonzero entry by its sign,
     and finite q > 1 uses magnitudes to the power 1/(q-1).  Rows that are
     entirely zero come back as zero weights, and an empty spectrum as empty
-    weights.  Operates on the last axis.
+    weights.  Operates on the last axis.  Non-real or non-finite entries and
+    0-d input raise :class:`InvalidInputError`.
     """
     q = require_exponent(ball_exponent)
-    v = np.asarray(values, dtype=float)
+    return _holder_weights(_real_spectrum(values, "holder_weights"), q)
+
+
+def _holder_weights(v: np.ndarray, q: float) -> np.ndarray:
+    """:func:`holder_weights` of the float array ``v`` at the validated
+    exponent ``q``, unchecked, for the ascent's half-steps."""
     a = np.abs(v)
     sign = np.sign(v)
     if math.isinf(q) or v.size == 0:
@@ -185,7 +212,7 @@ def _duality_witnesses(A: np.ndarray, exponents) -> list:
     U, s, Vh = np.linalg.svd(A, full_matrices=False)
     if s[0] <= 0.0:
         raise InvalidInputError("duality witness is undefined for the zero matrix")
-    return [(U * holder_weights(s, dual_exponent(p))) @ Vh for p in exponents]
+    return [(U * _holder_weights(s, dual_exponent(p))) @ Vh for p in exponents]
 
 
 def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, np.ndarray]:

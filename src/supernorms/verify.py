@@ -59,10 +59,10 @@ from .optimize import (
     OptimizerConfig,
     _factorization_bounds,
     _norms,
-    brute_force_oracle,
     norm_1_to_p,
     norm_q_to_p,
 )
+from .oracle import brute_force_oracle
 from .schatten import (
     _block_bounds,
     _block_spectra,

@@ -1,6 +1,9 @@
 """One table of refusals: every public entry point that takes a count, seed or
 size refuses the value just below its minimum, or an instance over the array
-limit, with the one message form of ``supernorms.errors``."""
+limit, with the one message form of ``supernorms.errors``; ``pnorm`` and
+``holder_weights`` refuse a malformed spectrum or axis the same way."""
+
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +20,10 @@ from supernorms import (
     claim_ids,
     claim_tolerance,
     explore_open_question,
+    holder_weights,
     identity_superop,
     norm_q_to_p,
+    pnorm,
     random_cp_channel,
     random_superop,
     random_unitary,
@@ -64,6 +69,23 @@ REFUSALS = [
     ),
     ("verify trials", lambda: verify("duality", trials=0), "trials must be >= 1, got 0"),
     ("verify restarts", lambda: verify("duality", trials=2, restarts=0), "restarts must be >= 1, got 0"),
+    ("pnorm(str)", lambda: pnorm("abc", 2), "pnorm entries must be real numbers: got dtype <U3"),
+    ("pnorm(complex)", lambda: pnorm([[1 + 1j]], 2), "pnorm entries must be real numbers: got dtype complex128"),
+    ("pnorm(0-d)", lambda: pnorm(3.0, 2), "pnorm needs an array of at least one axis, got a scalar"),
+    ("pnorm(axis=1)", lambda: pnorm(np.ones(3), 2, axis=1), "pnorm axis must be an integer in [-1, 1), got 1"),
+    ("pnorm(nan)", lambda: pnorm([1, math.nan], 2), "pnorm entries must be finite (no NaN or Inf)"),
+    ("pnorm(inf)", lambda: pnorm([1, math.inf], 2), "pnorm entries must be finite (no NaN or Inf)"),
+    (
+        "holder_weights(0-d)",
+        lambda: holder_weights(3.0, 1),
+        "holder_weights needs an array of at least one axis, got a scalar",
+    ),
+    (
+        "holder_weights(complex)",
+        lambda: holder_weights([1j], 2),
+        "holder_weights entries must be real numbers: got dtype complex128",
+    ),
+    ("holder_weights(nan)", lambda: holder_weights([1, math.nan], 3), "holder_weights entries must be finite (no NaN or Inf)"),
 ]
 
 

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from supernorms import (
     choi_matrix,
     cp_norm,
     difference,
-    explore_open_question,
     factorization_bound,
     holder_weights,
     identity_superop,
@@ -37,7 +38,7 @@ from supernorms import (
     stabilized_norm,
     tensor_identity,
 )
-from supernorms import linalg, optimize
+from supernorms import linalg, optimize, oracle, schatten
 from supernorms.schatten import dual_exponent
 from supernorms.superop import _dagger, _kraus_kernel
 
@@ -986,6 +987,55 @@ def test_factorization_bound_runs_its_cp_sides_on_at_most_dim_in(monkeypatch):
         assert lhs <= rhs + 2e-3
 
 
+def test_half_steps_take_no_spectrum_checks(monkeypatch):
+    # the public pnorm and holder_weights check their input; the half-steps
+    # take the unchecked forms, so the checks run as often at 1 iteration as
+    # at 60, on every witness route (SVD, eigh, PSD, rank one, exponent 2)
+    checks = []
+    check = schatten._real_spectrum
+    monkeypatch.setattr(schatten, "_real_spectrum", lambda *args: checks.append(1) or check(*args))
+    phi, cp = random_superop(2, 3, 2, 44), random_cp_channel(2, 2, 2, 45)
+    queries = [NormQuery(q, p, herm) for herm in (False, True) for q, p in ((1.5, 3.0), (1.0, math.inf), (2.0, 2.0))]
+    counts = []
+    for iterations in (1, 60):
+        cfg = OptimizerConfig(restarts=4, max_iterations=iterations)
+        checks.clear()
+        norm_q_to_p(phi, queries, cfg)
+        cp_norm(cp, queries[:3], cfg)
+        counts.append(len(checks))
+    assert counts[0] == counts[1]
+
+
+def _runtime_imports(module) -> dict:
+    """The names each ``from`` import of a package module takes at run time,
+    by the package module it names; ``if TYPE_CHECKING:`` blocks are skipped."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    typing_only = {
+        id(node)
+        for stmt in tree.body
+        if isinstance(stmt, ast.If) and ast.unparse(stmt.test) == "TYPE_CHECKING"
+        for node in ast.walk(stmt)
+    }
+    taken = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and id(node) not in typing_only:
+            name = node.module or ""
+            if node.level == 0 and name.startswith("supernorms."):
+                name = name[len("supernorms."):]
+            elif node.level != 1:
+                continue
+            taken.setdefault(name, set()).update(alias.name for alias in node.names)
+    return taken
+
+
+def test_the_oracle_and_the_ascent_share_one_binding():
+    assert not {"optimize", "explore"} & set(_runtime_imports(oracle))
+    taken = _runtime_imports(optimize)
+    assert taken["oracle"] == {"brute_force_oracle"} and "explore" not in taken
+    # the benchmark calls and traces the oracle as supernorms.optimize.brute_force_oracle
+    assert optimize.brute_force_oracle is oracle.brute_force_oracle
+
+
 def test_oracle_identity_small_grid():
     v = brute_force_oracle(identity_superop(2), NormQuery(1.0, 1.0), 50)
     assert v == pytest.approx(1.0, abs=1e-3)
@@ -1115,14 +1165,14 @@ def test_oracle_chunk_holds_at_most_2_16_output_entries(monkeypatch):
     # a chunk's outputs, not its grid points, bound the oracle's memory
     phi = random_superop(2, 6, 2, 54)
     batches = []
-    flat_sq_pnorm = optimize._flat_sq_pnorm
+    flat_sq_pnorm = oracle._flat_sq_pnorm
 
     def spy(flat, d, p, ws, *hermitian):
         if d == 6:
             batches.append(flat.shape[0])
         return flat_sq_pnorm(flat, d, p, ws, *hermitian)
 
-    monkeypatch.setattr(optimize, "_flat_sq_pnorm", spy)
+    monkeypatch.setattr(oracle, "_flat_sq_pnorm", spy)
     got = brute_force_oracle(phi, NormQuery(2.0, 1.0, True), 64)
     assert len(batches) > 1
     assert all(batch * 36 <= 2**16 for batch in batches)
@@ -1139,14 +1189,14 @@ def test_oracle_rank_one_walk_splits_a_state_grid_larger_than_a_chunk(monkeypatc
     # 36 Bloch states against a 20-point chunk: each chunk is one u times a run of v
     phi = random_superop(2, 2, 2, 55)
     batches = []
-    flat_sq_pnorm = optimize._flat_sq_pnorm
+    flat_sq_pnorm = oracle._flat_sq_pnorm
 
     def spy(flat, d, p, ws, *hermitian):
         batches.append(flat.shape[0])
         return flat_sq_pnorm(flat, d, p, ws, *hermitian)
 
-    monkeypatch.setattr(optimize, "_ORACLE_CHUNK_ENTRIES", 80)
-    monkeypatch.setattr(optimize, "_flat_sq_pnorm", spy)
+    monkeypatch.setattr(oracle, "_ORACLE_CHUNK_ENTRIES", 80)
+    monkeypatch.setattr(oracle, "_flat_sq_pnorm", spy)
     got = brute_force_oracle(phi, NormQuery(1.0, 3.0), 6)
     assert sum(batches) == 6**4 and max(batches) == 20
     X = _full_oracle_grid(1.0, False, 6)
@@ -1168,7 +1218,7 @@ def test_sphere_chunks_walk_the_meshgrid_in_row_major_order(R, n_polar, lead, ch
     thetas = np.linspace(0.0, math.pi, R)
     axes = [thetas[:lead]] + [thetas] * (n_polar - 1) + [np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)]
     # each chunk is a view of one buffer that the next chunk overwrites
-    chunks = [x.copy() for x in optimize._sphere_chunks(axes, chunk)]
+    chunks = [x.copy() for x in oracle._sphere_chunks(axes, chunk)]
     assert all(len(x) <= chunk for x in chunks)
     if chunk >= R ** (n_polar + 1):
         assert len(chunks) == 1
@@ -1192,12 +1242,12 @@ def test_two_by_two_output_norms_match_the_svd(p):
         "nearly rank one": rank_one + 1e-9 * cplx(200, 2, 2),
         "scaled unitaries": unitaries,
     }
-    ws = optimize._Workspace(200, 2)
+    ws = oracle._Workspace(200, 2)
     for name, M in stacks.items():
-        got = optimize._flat_sq_pnorm(M.reshape(-1, 4), 2, p, ws)
+        got = oracle._flat_sq_pnorm(M.reshape(-1, 4), 2, p, ws)
         want = pnorm(np.linalg.svd(M, compute_uv=False), p)
         np.testing.assert_allclose(got, want**2, rtol=1e-12, atol=0.0, err_msg=name)
-    zero = optimize._flat_sq_pnorm(np.zeros((5, 4), dtype=np.complex128), 2, p, ws)
+    zero = oracle._flat_sq_pnorm(np.zeros((5, 4), dtype=np.complex128), 2, p, ws)
     np.testing.assert_allclose(zero, 0.0, rtol=0.0, atol=1e-15)
 
 
@@ -1213,7 +1263,7 @@ def test_oracle_on_unitaries_stays_below_the_norm():
 def test_oracle_hermitian_input_norm_holds_along_the_last_angle(monkeypatch, q, entries):
     # chunks of 5 points are parts of one run of the last angle, chunks of
     # 24 points whole runs of it; the input norm is taken once per run
-    monkeypatch.setattr(optimize, "_ORACLE_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(oracle, "_ORACLE_CHUNK_ENTRIES", entries)
     phi = random_superop(2, 2, 2, 57)
     for R in (12, 11):
         X = _full_oracle_grid(q, True, R)
@@ -1269,16 +1319,16 @@ def test_run_head_norms_are_the_per_chunk_heads_bit_for_bit(q, R):
     # head's input norm; taken once per call, the norms are the bits the walk
     # took chunk by chunk from each chunk's heads x[::R] (R = 100 and 400 are
     # the criterion-9 and oracle_grid resolutions, whose chunks are whole runs)
-    basis = optimize._SPHERE_BASES[True, True]
+    basis = oracle._SPHERE_BASES[True, True]
     thetas = np.linspace(0.0, math.pi, R)
     phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
     axes = [thetas[: R // 2 if R % 2 == 0 else R], thetas, phis]
-    chunk = optimize._ORACLE_CHUNK_ENTRIES // 4
-    ws, real, want = optimize._Workspace(chunk // R, 2), basis.view(np.float64), []
-    for x in optimize._sphere_chunks(axes, chunk):
+    chunk = oracle._ORACLE_CHUNK_ENTRIES // 4
+    ws, real, want = oracle._Workspace(chunk // R, 2), basis.view(np.float64), []
+    for x in oracle._sphere_chunks(axes, chunk):
         inputs = np.matmul(x[::R], real, out=ws.out[: len(x) // R])
-        want.append(optimize._flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws).copy())
-    got = optimize._run_head_sq_norms(axes, basis, q, chunk)
+        want.append(oracle._flat_sq_pnorm(inputs.view(np.complex128), 2, q, ws).copy())
+    got = oracle._run_head_sq_norms(axes, basis, q, chunk)
     np.testing.assert_array_equal(got, np.concatenate(want))
 
 
@@ -1299,7 +1349,7 @@ def test_oracle_hermitian_finite_q_on_scalar_outputs(R, entries, monkeypatch):
     # output dimension: a 1x1 output's buffer holds a quarter of a head, too
     # short at R = 2 and 3 and, at a 2^10-entry chunk, once the heads (R = 40
     # or 41) outnumber a quarter of the chunk, as they do at R = 400 by default
-    monkeypatch.setattr(optimize, "_ORACLE_CHUNK_ENTRIES", entries)
+    monkeypatch.setattr(oracle, "_ORACLE_CHUNK_ENTRIES", entries)
     rng = np.random.default_rng(7)
     maps = (
         SuperOp.from_kraus(np.array([[[1.0, 0.0]], [[0.0, 1.0]]])),
@@ -1346,51 +1396,6 @@ def test_oracle_rejects_out_of_scope_queries():
         brute_force_oracle(phi, NormQuery(1.0, 1.0, False, 2), 10)
     with pytest.raises(UnsupportedInstanceError):
         brute_force_oracle(random_superop(3, 2, 2, 40), NormQuery(1.0, 1.0), 10)
-
-
-def test_explore_ancilla_profile_for_transpose(quick_cfg):
-    out = explore_open_question(build_example("transpose(2)"), 2, config=quick_cfg)
-    assert out["question"] == 2
-    assert out["q"] == "1.0" and out["p"] == "1.0"
-    values = [row["value"] for row in out["profile"]]
-    assert [row["ancilla"] for row in out["profile"]] == [1, 2, 3, 4]
-    assert values[0] == pytest.approx(1.0, abs=2e-3)
-    for v in values[1:]:
-        assert v == pytest.approx(2.0, abs=2e-3)
-
-
-def test_explore_representation_products(quick_cfg):
-    phi = random_cp_channel(2, 2, 1, 41)
-    out = explore_open_question(phi, 1, p=1.0, samples=3, config=quick_cfg)
-    assert out["question"] == 1
-    assert len(out["samples"]) == 3
-    assert out["samples"][0]["sample"] == 0
-    products = [r["product"] for r in out["samples"]]
-    assert out["min_product"] == min(products)
-    # representation-independent upper bound: stabilized^2 <= every product
-    assert out["stabilized_squared"] <= out["min_product"] + 2e-2
-
-
-def test_explore_cp_profile_includes_hermitian_column(quick_cfg):
-    phi = random_cp_channel(2, 2, 2, 42)
-    out = explore_open_question(phi, 3, p=2.0, config=quick_cfg)
-    for row in out["profile"]:
-        assert abs(row["value"] - row["hermitian_value"]) <= 2e-3
-
-
-def test_explore_validation(quick_cfg):
-    with pytest.raises(PreconditionError):
-        explore_open_question(build_example("transpose(2)"), 3, config=quick_cfg)
-    with pytest.raises(InvalidInputError):
-        explore_open_question(identity_superop(2), 4, config=quick_cfg)
-    with pytest.raises(UnsupportedInstanceError):
-        explore_open_question(random_superop(4, 4, 2, 0), 2, config=quick_cfg)
-    for samples in (0, -5):
-        with pytest.raises(InvalidInputError, match="samples must be >= 1"):
-            explore_open_question(identity_superop(2), 1, samples=samples, config=quick_cfg)
-    for field, bad in (("question", 2.9), ("question", True), ("samples", 2.7), ("samples", False)):
-        with pytest.raises(InvalidInputError, match=f"{field} must be a whole number"):
-            explore_open_question(identity_superop(2), **{"question": 2, field: bad}, config=quick_cfg)
 
 
 def test_norm_wrapper_routes_match(quick_cfg):
