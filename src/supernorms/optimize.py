@@ -41,6 +41,8 @@ stopping tolerance, not bit for bit.
 
 The start stack depends on ``(dim_in, ancilla, q, constraint, restarts,
 seed)`` only, not on the map, so each distinct key is built once per ascent.
+Its random rows come from one generator per stack, restart after restart, so
+fewer restarts take a prefix of the same rows.
 
 ``norm_q_to_p`` given a sequence of queries on one map runs one such ascent
 per ancilla the queries run on, and given one query the one-cell ascent;
@@ -62,7 +64,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PreconditionError, require_count, require_entries
 from .linalg import _batched_eigh, _batched_svd
-from .schatten import _holder_weights, _spectrum_pnorms, dual_exponent, pnorm, require_exponent
+from .schatten import _holder_weights, dual_exponent, pnorm, require_exponent
 from .superop import (
     SuperOp,
     _dagger,
@@ -197,22 +199,19 @@ def _rebuild(U: np.ndarray, w: np.ndarray, Vh: np.ndarray) -> np.ndarray:
     return (U * w[..., None, :]) @ Vh
 
 
-def _unit_vector(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return z / np.linalg.norm(z)
-
-
 def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerConfig) -> np.ndarray:
     """Initial iterates on the base (x) ancilla space: deterministic guesses in
     the first slots (maximally entangled projector when anc >= 2, normalized
     identity, uniform-superposition projector), Gaussian draws after that.
 
-    The stack depends on ``(base, anc, q, constraint, cfg.restarts,
-    cfg.seed)`` only, not on the map or ``max_iterations``; the ascent
-    overwrites it."""
+    The draws come from one generator seeded with ``cfg.seed``, in one call,
+    restart after restart, so the stack at ``restarts = r`` is the first r
+    rows of any longer one.  At q = 1 each draw is rank one, ``u v*`` of unit
+    vectors (``u u*`` under a constraint); otherwise it is a Gaussian matrix,
+    Hermitian or PSD as the constraint asks, over its q-norm.  The stack
+    depends on ``(base, anc, q, constraint, cfg.restarts, cfg.seed)`` only,
+    not on the map or ``max_iterations``; the ascent overwrites it."""
     n = base * anc
-    restarts = cfg.restarts
-    starts = np.zeros((restarts, n, n), dtype=np.complex128)
     hints = []
     if anc >= 2:
         m = min(base, anc)
@@ -222,29 +221,25 @@ def _start_stack(base: int, anc: int, q: float, constraint: str, cfg: OptimizerC
     hints.append(np.eye(n, dtype=np.complex128) / pnorm(np.ones(n), q))
     u = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
     hints.append(np.outer(u, u.conj()))
-    n_hints = min(len(hints), restarts)
-    for i in range(n_hints):
-        starts[i] = hints[i]
-    streams = np.random.SeedSequence(cfg.seed).spawn(restarts)
-    for r in range(n_hints, restarts):
-        rng = np.random.default_rng(streams[r])
-        if q == 1.0:
-            u = _unit_vector(rng, n)
-            v = u if constraint in ("hermitian", "psd") else _unit_vector(rng, n)
-            starts[r] = np.outer(u, v.conj())
-            continue
-        G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        if constraint == "hermitian":
-            G = (G + G.conj().T) / 2.0
-        elif constraint == "psd":
-            G = G.conj().T @ G
-        starts[r] = G
-    if q != 1.0:
-        # one batched SVD; each start's norm is pnorm's, taken unchecked on its
-        # own row, because a batched pnorm can differ from it in the last bit
-        drawn = starts[n_hints:]
-        for G, s in zip(drawn, np.linalg.svd(drawn, compute_uv=False)):
-            G /= _spectrum_pnorms(s, (q,))[0]
+    starts = np.empty((cfg.restarts, n, n), dtype=np.complex128)
+    n_hints = min(len(hints), cfg.restarts)
+    starts[:n_hints] = hints[:n_hints]
+    drawn = starts[n_hints:]
+    if not len(drawn):
+        return starts
+    rng = np.random.default_rng(cfg.seed)
+    if q == 1.0:
+        # (real, imaginary) pairs viewed as complex entries
+        z = rng.standard_normal((len(drawn), 2 if constraint == "full" else 1, n, 2)).view(np.complex128)[..., 0]
+        z /= np.linalg.norm(z, axis=-1, keepdims=True)
+        np.multiply(z[:, 0, :, None], z[:, -1, None, :].conj(), out=drawn)
+        return starts
+    G = rng.standard_normal((len(drawn), n, n, 2)).view(np.complex128)[..., 0]
+    if constraint == "hermitian":
+        G = _hermitian_part(G)
+    elif constraint == "psd":
+        G = G.conj().transpose(0, 2, 1) @ G
+    np.divide(G, pnorm(np.linalg.svd(G, compute_uv=False), q, axis=-1)[:, None, None], out=drawn)
     return starts
 
 

@@ -24,7 +24,8 @@ public ``schatten_norm``.
 
 Every randomized claim records each trial as its fields followed by
 ``residual`` (the trial's first largest residual) and ``worst_case`` (that
-case's label).  The five claims on random maps are generators of
+case's label, or ``""`` at a residual of at most 1e-10, where rounding picks
+the case).  The five claims on random maps are generators of
 ``(residual, label)`` cases on one seeded map per trial.  A trial asks all
 its queries on one map at once, so they run as one stacked ascent per
 ancilla size: ``theorem1`` one of 50 cells through ``norm_q_to_p``, and
@@ -170,14 +171,19 @@ def _run_trials(salt, trial, seed, trials, restarts):
     return [trial(i, s, restarts) for i, s in enumerate(seeds)]
 
 
+# at a largest residual this small, which case attains it is set by rounding
+_LABEL_FLOOR = 1e-10
+
+
 def _record(i, fields, cases) -> dict:
     """Trial i's record: its fields, then the first largest residual over
-    ``(residual, label)`` cases and that case's label."""
+    ``(residual, label)`` cases and that case's label, or ``""`` where the
+    residual is at most ``_LABEL_FLOOR``."""
     worst, at = 0.0, ""
     for r, label in cases:
         if r > worst:
             worst, at = r, label
-    return {"trial": i, **fields, "residual": worst, "worst_case": at}
+    return {"trial": i, **fields, "residual": worst, "worst_case": at if worst > _LABEL_FLOOR else ""}
 
 
 def _map_trial(cp, cases, i, seed, restarts):

@@ -16,6 +16,12 @@ writes nothing: it lists each channel file and each case whose output
 differs byte for byte from the committed file, and exits 1 if any does.
 Other BLAS kernels move last bits, so this byte check is for local use; the
 test gate compares floats to a tolerance.
+
+The committed files were written with numpy 2.4.6 on its bundled
+scipy-openblas 0.3.31 at that library's default kernel on the machine,
+OpenBLAS core ``SkylakeX`` (as ``scipy_openblas_get_corename64_`` in numpy's
+bundled library reports it), so ``--check`` passes byte for byte only on that
+kernel.
 """
 
 from __future__ import annotations

@@ -282,20 +282,70 @@ def test_rank_one_sides_decompose_only_in_the_first_iteration(monkeypatch):
 
 @pytest.mark.parametrize(
     "q, constraint",
-    [(1.5, "full"), (3.0, "hermitian"), (1.5, "psd"), (math.inf, "full"), (2.0, "hermitian")],
+    [
+        (1.5, "full"), (3.0, "hermitian"), (1.5, "psd"), (math.inf, "full"), (2.0, "hermitian"),
+        (1.0, "full"), (1.0, "psd"),
+    ],
 )
 def test_random_starts_match_a_per_restart_reference(q, constraint):
+    # one generator seeded with the seed, drawn restart by restart: each
+    # complex entry is a (real, imaginary) pair of consecutive normals
     cfg = OptimizerConfig(restarts=9, seed=5)
     starts = optimize._start_stack(3, 2, q, constraint, cfg)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    rng = np.random.default_rng(cfg.seed)
     for r in range(3, cfg.restarts):  # after the three deterministic hints
-        rng = np.random.default_rng(streams[r])
-        G = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        if q == 1.0:
+            z = rng.standard_normal((2 if constraint == "full" else 1, 6, 2))
+            vectors = [w / np.linalg.norm(w) for w in z[..., 0] + 1j * z[..., 1]]
+            u, v = vectors[0], vectors[-1]
+            np.testing.assert_allclose(starts[r], np.outer(u, v.conj()), rtol=1e-14, atol=1e-16)
+            continue
+        z = rng.standard_normal((6, 6, 2))
+        G = z[..., 0] + 1j * z[..., 1]
         if constraint == "hermitian":
             G = (G + G.conj().T) / 2.0
         elif constraint == "psd":
             G = G.conj().T @ G
-        np.testing.assert_array_equal(starts[r], G / schatten_norm(G, q))
+        # the stack takes its norms in one batched pnorm, which may differ
+        # from schatten_norm's one-row path in the last bit
+        np.testing.assert_allclose(starts[r], G / schatten_norm(G, q), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("anc", [1, 2])
+@pytest.mark.parametrize("constraint", ["full", "hermitian", "psd"])
+@pytest.mark.parametrize("q", [1.0, 1.5, math.inf])
+def test_fewer_restarts_take_a_prefix_of_the_start_stack(q, constraint, anc):
+    short = optimize._start_stack(3, anc, q, constraint, OptimizerConfig(restarts=9, seed=8))
+    full = optimize._start_stack(3, anc, q, constraint, OptimizerConfig(restarts=32, seed=8))
+    np.testing.assert_array_equal(short, full[:9])
+
+
+@pytest.mark.parametrize("anc", [1, 2])
+@pytest.mark.parametrize("constraint", ["full", "hermitian", "psd"])
+@pytest.mark.parametrize("q", [1.0, 1.5, 2.0, math.inf])
+def test_start_stack_rows_are_feasible_and_hints_keep_their_bits(q, constraint, anc):
+    n = 3 * anc
+    omega = np.zeros(n, dtype=np.complex128)
+    omega[[i * anc + i for i in range(min(3, anc))]] = 1.0 / math.sqrt(min(3, anc))
+    uniform = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+    hints = [np.outer(omega, omega.conj())] if anc >= 2 else []
+    hints += [np.eye(n, dtype=np.complex128) / pnorm(np.ones(n), q), np.outer(uniform, uniform.conj())]
+    starts = optimize._start_stack(3, anc, q, constraint, OptimizerConfig(restarts=12, seed=3))
+    assert starts.shape == (12, n, n)
+    np.testing.assert_array_equal(starts[:len(hints)], hints)
+    for X in starts[len(hints):]:
+        assert abs(schatten_norm(X, q) - 1.0) <= 1e-12
+        if constraint != "full":
+            np.testing.assert_allclose(X, X.conj().T, rtol=0, atol=1e-15)
+        if constraint == "psd":
+            assert np.linalg.eigvalsh(X).min() >= -1e-12
+        if q == 1.0:
+            s = np.linalg.svd(X, compute_uv=False)
+            assert s[1] <= 1e-14 * s[0]
+    # stacks of hints only, with no random row
+    for restarts in (1, 2, 3):
+        few = optimize._start_stack(3, anc, q, constraint, OptimizerConfig(restarts=restarts, seed=3))
+        np.testing.assert_array_equal(few, starts[:restarts])
 
 
 def test_every_key_field_changes_the_start_stack():

@@ -107,6 +107,22 @@ def test_report_passed_tracks_tolerance():
     assert report.passed == (report.worst_residual <= report.tolerance)
 
 
+@pytest.mark.parametrize(
+    "cases, residual, label",
+    [
+        ([(5e-11, "a"), (1e-11, "b")], 5e-11, ""),
+        ([(1e-10, "a")], 1e-10, ""),
+        ([(1e-12, "a"), (1e-6, "b"), (1e-6, "c")], 1e-6, "b"),
+        ([(1e-6, "a"), (5e-11, "b")], 1e-6, "a"),
+        ([(0.0, "a")], 0.0, ""),
+    ],
+)
+def test_record_labels_only_residuals_above_rounding(cases, residual, label):
+    # which case attains a residual of at most 1e-10 is set by rounding
+    record = verify_module._record(0, {"seed": 1}, cases)
+    assert record == {"trial": 0, "seed": 1, "residual": residual, "worst_case": label}
+
+
 def test_fixed_case_suites_ignore_trials():
     a = verify("transpose_instability", **FAST)
     b = verify("transpose_instability", trials=9, restarts=FAST["restarts"])
