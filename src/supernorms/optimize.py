@@ -15,6 +15,12 @@ iteration instead of a decomposition.  The objective value never decreases
 along the iteration, every iterate is feasible, and the reported value is
 therefore a certified lower bound whatever the convergence status.
 
+The ascent runs on each Kraus stack times the power of two that puts its
+largest real or imaginary part in [0.5, 1), an exact rescale, so no witness
+row can overflow and ``2^j Phi`` runs the iterates of ``Phi``: its value is
+``2^j`` times ``Phi``'s, bit for bit while the re-evaluation on the given map
+stays in LAPACK's unscaled range; other scales agree to the stopping tolerance.
+
 One ascent runs any number of cells ``(q, p, constraint)`` on one map and
 one ancilla: all restarts of all cells advance together as one compact stack
 of the active rows, with one forward and one adjoint kernel call per
@@ -126,6 +132,7 @@ class NormEstimate:
     q-norm and is Hermitian when the query was Hermitian-restricted.
     ``converged`` tells whether the restart that attained the maximum (the
     lowest such index) met a tolerance before ``max_iterations`` ran out.
+    ``2^j Phi`` has ``2^j`` times the value and the same achiever of ``Phi``.
     """
 
     value: float
@@ -137,45 +144,29 @@ class NormEstimate:
 
 
 def _frobenius(X: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("rab,rab->r", X, X.conj()).real)
+    """The 2-norm of each row of ``X`` over all its trailing axes."""
+    r = np.ascontiguousarray(X).view(np.float64).reshape(len(X), -1)
+    return np.sqrt(np.einsum("ra,ra->r", r, r))
 
 
-# a Frobenius norm below this may have lost its sum of squares to underflow
+# a row norm below this may have lost its sum of squares to underflow
 _SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
-def _unit_rows(x: np.ndarray, nrm: np.ndarray, out: np.ndarray) -> None:
-    """Write each nonzero row of ``x`` over its 2-norm into ``out``, given the
-    plain norms ``nrm`` (one per row, shaped to broadcast against ``x``); the
-    rows of ``out`` where ``x`` is zero keep their values.  A nonzero row whose
-    plain sum of squares overflows or underflows is divided by its largest
-    entry first; every other row keeps the plain quotient's bits."""
-    plain = (nrm >= _SQRT_TINY) & np.isfinite(nrm)
-    if np.count_nonzero(plain) == plain.size:
-        # the common case, where the unmasked quotient is cheaper
-        np.divide(x, nrm, out=out)
-        return
-    np.divide(x, nrm, out=out, where=plain)
-    off = np.flatnonzero(~plain)
-    flat = x[off].reshape(off.size, -1)
-    # the largest real or imaginary part, which cannot overflow
-    scale = np.abs(flat.view(np.float64)).max(axis=1)
-    off, flat = off[scale > 0.0], flat[scale > 0.0] / scale[scale > 0.0, None]
-    out[off] = (flat / np.linalg.norm(flat, axis=1)[:, None]).reshape((off.size,) + x.shape[1:])
+def _unit_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each row of ``x`` over its 2-norm into ``out``, and return it;
+    rows under ``_SQRT_TINY``, zero rows among them, keep ``out``'s values."""
+    nrm = _frobenius(x).reshape((-1,) + (1,) * (x.ndim - 1))
+    return np.divide(x, nrm, out=out, where=nrm >= _SQRT_TINY)
 
 
-def _unit_frobenius(Z: np.ndarray) -> np.ndarray:
-    """Each slice of Z over its Frobenius norm; zero slices stay zero."""
-    out = np.zeros_like(Z)
-    _unit_rows(Z, _frobenius(Z)[:, None, None], out)
+def _unit_scale(stack: np.ndarray) -> np.ndarray:
+    """``stack`` times the power of two that puts its largest real or
+    imaginary part in [0.5, 1), which is exact; a zero stack stays zero."""
+    e = -np.frexp(max(np.abs(stack.real).max(), np.abs(stack.imag).max()))[1]
+    out = np.empty_like(stack)
+    out.real, out.imag = np.ldexp(stack.real, e), np.ldexp(stack.imag, e)
     return out
-
-
-def _normalize_rows(x: np.ndarray, out: np.ndarray) -> None:
-    """Write each nonzero row of ``x``, normalized, into ``out``; the rows of
-    ``out`` where ``x`` is zero keep their values."""
-    r = x.view(np.float64)
-    _unit_rows(x, np.sqrt(np.einsum("ra,ra->r", r, r))[:, None], out)
 
 
 def _hermitian_part(Z: np.ndarray) -> np.ndarray:
@@ -273,14 +264,15 @@ def _witness(M: np.ndarray, key: tuple, pair: np.ndarray | None):
     never decreases.  A slice whose product vanishes keeps its vector.
     """
     if key != _TRACE_BALL:
-        return None, _unit_frobenius(M if key[1] == "full" else _hermitian_part(M))
+        W = M if key[1] == "full" else _hermitian_part(M)
+        return None, _unit_rows(W, np.zeros_like(W))
     if pair is None:
         U, _, Vh = _batched_svd(M)
         pair = np.stack([U[:, :, 0], Vh[:, 0]], axis=1)
     else:
         u, vh = pair[:, 0], pair[:, 1]
-        _normalize_rows((u[:, None].conj() @ M)[:, 0], out=vh)
-        _normalize_rows((M @ vh[:, :, None].conj())[:, :, 0], out=u)
+        _unit_rows((u[:, None].conj() @ M)[:, 0], out=vh)
+        _unit_rows((M @ vh[:, :, None].conj())[:, :, 0], out=u)
     return pair, pair[:, 0, :, None] * pair[:, 1, None, :]
 
 
@@ -369,8 +361,10 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
     input side, and takes its half-step through ``_Side``; there is one
     forward and one adjoint kernel call per iteration.  Each row stops on its
     own tolerances, and each cell picks its best restart from its own rows."""
-    forward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)
-    backward = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k)
+    # exact unit-scale stacks, so that 2^j Phi runs the very ascent Phi runs
+    left, right = _unit_scale(phi.kraus_left), _unit_scale(phi.kraus_right)
+    forward = _kraus_kernel(left, right, k)
+    backward = _kraus_kernel(_dagger(left), _dagger(right), k)
     R = cfg.restarts
     x_keys = [(q, constraint) for q, _, constraint in cells]
     starts = {key: _start_stack(phi.dim_in, k, *key, cfg) for key in dict.fromkeys(x_keys)}
@@ -524,6 +518,10 @@ def norm_q_to_p(
     Where Theorem 2 or 3 proves the value on a smaller ancilla (see
     ``_reduced_ancilla``), the ascent runs there and its achiever is embedded
     in the query's space, where ``value`` is re-evaluated.
+
+    The ascent runs on each Kraus stack scaled by a power of two into
+    [0.5, 1) (largest real or imaginary part), so ``2^j phi`` gives ``2^j``
+    times the value of ``phi``, bit for bit in LAPACK's unscaled range.
 
     Given a sequence of queries, returns the list of their estimates from one
     stacked ascent per ancilla the queries run on; each agrees with the same

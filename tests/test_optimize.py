@@ -411,11 +411,13 @@ def reference_side(Z, keys, pairs, first, whole):
 
 def gather_scatter_ascent(phi, k, cells, cfg):
     """The stacked ascent as one loop over the full stack of ``cells x
-    restarts`` rows: gather the active rows, take each side's half-step with
-    ``reference_side`` on them, with the rank-one pairs kept by absolute row,
-    scatter them back; returns the final stack and the converged flags."""
-    forward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)
-    backward = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k)
+    restarts`` rows, on the map's unit-scale Kraus stacks: gather the active
+    rows, take each side's half-step with ``reference_side`` on them, with the
+    rank-one pairs kept by absolute row, scatter them back; returns the final
+    stack and the converged flags."""
+    left, right = optimize._unit_scale(phi.kraus_left), optimize._unit_scale(phi.kraus_right)
+    forward = _kraus_kernel(left, right, k)
+    backward = _kraus_kernel(_dagger(left), _dagger(right), k)
     X = np.concatenate([optimize._start_stack(phi.dim_in, k, q, constraint, cfg) for q, _, constraint in cells])
     cell = np.repeat(np.arange(len(cells)), cfg.restarts)
     y_key = [(dual_exponent(cells[c][1]), "full") for c in cell]
@@ -475,8 +477,10 @@ def test_compact_stack_hands_back_every_row(cells, k, monkeypatch):
     # the ascent steps only the active rows, group by group, and writes a row
     # back into the full stack when it converges or the cap stops it; the final
     # re-evaluation must see the same stack, bit for bit, as a gather/scatter
-    # loop leaves, and each cell must pick its best restart from its own rows
-    phi, cfg = random_superop(3, 2, 3, 60), OptimizerConfig(restarts=7, seed=4)
+    # loop leaves, and each cell must pick its best restart from its own rows.
+    # The map's left stack peaks at 3 x 0.60, so the ascent runs on it halved
+    base, cfg = random_superop(3, 2, 3, 60), OptimizerConfig(restarts=7, seed=4)
+    phi = SuperOp.from_kraus(3.0 * base.kraus_left, base.kraus_right)
     seen = []
 
     def spy_kernel(left, right, k=1):
@@ -491,7 +495,7 @@ def test_compact_stack_hands_back_every_row(cells, k, monkeypatch):
         seen.clear()
         got = optimize._ascend(phi, k, cells, capped)
         np.testing.assert_array_equal(seen[-1], want)  # the final evaluation's stack
-        final = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)(want)
+        final = _kraus_kernel(optimize._unit_scale(phi.kraus_left), optimize._unit_scale(phi.kraus_right), k)(want)
         s = np.linalg.svd(final, compute_uv=False)
         assert len(got) == len(cells)
         for c, ((_, p, _), (X, conv)) in enumerate(zip(cells, got)):
@@ -684,30 +688,6 @@ def test_ball_witness_at_q2_matches_the_decompositions(d):
     assert np.trace(psd[3]).real == pytest.approx(1.0, abs=1e-12)
 
 
-def test_q2_witness_rescales_only_slices_whose_norm_over_or_underflows():
-    # at exponent 2 the witness is Z / ||Z||_F: a slice whose plain sum of
-    # squares overflows (entries beyond about 1e154) or underflows (below
-    # about 1e-162) is scaled first, and every other slice keeps the plain
-    # quotient's bits
-    rng = np.random.default_rng(312)
-    Z = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
-    Z[1] *= 1e200
-    Z[2] *= 1e-200
-    Z[3] = 0.0
-    Z[4] *= 1e-155  # sum of squares subnormal, not zero
-    for constraint in ("full", "hermitian"):
-        with np.errstate(all="raise"):
-            got = one_key_witness(Z, (2.0, constraint))
-        H = Z if constraint == "full" else (Z + Z.conj().transpose(0, 2, 1)) / 2.0
-        for i in (0, 5):
-            np.testing.assert_array_equal(got[i], H[i] / optimize._frobenius(H[i : i + 1])[0])
-        assert not got[3].any()
-        for i in (1, 2, 4):
-            unit = H[i] / np.abs(H[i]).max()
-            np.testing.assert_allclose(got[i], unit / np.linalg.norm(unit), rtol=0.0, atol=1e-15)
-            assert np.linalg.norm(got[i]) == pytest.approx(1.0, abs=1e-15)
-
-
 def _two_by_two_stacks(n: int = 64) -> dict:
     """Stacks of ``n`` 2x2 slices of each kind the closed-form kernels must take."""
     rng = np.random.default_rng(311)
@@ -760,11 +740,17 @@ def test_closed_form_witness_matches_lapack(r, constraint, monkeypatch):
     # from LAPACK: it attains ||Z||_{r*} (over the constraint's set) and lies
     # in the unit r-ball, to 1e-13 relative; where it is unique the two agree
     # to 1e-12, and on +-lam ties both pick the first (negative) eigenvalue.
-    # The closed forms must raise no floating-point warning on any slice
+    # The closed forms must raise no floating-point warning on any slice.  The
+    # exponent-2 keys outside the PSD cone take no decomposition: they divide
+    # by a plain row norm, which on the ascent's unit-scale maps cannot
+    # overflow, so they skip the huge and minute stacks
     key, rs = (r, constraint), dual_exponent(r)
+    plain = optimize._decomposition(key) is None and key != (1.0, "full")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, Z in _two_by_two_stacks().items():
+            if plain and name in ("huge", "minute"):
+                continue
             monkeypatch.setattr(linalg, "_CLOSED_FORM_ROWS", 1)
             got = one_key_witness(Z, key)
             s, lam = linalg._svd_2x2(Z, compute_uv=False), linalg._eigh_2x2(Z)[0]
@@ -908,15 +894,64 @@ def test_rank_one_first_step_is_unit_on_zero_slices():
 
 @pytest.mark.parametrize("scale", [1e155, 1e200])
 def test_huge_maps_keep_their_rank_one_norms(scale):
-    # the rank-one power step's row norms overflow on maps whose entries pass
-    # about 1e154; such rows are divided by their largest entry first, so the
-    # 1->1 and 1->inf norms of a scaled map are the scale times the map's
+    # the rank-one power step's plain row norms would overflow on maps whose
+    # entries pass about 1e154; the ascent runs on unit-scale Kraus stacks, so
+    # the 1->1 and 1->inf norms of a scaled map are the scale times the map's
     phi, cfg = random_superop(2, 2, 2, 5), OptimizerConfig(restarts=4)
     huge = SuperOp.from_kraus(scale * phi.kraus_left, phi.kraus_right)
     for p in (1.0, math.inf):
         want = norm_q_to_p(phi, NormQuery(1.0, p), cfg).value
         got = norm_q_to_p(huge, NormQuery(1.0, p), cfg).value
         assert got == pytest.approx(scale * want, rel=1e-9, abs=0.0), p
+
+
+# 2^j for these j scales a map exactly, with no entry, product or singular value
+# of the re-evaluation leaving LAPACK's unscaled range
+HOMOGENEITY_POWERS = (-400, -282, -100, 100, 282, 400)
+
+
+def _scaled(phi, c, cp):
+    """``c Phi``: the left stack times c, or each stack times sqrt(c) for ``cp``."""
+    if cp:
+        return SuperOp.from_kraus(math.sqrt(c) * phi.kraus_left)
+    return SuperOp.from_kraus(c * phi.kraus_left, phi.kraus_right)
+
+
+@pytest.mark.parametrize(
+    "phi, cp",
+    [(random_superop(2, 2, 2, 5), False), (build_example("transpose(2)"), False),
+     (random_cp_channel(2, 2, 3, 7), True)],
+    ids=["random", "transpose", "cp"],
+)
+def test_scaled_maps_run_the_same_ascent(phi, cp):
+    # the ascent runs on unit-scale Kraus stacks, so 2^j Phi takes the very
+    # iterates Phi takes and its value is 2^j times Phi's, bit for bit; any
+    # other scale rounds the stacks, and its values agree to 1e-10 relative.
+    # Hermitian p = 1 cells converge slowly and stop about 2.5e-9 below their
+    # limit, where a last-bit change of the stacks moves the stopping point by
+    # up to 4.5e-10 (also between the scales 3 and 0.7), so they get 1e-9.
+    # Plain, Hermitian and ancilla queries, reduced ones among them (q <= 2 <= p
+    # with an ancilla runs on none, q = 1 with k = 3 runs on k = 2), or PSD
+    # cells through cp_norm
+    cfg = OptimizerConfig(restarts=4)
+    if cp:
+        queries = [NormQuery(q, p, stabilize_dim=k) for q in EXPONENTS for p, k in ((3.0, 0), (1.0, 2))]
+        run = cp_norm
+    else:
+        queries = [
+            NormQuery(q, p, herm, k)
+            for q in EXPONENTS
+            for p, herm, k in ((3.0, False, 0), (1.0, True, 0), (math.inf, False, 2), (1.0, True, 3))
+        ]
+        run = norm_q_to_p
+    want = np.array([est.value for est in run(phi, queries, cfg)])
+    for j in HOMOGENEITY_POWERS:
+        got = [est.value for est in run(_scaled(phi, 2.0**j, cp), queries, cfg)]
+        np.testing.assert_array_equal(got, 2.0**j * want, err_msg=str(j))
+    rtol = np.array([1e-9 if query.hermitian_restricted and query.p == 1.0 else 1e-10 for query in queries])
+    for c in (1e-85, 1e155, 1e200):
+        got = np.array([est.value for est in run(_scaled(phi, c, cp), queries, cfg)])
+        assert np.all(np.abs(got - c * want) <= rtol * c * want), (c, got / (c * want) - 1.0)
 
 
 def test_long_two_by_two_stacks_take_no_lapack_call(monkeypatch):
