@@ -38,12 +38,14 @@ or scattered.  A restart leaves the stack, and its row goes back into the
 full stack of iterates, once its gain or step falls under fixed tolerances,
 and the rows still active go back when the iteration cap stops the ascent;
 each cell then picks its best restart.  The ascent applies ``Phi (x) I_k``
-and its adjoint through the one Kraus kernel of :mod:`.superop`, whose GEMM
-operands it lays out once per ascent, and never materializes the enlarged
-map.  The kernel's GEMM can round a row differently by where it sits in the
-stack, and a merged stack can take the closed form where a group alone would
-call LAPACK, so a stacked cell agrees with the same cell alone to the
-stopping tolerance, not bit for bit.
+and its adjoint through the Kraus kernel of :mod:`.superop`, built once per
+ascent for its full stack: on the small maps of most queries each
+application is one GEMM with the map's transfer matrix (its conjugate
+transpose for the adjoint), and on a large map with few terms two GEMMs on
+the system legs; neither materializes the enlarged map.  A GEMM can round a row
+differently by where it sits in the stack, and a merged stack can take the
+closed form where a group alone would call LAPACK, so a stacked cell agrees
+with the same cell alone to the stopping tolerance, not bit for bit.
 
 The start stack depends on ``(dim_in, ancilla, q, constraint, restarts,
 seed)`` only, not on the map, so each distinct key is built once per ascent.
@@ -73,8 +75,8 @@ from .linalg import _batched_eigh, _batched_svd
 from .schatten import _holder_weights, dual_exponent, pnorm, require_exponent
 from .superop import (
     SuperOp,
-    _dagger,
     _kraus_kernel,
+    _transfer_pays,
     apply,
     is_completely_positive,
     left_cp_map,
@@ -363,9 +365,8 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
     own tolerances, and each cell picks its best restart from its own rows."""
     # exact unit-scale stacks, so that 2^j Phi runs the very ascent Phi runs
     left, right = _unit_scale(phi.kraus_left), _unit_scale(phi.kraus_right)
-    forward = _kraus_kernel(left, right, k)
-    backward = _kraus_kernel(_dagger(left), _dagger(right), k)
     R = cfg.restarts
+    forward, backward = _kraus_kernel(left, right, k, len(cells) * R)
     x_keys = [(q, constraint) for q, _, constraint in cells]
     starts = {key: _start_stack(phi.dim_in, k, *key, cfg) for key in dict.fromkeys(x_keys)}
     X = starts[x_keys[0]] if len(cells) == 1 else np.concatenate([starts[key] for key in x_keys])
@@ -467,12 +468,17 @@ def _estimate(phi: SuperOp, jobs: list, cfg: OptimizerConfig) -> list:
     ascents = {}  # the ancilla an ascent runs on (1 for none) -> its jobs' indices
     for i, (_, _, run_k) in enumerate(jobs):
         ascents.setdefault(max(run_k, 1), []).append(i)
-    # the largest arrays: an ascent's stacked iterates and the Kraus kernel's
-    # term-expanded product, and the same for one achiever on a query's space
+    # the largest arrays: an ascent's stacked iterates and the system-leg
+    # kernel's term-expanded product (counted whichever form the ascent
+    # takes), the n^2 x m^2 transfer matrix where it takes that form, and the
+    # same for one achiever on a query's space
     n, m = phi.dim_in, phi.dim_out
     k = max(query.stabilize_dim for query, _, _ in jobs)
     run_k, at = max(ascents.items(), key=lambda item: len(item[1]) * item[0] ** 2)
-    entries = max(len(at) * cfg.restarts * run_k**2, k**2) * max(max(n, m) ** 2, phi.n_terms * n * m)
+    blocks = len(at) * cfg.restarts * run_k**2
+    entries = max(blocks, k**2) * max(max(n, m) ** 2, phi.n_terms * n * m)
+    if _transfer_pays(phi.n_terms, m, n, blocks):
+        entries = max(entries, (n * m) ** 2)
     ancilla = f"stabilize_dim {k} on " if k else ""
     stacked = f"{len(at)} cells x " if len(at) > 1 else ""
     require_entries(

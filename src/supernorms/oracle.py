@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import UnsupportedInstanceError, require_count
 from .schatten import pnorm
-from .superop import apply, choi_matrix
+from .superop import _transfer_matrix, apply
 
 if TYPE_CHECKING:
     from .optimize import NormQuery
@@ -273,7 +273,7 @@ def brute_force_oracle(phi: SuperOp, query: NormQuery, resolution: int) -> float
     if finite and not herm:
         raise UnsupportedInstanceError("the oracle has no grid for 1 < q < inf without the Hermitian restriction")
     # the realigned Choi matrix maps row-major vectorized inputs to outputs
-    transfer_t = choi_matrix(phi).reshape(din, dout, din, dout).transpose(0, 2, 1, 3).reshape(din**2, -1)
+    transfer_t = _transfer_matrix(phi.kraus_left, phi.kraus_right)
     thetas = np.linspace(0.0, math.pi, R)
     phis = np.linspace(0.0, 2.0 * math.pi, R, endpoint=False)
     chunk = max(1, _ORACLE_CHUNK_ENTRIES // dout**2)

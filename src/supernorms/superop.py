@@ -5,9 +5,14 @@ and acts as ``Phi(X) = sum_i A_i X B_i^*``.  Maps given in completely positive
 form use a single list (``B_i = A_i``) and store one shared stack.  Instances
 are immutable; the stored stacks are read-only arrays.
 
-One kernel, built by :func:`_kraus_kernel`, applies every map and adjoint,
-acting on the system legs so ``Phi (x) I_k`` is never materialized;
-:func:`tensor_identity` builds that map explicitly and is the reference.
+One kernel, built by :func:`_kraus_kernel`, applies every map and adjoint
+to stacks of matrices, and never materializes ``Phi (x) I_k``;
+:func:`tensor_identity` builds that map explicitly and is the reference.  It
+contracts either by two GEMMs on the system legs or by one GEMM with the
+transfer matrix (the realigned Choi matrix), whichever takes fewer
+multiply-adds on the stack it is built for: the ascent's long stacks of small
+maps take the transfer matrix, and one matrix (``apply``) or a large map
+with few terms takes the system legs.
 """
 
 from __future__ import annotations
@@ -93,14 +98,31 @@ def identity_superop(dim: int) -> SuperOp:
     return SuperOp.from_kraus(eye)
 
 
-def _kraus_kernel(left: np.ndarray, right: np.ndarray, k: int = 1):
-    """The contraction ``X -> sum_t (A_t (x) I_k) X (B_t (x) I_k)^*`` on
-    (r, nk, nk) stacks, for (n_terms, m, n) stacks ``left``, ``right``.
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return stack.conj().transpose(0, 2, 1)
 
-    The ancilla is the fast index of each leg, and two GEMMs act on the system
-    legs alone.  Both GEMM operands are laid out here, once, so a caller that
-    contracts many stacks with one map (the ascent) pays for them once.
-    """
+
+def _transfer_matrix(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """The transfer matrix ``T[(i, j), (p, q)] = sum_t A_t[p, i] conj(B_t[q, j])``
+    (the realigned Choi matrix, n^2 x m^2) of (n_terms, m, n) stacks ``left``,
+    ``right``: a row-major vectorized input times T is the vectorized output."""
+    _, m, n = left.shape
+    C = np.einsum("kai,kbj->iajb", left, right.conj())  # [i, p, j, q]
+    return C.transpose(0, 2, 1, 3).reshape(n * n, m * m)
+
+
+def _transfer_pays(t: int, m: int, n: int, blocks: int) -> bool:
+    """True when building the transfer matrix of t m x n terms and one GEMM
+    with it over ``blocks`` n x n blocks (stack rows times k^2) take fewer
+    multiply-adds than the two system-leg GEMMs on the same blocks."""
+    return n * m * (t + blocks) < blocks * t * (n + m)
+
+
+def _system_gemms(left: np.ndarray, right: np.ndarray, k: int):
+    """``X -> sum_t (A_t (x) I_k) X (B_t (x) I_k)^*`` on (r, nk, nk) stacks by
+    two GEMMs on the system legs alone, the ancilla the fast index of each
+    leg; both GEMM operands are laid out here, once."""
     t, m, n = left.shape
     right_rows = right.conj().reshape(t * m, n)  # [(t, q), j]
     left_cols = left.transpose(1, 0, 2).reshape(m, t * n)  # [p, (t, i)]
@@ -116,9 +138,42 @@ def _kraus_kernel(left: np.ndarray, right: np.ndarray, k: int = 1):
     return act
 
 
-def _dagger(stack: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of every matrix in a stack."""
-    return stack.conj().transpose(0, 2, 1)
+def _transfer_gemm(T: np.ndarray, n: int, m: int, k: int):
+    """The same contraction by one GEMM with the n^2 x m^2 transfer matrix
+    ``T``: X relaid as (r k^2, n^2) rows ``[(r, a, b), (i, j)]``, times T, and
+    relaid back to (r, mk, mk); at k = 1 X needs no relayout."""
+    if k == 1:
+        return lambda X: (X.reshape(len(X), n * n) @ T).reshape(-1, m, m)
+
+    def act(X: np.ndarray) -> np.ndarray:
+        rows = X.reshape(-1, n, k, n, k).transpose(0, 2, 4, 1, 3).reshape(-1, n * n)
+        out = rows @ T  # [(r, a, b), (p, q)]
+        return out.reshape(-1, k, k, m, m).transpose(0, 3, 1, 4, 2).reshape(-1, m * k, m * k)
+
+    return act
+
+
+def _kraus_kernel(left: np.ndarray, right: np.ndarray, k: int = 1, rows: int = 1):
+    """The contraction ``X -> sum_t (A_t (x) I_k) X (B_t (x) I_k)^*`` on
+    (r, nk, nk) stacks and its adjoint ``Y -> sum_t (A_t (x) I_k)^* Y
+    (B_t (x) I_k)`` on (r, mk, mk) stacks, as a pair of functions, for
+    (n_terms, m, n) stacks ``left``, ``right``.
+
+    Two contractions give them.  The system-leg form takes two GEMMs whose
+    inner dimensions are n and n_terms n (``_system_gemms``); the transfer
+    form takes one GEMM with the transfer matrix T (``_transfer_gemm``), and
+    the adjoint one with T^H, its exact conjugate transpose, so T is built
+    once.  The pair takes the transfer form when building T and its GEMM cost
+    fewer multiply-adds than the two GEMMs on a stack of ``rows`` rows
+    (``_transfer_pays``), and uses it on every stack it is given.  Either
+    form lays out its operands here, once, so a caller that contracts many
+    stacks with one map (the ascent) pays for them once.
+    """
+    t, m, n = left.shape
+    if _transfer_pays(t, m, n, rows * k * k):
+        T = _transfer_matrix(left, right)
+        return _transfer_gemm(T, n, m, k), _transfer_gemm(T.conj().T, m, n, k)
+    return _system_gemms(left, right, k), _system_gemms(_dagger(left), _dagger(right), k)
 
 
 def apply(phi: SuperOp, X) -> np.ndarray:
@@ -128,7 +183,7 @@ def apply(phi: SuperOp, X) -> np.ndarray:
         raise InvalidInputError(
             f"input must be {phi.dim_in}x{phi.dim_in}, got {A.shape}"
         )
-    return _kraus_kernel(phi.kraus_left, phi.kraus_right)(A[None])[0]
+    return _kraus_kernel(phi.kraus_left, phi.kraus_right)[0](A[None])[0]
 
 
 def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
@@ -138,7 +193,7 @@ def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
         raise InvalidInputError(
             f"adjoint input must be {phi.dim_out}x{phi.dim_out}, got {A.shape}"
         )
-    return _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right))(A[None])[0]
+    return _kraus_kernel(phi.kraus_left, phi.kraus_right)[1](A[None])[0]
 
 
 def tensor_identity(phi: SuperOp, ancilla_dim: int) -> SuperOp:
@@ -165,20 +220,27 @@ def right_cp_map(phi: SuperOp) -> SuperOp:
 
 
 def choi_matrix(phi: SuperOp) -> np.ndarray:
-    """Block operator whose (i, j) block is ``Phi(|i><j|)``."""
+    """Block operator whose (i, j) block is ``Phi(|i><j|)``: the transfer
+    matrix, realigned."""
     n = phi.dim_in
     m = phi.dim_out
-    C = np.einsum("kai,kbj->iajb", phi.kraus_left, phi.kraus_right.conj())
-    return C.reshape(n * m, n * m)
+    T = _transfer_matrix(phi.kraus_left, phi.kraus_right)
+    return T.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m)
 
 
 def is_completely_positive(phi: SuperOp, tol: float = 1e-9) -> bool:
-    """True iff the Choi block operator is Hermitian and PSD within ``tol``."""
+    """True iff the Choi block operator is Hermitian and PSD within ``tol``.
+
+    ``tol`` is relative to the Choi matrix's spectral norm: the Hermitian
+    defect may reach ``tol`` times that norm, and the lowest eigenvalue of
+    the Hermitian part may fall that far below zero.  So the answer does not
+    change when the map is scaled, and the zero map passes."""
     C = choi_matrix(phi)
-    if np.linalg.norm(C - C.conj().T, 2) > tol:
+    bound = tol * np.linalg.norm(C, 2)
+    if np.linalg.norm(C - C.conj().T, 2) > bound:
         return False
     lam = np.linalg.eigvalsh((C + C.conj().T) / 2)
-    return bool(lam.min() >= -tol)
+    return bool(lam.min() >= -bound)
 
 
 def is_trace_preserving(phi: SuperOp, tol: float = 1e-9) -> bool:

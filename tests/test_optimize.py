@@ -40,7 +40,7 @@ from supernorms import (
 )
 from supernorms import linalg, optimize, oracle, schatten
 from supernorms.schatten import dual_exponent
-from supernorms.superop import _dagger, _kraus_kernel
+from supernorms.superop import _kraus_kernel
 
 EXPONENTS = [1.0, 1.5, 2.0, math.inf]
 
@@ -416,8 +416,7 @@ def gather_scatter_ascent(phi, k, cells, cfg):
     rank-one pairs kept by absolute row, scatter them back; returns the final
     stack and the converged flags."""
     left, right = optimize._unit_scale(phi.kraus_left), optimize._unit_scale(phi.kraus_right)
-    forward = _kraus_kernel(left, right, k)
-    backward = _kraus_kernel(_dagger(left), _dagger(right), k)
+    forward, backward = _kraus_kernel(left, right, k, len(cells) * cfg.restarts)
     X = np.concatenate([optimize._start_stack(phi.dim_in, k, q, constraint, cfg) for q, _, constraint in cells])
     cell = np.repeat(np.arange(len(cells)), cfg.restarts)
     y_key = [(dual_exponent(cells[c][1]), "full") for c in cell]
@@ -483,9 +482,9 @@ def test_compact_stack_hands_back_every_row(cells, k, monkeypatch):
     phi = SuperOp.from_kraus(3.0 * base.kraus_left, base.kraus_right)
     seen = []
 
-    def spy_kernel(left, right, k=1):
-        act = _kraus_kernel(left, right, k)
-        return lambda X: seen.append(X.copy()) or act(X)
+    def spy_kernel(left, right, k=1, rows=1):
+        forward, backward = _kraus_kernel(left, right, k, rows)
+        return lambda X: seen.append(X.copy()) or forward(X), backward
 
     monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
     mixed = split = False
@@ -495,7 +494,8 @@ def test_compact_stack_hands_back_every_row(cells, k, monkeypatch):
         seen.clear()
         got = optimize._ascend(phi, k, cells, capped)
         np.testing.assert_array_equal(seen[-1], want)  # the final evaluation's stack
-        final = _kraus_kernel(optimize._unit_scale(phi.kraus_left), optimize._unit_scale(phi.kraus_right), k)(want)
+        left, right = optimize._unit_scale(phi.kraus_left), optimize._unit_scale(phi.kraus_right)
+        final = _kraus_kernel(left, right, k, len(want))[0](want)
         s = np.linalg.svd(final, compute_uv=False)
         assert len(got) == len(cells)
         for c, ((_, p, _), (X, conv)) in enumerate(zip(cells, got)):
@@ -513,12 +513,13 @@ def test_compact_stack_hands_back_every_row(cells, k, monkeypatch):
     assert split or len(cells) == 1
 
 
-# the kernel's GEMM can round a row's entries differently by where the row sits
-# in the stack, and a last-bit change can move the iteration at which the row
-# meets the objective tolerance; so a stacked cell agrees with the cell alone to
-# that tolerance, not bit for bit.  The largest difference on this grid was
-# 7.2e-12 with OpenBLAS's default kernel on an AVX-512 Xeon, 2.7e-11 with its
-# Haswell kernel, 1.2e-13 with Prescott and none with Sandybridge
+# a GEMM of the kernel (the transfer matrix's on these maps) can round a row's
+# entries differently by where the row sits in the stack, and a last-bit
+# change can move the iteration at which the row meets the objective
+# tolerance; so a stacked cell agrees with the cell alone to that tolerance,
+# not bit for bit.  The largest difference on this grid was 6.1e-13 with
+# OpenBLAS's default kernel on an AVX-512 Xeon (SkylakeX), 1.7e-12 with its
+# Haswell kernel, 2.8e-12 with Sandybridge and 1.1e-11 with Prescott
 STACKED_REL = 5e-11
 
 
@@ -590,14 +591,15 @@ def test_one_cell_ascent_gathers_nothing(monkeypatch):
     events = []  # ("kernel", input, output), ("take", input), ("make", output)
     kernel = optimize._kraus_kernel
 
-    def spy_kernel(left, right, k=1):
-        act = kernel(left, right, k)
+    def spy_kernel(left, right, k=1, rows=1):
+        def spied(act):
+            def run(X):
+                events.append(("kernel", X, act(X)))
+                return events[-1][2]
 
-        def run(X):
-            events.append(("kernel", X, act(X)))
-            return events[-1][2]
+            return run
 
-        return run
+        return tuple(spied(act) for act in kernel(left, right, k, rows))
 
     def spy(name, take, make):
         real = getattr(optimize, name)

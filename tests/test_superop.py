@@ -22,13 +22,15 @@ from supernorms import (
     is_trace_preserving,
     left_cp_map,
     norm_q_to_p,
+    random_cp_channel,
     random_superop,
     remix,
     right_cp_map,
     tensor_identity,
 )
 
-from supernorms.superop import _dagger, _kraus_kernel
+from supernorms import superop
+from supernorms.superop import _kraus_kernel, _transfer_matrix as transfer_matrix, _transfer_pays
 
 from conftest import COUNTS, check_count, complex_matrix
 
@@ -149,25 +151,71 @@ def test_tensor_identity_on_product_inputs(seed, k):
     assert np.allclose(apply(big, np.kron(X, W)), np.kron(apply(phi, X), W), atol=1e-12)
 
 
+# each map with the contraction the rule names for a 32-row stack at every k;
+# one matrix (rows = 1) at k = 1 takes the system legs on all of them
+KERNEL_MAPS = {
+    "2to3": (random_superop(2, 3, 2, 7), True),
+    "3to2": (random_superop(3, 2, 3, 8), True),
+    "transpose3": (build_example("transpose(3)"), True),
+    "2to3x3": (random_superop(2, 3, 3, 9), True),
+    "identity12": (identity_superop(12), False),
+    "12to12x2": (random_superop(12, 12, 2, 10), False),
+}
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
-@pytest.mark.parametrize(
-    "phi",
-    [random_superop(2, 3, 2, 7), random_superop(3, 2, 3, 8), build_example("transpose(3)")],
-    ids=["2to3", "3to2", "transpose3"],
-)
-def test_kraus_kernel_matches_tensor_identity(phi, k):
-    # the stacked ancilla-leg kernel against the explicitly enlarged map
-    rng = np.random.default_rng(100 + k)
+@pytest.mark.parametrize("phi, transfer", list(KERNEL_MAPS.values()), ids=list(KERNEL_MAPS))
+def test_kraus_kernel_matches_tensor_identity(phi, transfer, k, monkeypatch):
+    # the stacked kernel against the explicitly enlarged map, on stacks of 1
+    # and 32 rows: each stack takes the contraction _transfer_pays names for
+    # its rows x k^2 blocks, builds the transfer matrix at most once for both
+    # directions, and matches the Kraus sum on the enlarged map
+    built = []
+    monkeypatch.setattr(superop, "_transfer_matrix", lambda *stacks: built.append(1) or transfer_matrix(*stacks))
     big = tensor_identity(phi, k)
-    X = np.stack([complex_matrix(rng, big.dim_in, big.dim_in) for _ in range(5)])
-    Y = np.stack([complex_matrix(rng, big.dim_out, big.dim_out) for _ in range(5)])
-    out = _kraus_kernel(phi.kraus_left, phi.kraus_right, k)(X)
-    back = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k)(Y)
-    for i in range(len(X)):
-        assert np.allclose(out[i], apply(big, X[i]), rtol=0.0, atol=1e-12)
-        assert np.allclose(out[i], manual_apply(big, X[i]), rtol=0.0, atol=1e-12)
-        assert np.allclose(back[i], adjoint_apply(big, Y[i]), rtol=0.0, atol=1e-12)
-        assert inner(Y[i], out[i]) == pytest.approx(inner(back[i], X[i]), abs=1e-10)
+    t, m, n = phi.kraus_left.shape
+    for rows in (1, 32):
+        rng = np.random.default_rng(100 + k + rows)
+        X = rng.standard_normal((rows, big.dim_in, big.dim_in, 2)).view(complex)[..., 0]
+        Y = rng.standard_normal((rows, big.dim_out, big.dim_out, 2)).view(complex)[..., 0]
+        built.clear()
+        forward, backward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k, rows)
+        out, back = forward(X), backward(Y)
+        assert (out.shape, back.shape) == (Y.shape, X.shape)
+        assert len(built) == _transfer_pays(t, m, n, rows * k * k)
+        if rows == 32:
+            assert len(built) == transfer
+        elif k == 1:
+            assert not built
+        for i in range(rows):
+            want_back = sum(A.conj().T @ Y[i] @ B for A, B in zip(big.kraus_left, big.kraus_right))
+            assert np.allclose(out[i], manual_apply(big, X[i]), rtol=0.0, atol=1e-12)
+            assert np.allclose(back[i], want_back, rtol=0.0, atol=1e-12)
+            assert inner(Y[i], out[i]) == pytest.approx(inner(back[i], X[i]), abs=1e-10)
+
+
+def test_apply_on_a_large_enlarged_map_builds_no_transfer_matrix(monkeypatch):
+    # one matrix through tensor_identity(transpose(8), 8), a 64 -> 64 map with
+    # 64 terms, stays on the system legs: its transfer matrix would hold 64^4
+    # entries (268 MB)
+    built = []
+    monkeypatch.setattr(superop, "_transfer_matrix", lambda *stacks: built.append(1) or transfer_matrix(*stacks))
+    big = tensor_identity(build_example("transpose(8)"), 8)
+    X = complex_matrix(np.random.default_rng(5), 64, 64)
+    out = apply(big, X)
+    assert np.allclose(out, manual_apply(big, X), rtol=0.0, atol=1e-12)
+    assert adjoint_apply(big, out).shape == (64, 64)
+    assert not built
+
+
+def test_estimate_size_guard_counts_the_transfer_matrix():
+    # a 10 -> 820 map with 30 terms and 30 restarts takes the transfer form
+    # (6.7e7 entries) while its iterates and kernel product hold 2.0e7, so
+    # the guard refuses it by the transfer matrix alone, before any ascent
+    phi = SuperOp.from_kraus(np.ones((30, 820, 10)))
+    assert _transfer_pays(30, 820, 10, 30)
+    with pytest.raises(UnsupportedInstanceError, match=f"needs {(10 * 820) ** 2} entries, over the limit"):
+        norm_q_to_p(phi, NormQuery(2.0, 2.0), OptimizerConfig(restarts=30))
 
 
 def test_tensor_identity_with_one_is_same_map(rng):
@@ -216,6 +264,19 @@ def test_transpose_is_positive_but_not_cp():
     assert np.linalg.eigvalsh(C).min() == pytest.approx(-1.0)
     assert not is_completely_positive(T)
     assert is_trace_preserving(T)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e12])
+def test_complete_positivity_does_not_change_with_scale(scale):
+    # the tolerance is relative to the Choi matrix's spectral norm: the
+    # transpose stays refused when its left stack is scaled (its Choi
+    # eigenvalue -1 becomes -scale), a CP channel stays accepted, and the
+    # zero map passes
+    T = build_example("transpose(2)")
+    assert not is_completely_positive(SuperOp(scale * T.kraus_left, T.kraus_right))
+    cp = random_cp_channel(2, 2, 2, 7)
+    assert is_completely_positive(SuperOp(scale * cp.kraus_left, cp.kraus_right))
+    assert is_completely_positive(SuperOp.from_kraus(np.zeros((1, 2, 2))))
 
 
 def test_dim4_difference_is_not_cp():
