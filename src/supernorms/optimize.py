@@ -75,8 +75,8 @@ from .linalg import _batched_eigh, _batched_svd
 from .schatten import _holder_weights, dual_exponent, pnorm, require_exponent
 from .superop import (
     SuperOp,
+    _kernel_entries,
     _kraus_kernel,
-    _transfer_pays,
     apply,
     is_completely_positive,
     left_cp_map,
@@ -468,17 +468,17 @@ def _estimate(phi: SuperOp, jobs: list, cfg: OptimizerConfig) -> list:
     ascents = {}  # the ancilla an ascent runs on (1 for none) -> its jobs' indices
     for i, (_, _, run_k) in enumerate(jobs):
         ascents.setdefault(max(run_k, 1), []).append(i)
-    # the largest arrays: an ascent's stacked iterates and the system-leg
-    # kernel's term-expanded product (counted whichever form the ascent
-    # takes), the n^2 x m^2 transfer matrix where it takes that form, and the
-    # same for one achiever on a query's space
+    # the largest arrays: an ascent's stacked iterates and its kernel's, and
+    # the same for one achiever on a query's space
     n, m = phi.dim_in, phi.dim_out
     k = max(query.stabilize_dim for query, _, _ in jobs)
     run_k, at = max(ascents.items(), key=lambda item: len(item[1]) * item[0] ** 2)
     blocks = len(at) * cfg.restarts * run_k**2
-    entries = max(blocks, k**2) * max(max(n, m) ** 2, phi.n_terms * n * m)
-    if _transfer_pays(phi.n_terms, m, n, blocks):
-        entries = max(entries, (n * m) ** 2)
+    entries = max(
+        max(blocks, k**2) * max(n, m) ** 2,
+        _kernel_entries(phi.n_terms, m, n, blocks),
+        _kernel_entries(phi.n_terms, m * max(k, 1), n * max(k, 1), 1),
+    )
     ancilla = f"stabilize_dim {k} on " if k else ""
     stacked = f"{len(at)} cells x " if len(at) > 1 else ""
     require_entries(

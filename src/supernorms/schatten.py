@@ -5,11 +5,13 @@ explicit branch (the operator norm is the top singular value, never a large-p
 approximation).  The serialized form of an exponent is either the string
 ``"inf"`` or a decimal number >= 1.
 
-A 1-D spectrum is read in one pass at any number of exponents
-(``_spectrum_pnorms``): its magnitudes, peak and scaled entries are taken
-once, and each exponent's value has the same bits as ``pnorm`` gives, which
-takes that path for a 1-D spectrum itself.  ``block_norm_bounds`` reads the
-full matrix and each block that way.
+A stack of equal-length spectra, one per row, is read in one pass at any
+number of exponents (``_spectrum_pnorms``): its magnitudes, row peaks and
+scaled entries are taken once, each exponent powers and row-sums the whole
+stack, and each row's value has the same bits as ``pnorm`` gives on that row
+alone, which takes that path, as a one-row stack, for a 1-D spectrum itself.
+``block_norm_bounds`` reads the full spectrum and the stack of its blocks'
+spectra that way.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ def pnorm(values, p, axis: int = -1):
     if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not -a.ndim <= axis < a.ndim:
         raise InvalidInputError(f"pnorm axis must be an integer in [{-a.ndim}, {a.ndim}), got {axis!r}")
     if a.ndim == 1:
-        return _spectrum_pnorms(a, (p,))[0]
+        return _spectrum_pnorms(a[None], (p,))[0][0]
     a = np.abs(a)
     if a.size == 0:
         return a.sum(axis=axis)
@@ -125,34 +127,42 @@ def pnorm(values, p, axis: int = -1):
     return out
 
 
-def _spectrum_pnorms(values, exponents) -> list[float]:
-    """``float(pnorm(values, p))`` for each p of ``exponents`` (validated
-    floats) on one 1-D spectrum, bit for bit.
+def _spectrum_pnorms(spectra, exponents) -> list[list[float]]:
+    """``[[float(pnorm(row, p)) for row in spectra] for p in exponents]`` on a
+    2-D stack of equal-length spectra, one per row (``exponents`` validated
+    floats), bit for bit.
 
-    The magnitudes, their peak and the scaled spectrum are taken once; each
-    exponent then only floors (p < 1.0001), powers, sums and takes its root.
-    Flooring the scaled spectrum is flooring before scaling: the peak is
-    either kept or, with every other entry, floored to 0.
+    The magnitudes, their row peaks and the scaled stack are taken once; each
+    exponent then floors (p < 1.0001), powers and row-sums the whole stack.
+    Each row's root and peak factor are scalar, as ``pnorm`` takes them on one
+    spectrum: an array power can round differently.  Flooring the scaled
+    stack is flooring before scaling: a row's peak is either kept or, with
+    every other entry of its row, floored to 0.  An all-zero row is scaled
+    by 1 and sums to 0, so its peak factor 0 gives its norm 0 all the same.
     """
-    a = np.abs(np.asarray(values, dtype=float))
+    a = np.abs(np.asarray(spectra, dtype=float))
     if a.size == 0:
-        return [0.0] * len(exponents)
+        return [[0.0] * len(a) for _ in exponents]
     peak = scaled = None
     norms = []
     for p in exponents:
         if p == 1.0:
-            norms.append(float(np.where(a < _UNDERFLOW_FLOOR, 0.0, a).sum()))
+            norms.append(np.add.reduce(np.where(a < _UNDERFLOW_FLOOR, 0.0, a), axis=-1).tolist())
             continue
         if peak is None:
-            peak = a.max()
+            peak = np.maximum.reduce(a, axis=-1, keepdims=True)
+            peaks = peak.ravel().tolist()
         if math.isinf(p):
-            norms.append(float(peak))
+            norms.append(peaks)
             continue
         if scaled is None:
-            safe = peak if peak > 0.0 else 1.0
-            scaled = a / safe
+            scaled = a / (np.where(peak > 0.0, peak, 1.0) if 0.0 in peaks else peak)
         x = np.where(a < _UNDERFLOW_FLOOR, 0.0, scaled) if p < 1.0001 else scaled
-        norms.append(float((x**p).sum() ** (1.0 / p) * safe))
+        sums = np.add.reduce(x**p, axis=-1).tolist()
+        root = 1.0 / p
+        for i, f in enumerate(peaks):  # a loop, not a comprehension: one row is the common call
+            sums[i] = sums[i] ** root * f
+        norms.append(sums)
     return norms
 
 
@@ -235,13 +245,18 @@ def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, n
 
 def _block_bounds(spectra: tuple[np.ndarray, np.ndarray], exponents) -> list[tuple[float, float]]:
     """:func:`block_norm_bounds` at each p of ``exponents`` from
-    :func:`_block_spectra`, one pass per spectrum."""
+    :func:`_block_spectra`: one pass over the full spectrum and one over the
+    stack of block spectra."""
     full, blocks = spectra
-    blocks_sq = [0.0] * len(exponents)
-    for s in blocks:
-        for i, norm in enumerate(_spectrum_pnorms(s, exponents)):
-            blocks_sq[i] += norm**2
-    return [(b, norm**2) for b, norm in zip(blocks_sq, _spectrum_pnorms(full, exponents))]
+    bounds = []
+    for (norm,), block_norms in zip(_spectrum_pnorms(full[None], exponents), _spectrum_pnorms(blocks, exponents)):
+        # summed in block order, one square at a time (sum() compensates
+        # from Python 3.12 on, so it would round differently there)
+        blocks_sq = 0.0
+        for b in block_norms:
+            blocks_sq += b**2
+        bounds.append((blocks_sq, norm**2))
+    return bounds
 
 
 def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, float]:

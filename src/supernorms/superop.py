@@ -11,8 +11,9 @@ to stacks of matrices, and never materializes ``Phi (x) I_k``;
 contracts either by two GEMMs on the system legs or by one GEMM with the
 transfer matrix (the realigned Choi matrix), whichever takes fewer
 multiply-adds on the stack it is built for: the ascent's long stacks of small
-maps take the transfer matrix, and one matrix (``apply``) or a large map
-with few terms takes the system legs.
+maps take the transfer matrix, and one matrix (``apply``, which lays out
+only the direction it uses) or a large map with few terms takes the system
+legs.
 """
 
 from __future__ import annotations
@@ -153,18 +154,20 @@ def _transfer_gemm(T: np.ndarray, n: int, m: int, k: int):
     return act
 
 
-def _kraus_kernel(left: np.ndarray, right: np.ndarray, k: int = 1, rows: int = 1):
+def _kraus_kernel(left: np.ndarray, right: np.ndarray, k: int = 1, rows: int = 1, directions=(False, True)):
     """The contraction ``X -> sum_t (A_t (x) I_k) X (B_t (x) I_k)^*`` on
     (r, nk, nk) stacks and its adjoint ``Y -> sum_t (A_t (x) I_k)^* Y
-    (B_t (x) I_k)`` on (r, mk, mk) stacks, as a pair of functions, for
-    (n_terms, m, n) stacks ``left``, ``right``.
+    (B_t (x) I_k)`` on (r, mk, mk) stacks, for (n_terms, m, n) stacks
+    ``left``, ``right``: a list of one function per entry of ``directions``,
+    False for the contraction and True for its adjoint, so a caller that
+    needs one direction lays out only that one.
 
     Two contractions give them.  The system-leg form takes two GEMMs whose
     inner dimensions are n and n_terms n (``_system_gemms``); the transfer
     form takes one GEMM with the transfer matrix T (``_transfer_gemm``), and
     the adjoint one with T^H, its exact conjugate transpose, so T is built
-    once.  The pair takes the transfer form when building T and its GEMM cost
-    fewer multiply-adds than the two GEMMs on a stack of ``rows`` rows
+    once.  The kernel takes the transfer form when building T and its GEMM
+    cost fewer multiply-adds than the two GEMMs on a stack of ``rows`` rows
     (``_transfer_pays``), and uses it on every stack it is given.  Either
     form lays out its operands here, once, so a caller that contracts many
     stacks with one map (the ascent) pays for them once.
@@ -172,8 +175,24 @@ def _kraus_kernel(left: np.ndarray, right: np.ndarray, k: int = 1, rows: int = 1
     t, m, n = left.shape
     if _transfer_pays(t, m, n, rows * k * k):
         T = _transfer_matrix(left, right)
-        return _transfer_gemm(T, n, m, k), _transfer_gemm(T.conj().T, m, n, k)
-    return _system_gemms(left, right, k), _system_gemms(_dagger(left), _dagger(right), k)
+        return [
+            _transfer_gemm(T.conj().T, m, n, k) if adjoint else _transfer_gemm(T, n, m, k) for adjoint in directions
+        ]
+    return [
+        _system_gemms(_dagger(left), _dagger(right), k) if adjoint else _system_gemms(left, right, k)
+        for adjoint in directions
+    ]
+
+
+def _kernel_entries(t: int, m: int, n: int, blocks: int) -> int:
+    """The entries of the largest array a kernel of t m x n terms holds on
+    ``blocks`` n x n blocks: the system-leg form's term-expanded product,
+    counted whichever form is taken, and the n^2 x m^2 transfer matrix where
+    that form is taken."""
+    entries = blocks * t * n * m
+    if _transfer_pays(t, m, n, blocks):
+        entries = max(entries, (n * m) ** 2)
+    return entries
 
 
 def apply(phi: SuperOp, X) -> np.ndarray:
@@ -183,7 +202,7 @@ def apply(phi: SuperOp, X) -> np.ndarray:
         raise InvalidInputError(
             f"input must be {phi.dim_in}x{phi.dim_in}, got {A.shape}"
         )
-    return _kraus_kernel(phi.kraus_left, phi.kraus_right)[0](A[None])[0]
+    return _kraus_kernel(phi.kraus_left, phi.kraus_right, directions=(False,))[0](A[None])[0]
 
 
 def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
@@ -193,7 +212,7 @@ def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
         raise InvalidInputError(
             f"adjoint input must be {phi.dim_out}x{phi.dim_out}, got {A.shape}"
         )
-    return _kraus_kernel(phi.kraus_left, phi.kraus_right)[1](A[None])[0]
+    return _kraus_kernel(phi.kraus_left, phi.kraus_right, directions=(True,))[0](A[None])[0]
 
 
 def tensor_identity(phi: SuperOp, ancilla_dim: int) -> SuperOp:

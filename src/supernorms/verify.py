@@ -13,11 +13,13 @@ algebra use 1e-8 .. 1e-10.
 
 The exact claims (``duality``, ``hoelder``, ``block_bounds``,
 ``monotone_p``) take each matrix's singular values once and read its norm at
-every grid exponent from them in one pass (``schatten._spectrum_pnorms``),
-which is exactly ``schatten_norm`` there; ``block_bounds`` takes all its
-blocks' spectra in one batched SVD and reads each block in one pass.  The
-trials decompose and pair the finite complex matrices they draw with
-``np.linalg.svd`` and ``np.vdot``, without validating them again.
+every grid exponent from them in one pass over a stack of spectra, one per
+row (``schatten._spectrum_pnorms``), which is exactly ``schatten_norm`` on
+each row; ``hoelder`` decomposes its X and Y in one SVD call on the pair,
+and ``block_bounds`` takes all its blocks' spectra in one batched SVD and
+reads them in one pass.  The trials decompose and pair the finite complex
+matrices they draw with ``np.linalg.svd`` and ``np.vdot``, without
+validating them again.
 ``duality`` builds its five witnesses from one more SVD of X, as
 ``duality_witness`` does, and checks each witness's unit dual norm with the
 public ``schatten_norm``.
@@ -322,10 +324,12 @@ def _run_exact(salt, trial, seed, trials, restarts):
     return [_record(i, *trial(rng)) for i in range(trials)]
 
 
-def _grid_norms(X: np.ndarray) -> dict:
-    """``schatten_norm(X, p)`` for each p on the exponent grid, from one SVD of
-    a drawn matrix and one pass over its spectrum."""
-    return dict(zip(_EXPONENT_GRID, _spectrum_pnorms(np.linalg.svd(X, compute_uv=False), _EXPONENT_GRID)))
+def _grid_norms(X: np.ndarray) -> list[dict]:
+    """``schatten_norm(M, p)`` for each p on the exponent grid and each matrix
+    M of a stack of drawn matrices of one shape, from one SVD of the stack and
+    one pass over its spectra."""
+    norms = _spectrum_pnorms(np.linalg.svd(X, compute_uv=False), _EXPONENT_GRID)
+    return [dict(zip(_EXPONENT_GRID, row)) for row in zip(*norms)]
 
 
 def _duality_trial(rng):
@@ -333,7 +337,7 @@ def _duality_trial(rng):
     n = int(rng.integers(2, 7))
     m = int(rng.integers(2, 7))
     X = _random_matrix(rng, n, m)
-    norms = _grid_norms(X)
+    (norms,) = _grid_norms(X[None])
     cases = []
     for p, Y in zip(_EXPONENT_GRID, _duality_witnesses(X, _EXPONENT_GRID)):
         attained = abs(complex(np.vdot(Y, X)) - norms[p])
@@ -348,7 +352,8 @@ def _hoelder_trial(rng):
     m = int(rng.integers(2, 7))
     X = _random_matrix(rng, n, m)
     Y = _random_matrix(rng, n, m)
-    x, y, overlap = _grid_norms(X), _grid_norms(Y), abs(complex(np.vdot(X, Y)))
+    x, y = _grid_norms(np.stack([X, Y]))
+    overlap = abs(complex(np.vdot(X, Y)))
     cases = [(max(0.0, overlap - x[p] * y[_DUAL[p]]), _P_LABELS[p]) for p in _EXPONENT_GRID]
     return {"shape": [n, m]}, cases
 
@@ -372,7 +377,7 @@ def _monotone_p_trial(rng):
     """||A||_p <= ||A||_q whenever p >= q."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(2, 7))
-    norms = _grid_norms(_random_matrix(rng, n, m))
+    (norms,) = _grid_norms(_random_matrix(rng, n, m)[None])
     cases = []
     for qi, q in enumerate(_EXPONENT_GRID):
         for p in _EXPONENT_GRID[qi:]:

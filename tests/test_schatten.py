@@ -124,7 +124,7 @@ def test_pnorm_zero_spectrum():
 def test_empty_spectra_have_norm_zero_and_empty_weights(p):
     # every exponent answers as p = 1 and q = inf always did
     assert pnorm([], p) == 0.0
-    assert _spectrum_pnorms([], [p]) == [0.0]
+    assert _spectrum_pnorms(np.zeros((1, 0)), [p]) == [[0.0]]
     np.testing.assert_array_equal(pnorm(np.zeros((3, 0)), p), np.zeros(3))
     assert holder_weights([], p).shape == (0,)
     assert holder_weights(np.zeros((3, 0)), p).shape == (3, 0)
@@ -158,17 +158,40 @@ def _table_spectra():
         yield -rng.standard_normal(n)  # signed, as eigenvalue spectra are
 
 
+def _table_stacks():
+    # stacks of 1 to 9 rows of 1 to 9 entries, at scales from 1e-300 to 1e300
+    # per row, with zero entries, all-zero rows and entries under the floor
+    rng = np.random.default_rng(2028)
+    for length in range(1, 10):
+        for rows in range(1, 10):
+            scale = 10.0 ** rng.uniform(-300, 300, size=(rows, 1))
+            stack = np.sort(rng.random((rows, length)), axis=-1)[:, ::-1] * scale
+            stack[rng.random((rows, length)) < 0.3] = 0.0
+            stack[rng.random(rows) < 0.2] = 0.0
+            tiny = rng.random((rows, length)) < 0.2
+            stack[tiny] = rng.random(int(tiny.sum())) * 1e-301
+            yield stack
+
+
 def test_spectrum_pnorms_match_pnorm_bit_for_bit():
     exponents = (1.0, 1.00005, 1.5, 2.0, 3.0, 7.3, math.inf)
     count = 0
-    for s in _table_spectra():
-        got = _spectrum_pnorms(s, exponents)
-        assert all(type(v) is float for v in got)
-        for p, v in zip(exponents, got):
-            want = _reference_pnorm(s, p)
-            assert v.hex() == want.hex() == float(pnorm(s, p)).hex(), (s, p)
-        count += 1
-    assert count == 12 * 18
+    # each table spectrum as a one-row stack, then stacks of several rows;
+    # every row reads as pnorm and its batched formula read it alone
+    stacks = [s[None] for s in _table_spectra()] + list(_table_stacks())
+    for stack in stacks:
+        got = _spectrum_pnorms(stack, exponents)
+        assert len(got) == len(exponents) and all(len(norms) == len(stack) for norms in got)
+        for row, norms in zip(stack, zip(*got)):
+            assert all(type(v) is float for v in norms)
+            for p, v in zip(exponents, norms):
+                want = _reference_pnorm(row, p)
+                assert v.hex() == want.hex() == float(pnorm(row, p)).hex(), (row, p)
+            count += 1
+    assert count == 12 * 18 + 9 * 45
+    # an empty stack has no rows, and rows of no entries have norm 0
+    assert _spectrum_pnorms(np.zeros((0, 3)), exponents) == [[]] * len(exponents)
+    assert _spectrum_pnorms(np.zeros((2, 0)), exponents) == [[0.0, 0.0]] * len(exponents)
 
 
 def test_singular_values_sorted():

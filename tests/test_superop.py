@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from supernorms import (
 )
 
 from supernorms import superop
-from supernorms.superop import _kraus_kernel, _transfer_matrix as transfer_matrix, _transfer_pays
+from supernorms.superop import _kernel_entries, _kraus_kernel, _transfer_matrix as transfer_matrix, _transfer_pays
 
 from conftest import COUNTS, check_count, complex_matrix
 
@@ -208,6 +209,35 @@ def test_apply_on_a_large_enlarged_map_builds_no_transfer_matrix(monkeypatch):
     assert not built
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 2, 2), (2, 2, 2), (3, 3, 2), (2, 2, 3), (4, 3, 3)]
+    + [(4, 3, 1), (3, 3, 1), (2, 3, 1), (3, 1, 2), (2, 1, 3), (1, 1, 1)],
+    ids=lambda s: "x".join(map(str, s)),
+)
+def test_apply_and_adjoint_lay_out_one_direction(shape, monkeypatch):
+    # (terms, dim_out, dim_in); with dim_in = 1 and more terms than dim_out,
+    # or dim_out = 1 and more terms than dim_in, one matrix takes the transfer
+    # form.  Each call lays out the one direction it uses and gives the bits
+    # of that direction of the full pair, whichever form the pair takes
+    t, m, n = shape
+    rng = np.random.default_rng(sum(shape))
+    left, right = (rng.standard_normal((t, m, n, 2)).view(complex)[..., 0] for _ in range(2))
+    phi = SuperOp(left, right)
+    X, Y = complex_matrix(rng, n, n), complex_matrix(rng, m, m)
+    forward, backward = _kraus_kernel(left, right)
+    laid_out = []
+    for name in ("_system_gemms", "_transfer_gemm"):
+        real = getattr(superop, name)
+        monkeypatch.setattr(superop, name, lambda *args, real=real: laid_out.append(1) or real(*args))
+    for call, arg, want in ((apply, X, forward), (adjoint_apply, Y, backward)):
+        laid_out.clear()
+        got = call(phi, arg)
+        assert len(laid_out) == 1
+        assert got.tobytes() == want(arg[None])[0].tobytes()
+    assert _transfer_pays(t, m, n, 1) == (min(m, n) == 1 and t > max(m, n))
+
+
 def test_estimate_size_guard_counts_the_transfer_matrix():
     # a 10 -> 820 map with 30 terms and 30 restarts takes the transfer form
     # (6.7e7 entries) while its iterates and kernel product hold 2.0e7, so
@@ -216,6 +246,18 @@ def test_estimate_size_guard_counts_the_transfer_matrix():
     assert _transfer_pays(30, 820, 10, 30)
     with pytest.raises(UnsupportedInstanceError, match=f"needs {(10 * 820) ** 2} entries, over the limit"):
         norm_q_to_p(phi, NormQuery(2.0, 2.0), OptimizerConfig(restarts=30))
+
+
+def test_kernel_entries_count_the_form_the_kernel_takes():
+    # the term-expanded product always, and T where the transfer form pays;
+    # on one block T never outgrows the product, so sizing an achiever's
+    # kernel by it refuses nothing the product alone would not
+    for t, m, n in itertools.product(range(1, 8), repeat=3):
+        for blocks in (1, 2, 30, 1600):
+            product = blocks * t * n * m
+            transfer = (n * m) ** 2 if _transfer_pays(t, m, n, blocks) else 0
+            assert _kernel_entries(t, m, n, blocks) == max(product, transfer)
+        assert _kernel_entries(t, m, n, 1) == t * n * m
 
 
 def test_tensor_identity_with_one_is_same_map(rng):

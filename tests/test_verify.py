@@ -195,7 +195,7 @@ def test_exact_claim_records_are_pinned(claim):
 # exact claim -> (salt, trial, np.linalg.svd calls per trial)
 EXACT_TRIALS = {
     "duality": (8, "_duality_trial", 7),
-    "hoelder": (9, "_hoelder_trial", 2),
+    "hoelder": (9, "_hoelder_trial", 1),
     "block_bounds": (10, "_block_bounds_trial", 2),
     "monotone_p": (11, "_monotone_p_trial", 1),
 }
@@ -204,8 +204,9 @@ EXACT_TRIALS = {
 @pytest.mark.parametrize("claim", EXACT_TRIALS)
 def test_exact_trials_decompose_each_matrix_once(claim, monkeypatch):
     # each matrix's singular values are taken once and every exponent's norm
-    # is read from them; duality also builds its five witnesses from one SVD
-    # of X and asks the public dual norm of each
+    # is read from them; hoelder decomposes X and Y in one call on the pair;
+    # duality also builds its five witnesses from one SVD of X and asks the
+    # public dual norm of each
     salt, trial, want = EXACT_TRIALS[claim]
     calls = []
     real = np.linalg.svd
