@@ -9,7 +9,8 @@ A stack of equal-length spectra, one per row, is read in one pass at any
 number of exponents (``_spectrum_pnorms``): its magnitudes, row peaks and
 scaled entries are taken once, each exponent powers and row-sums the whole
 stack, and each row's value has the same bits as ``pnorm`` gives on that row
-alone, which takes that path, as a one-row stack, for a 1-D spectrum itself.
+alone.  A one-row stack, and ``pnorm`` on a 1-D spectrum, take the same steps
+on the one row with its peak as a Python float (``_row_pnorms``).
 ``block_norm_bounds`` reads the full spectrum and the stack of its blocks'
 spectra that way.
 """
@@ -111,7 +112,7 @@ def pnorm(values, p, axis: int = -1):
     if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not -a.ndim <= axis < a.ndim:
         raise InvalidInputError(f"pnorm axis must be an integer in [{-a.ndim}, {a.ndim}), got {axis!r}")
     if a.ndim == 1:
-        return _spectrum_pnorms(a[None], (p,))[0][0]
+        return _row_pnorms(np.abs(a), (p,))[0] if a.size else 0.0
     a = np.abs(a)
     if a.size == 0:
         return a.sum(axis=axis)
@@ -139,10 +140,13 @@ def _spectrum_pnorms(spectra, exponents) -> list[list[float]]:
     stack is flooring before scaling: a row's peak is either kept or, with
     every other entry of its row, floored to 0.  An all-zero row is scaled
     by 1 and sums to 0, so its peak factor 0 gives its norm 0 all the same.
+    A one-row stack takes the same steps in :func:`_row_pnorms`.
     """
     a = np.abs(np.asarray(spectra, dtype=float))
     if a.size == 0:
         return [[0.0] * len(a) for _ in exponents]
+    if len(a) == 1:
+        return [[norm] for norm in _row_pnorms(a[0], exponents)]
     peak = scaled = None
     norms = []
     for p in exponents:
@@ -160,9 +164,29 @@ def _spectrum_pnorms(spectra, exponents) -> list[list[float]]:
         x = np.where(a < _UNDERFLOW_FLOOR, 0.0, scaled) if p < 1.0001 else scaled
         sums = np.add.reduce(x**p, axis=-1).tolist()
         root = 1.0 / p
-        for i, f in enumerate(peaks):  # a loop, not a comprehension: one row is the common call
-            sums[i] = sums[i] ** root * f
-        norms.append(sums)
+        norms.append([total**root * f for total, f in zip(sums, peaks)])
+    return norms
+
+
+def _row_pnorms(a: np.ndarray, exponents) -> list[float]:
+    """:func:`_spectrum_pnorms` of the one nonempty row of magnitudes ``a``
+    (1-D), one norm per exponent, with the same bits: its peak is a Python
+    float and its scale one division by it, with no per-row lists."""
+    peak = scaled = None
+    norms = []
+    for p in exponents:
+        if p == 1.0:
+            norms.append(float(np.add.reduce(np.where(a < _UNDERFLOW_FLOOR, 0.0, a))))
+            continue
+        if peak is None:
+            peak = float(np.maximum.reduce(a))
+        if math.isinf(p):
+            norms.append(peak)
+            continue
+        if scaled is None:
+            scaled = a / peak if peak > 0.0 else a
+        x = np.where(a < _UNDERFLOW_FLOOR, 0.0, scaled) if p < 1.0001 else scaled
+        norms.append(float(np.add.reduce(x**p)) ** (1.0 / p) * peak)
     return norms
 
 
@@ -214,15 +238,10 @@ def duality_witness(X, p) -> np.ndarray:
     flatly, the p = inf limit keeps only the top singular pair.
     """
     p = require_exponent(p)
-    return _duality_witnesses(as_matrix(X), [p])[0]
-
-
-def _duality_witnesses(A: np.ndarray, exponents) -> list:
-    """``duality_witness(A, p)`` for each exponent, from one SVD of ``A``."""
-    U, s, Vh = np.linalg.svd(A, full_matrices=False)
+    U, s, Vh = np.linalg.svd(as_matrix(X), full_matrices=False)
     if s[0] <= 0.0:
         raise InvalidInputError("duality witness is undefined for the zero matrix")
-    return [(U * _holder_weights(s, dual_exponent(p))) @ Vh for p in exponents]
+    return (U * _holder_weights(s, dual_exponent(p))) @ Vh
 
 
 def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, np.ndarray]:
@@ -243,17 +262,16 @@ def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, n
     )
 
 
-def _block_bounds(spectra: tuple[np.ndarray, np.ndarray], exponents) -> list[tuple[float, float]]:
-    """:func:`block_norm_bounds` at each p of ``exponents`` from
-    :func:`_block_spectra`: one pass over the full spectrum and one over the
-    stack of block spectra."""
-    full, blocks = spectra
+def _block_bounds(norms, block_norms) -> list[tuple[float, float]]:
+    """:func:`block_norm_bounds` at each exponent from the matrix's norm and
+    its blocks' norms at that exponent (``norms`` one float per exponent,
+    ``block_norms`` one list per exponent, in block order)."""
     bounds = []
-    for (norm,), block_norms in zip(_spectrum_pnorms(full[None], exponents), _spectrum_pnorms(blocks, exponents)):
+    for norm, column in zip(norms, block_norms):
         # summed in block order, one square at a time (sum() compensates
         # from Python 3.12 on, so it would round differently there)
         blocks_sq = 0.0
-        for b in block_norms:
+        for b in column:
             blocks_sq += b**2
         bounds.append((blocks_sq, norm**2))
     return bounds
@@ -268,7 +286,8 @@ def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, fl
     """
     A = as_matrix(X)
     p = require_exponent(p)
-    return _block_bounds(_block_spectra(A, block_rows, block_cols), (p,))[0]
+    full, blocks = _block_spectra(A, block_rows, block_cols)
+    return _block_bounds(_row_pnorms(full, (p,)), _spectrum_pnorms(blocks, (p,)))[0]
 
 
 def hoelder_gap(X, Y, p) -> float:

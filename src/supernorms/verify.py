@@ -12,17 +12,20 @@ optimizations carry restart variance); claims that reduce to plain linear
 algebra use 1e-8 .. 1e-10.
 
 The exact claims (``duality``, ``hoelder``, ``block_bounds``,
-``monotone_p``) take each matrix's singular values once and read its norm at
-every grid exponent from them in one pass over a stack of spectra, one per
-row (``schatten._spectrum_pnorms``), which is exactly ``schatten_norm`` on
-each row; ``hoelder`` decomposes its X and Y in one SVD call on the pair,
-and ``block_bounds`` takes all its blocks' spectra in one batched SVD and
-reads them in one pass.  The trials decompose and pair the finite complex
-matrices they draw with ``np.linalg.svd`` and ``np.vdot``, without
-validating them again.
-``duality`` builds its five witnesses from one more SVD of X, as
-``duality_witness`` does, and checks each witness's unit dual norm with the
-public ``schatten_norm``.
+``monotone_p``) run as one pass over their trials, ``_EXACT_CHUNK`` trials
+at a time: the chunk's trials are drawn from the claim's stream in trial
+order, all its matrices of one shape (``block_bounds``: its matrices and,
+apart, its blocks of one shape) are decomposed in one ``np.linalg.svd``
+call, and all spectra of one length are read at every grid exponent in one
+``schatten._spectrum_pnorms`` call, which gives each row exactly
+``schatten_norm`` of its matrix.  The residuals form one trials x cases
+table, and each row's first maximum gives the trial's record.  The trials
+decompose and pair the finite complex matrices they draw with
+``np.linalg.svd`` and ``np.vdot``, without validating them again.
+``duality`` builds the five witnesses of each X as ``duality_witness``
+does, from one SVD with vectors per shape of X, and checks each witness's
+unit dual norm from a fresh SVD of the stacked witnesses, taken with the X
+of their shape: the same bits as ``schatten_norm`` of each witness.
 
 Every randomized claim records each trial as its fields followed by
 ``residual`` (the trial's first largest residual) and ``worst_case`` (that
@@ -68,12 +71,10 @@ from .optimize import (
 from .oracle import brute_force_oracle
 from .schatten import (
     _block_bounds,
-    _block_spectra,
-    _duality_witnesses,
+    _holder_weights,
     _spectrum_pnorms,
     dual_exponent,
     format_exponent,
-    schatten_norm,
 )
 from .superop import difference
 
@@ -107,7 +108,10 @@ def _trial_seeds(seed: int, salt: int, count: int) -> list[int]:
 
 
 def _random_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    """``re + 1j * im`` for Gaussian ``re`` and then ``im``, drawn in one call."""
+    X = np.empty((rows, cols), dtype=complex)
+    X.real, X.imag = rng.standard_normal((2, rows, cols))
+    return X
 
 
 def _label(q, p) -> str:
@@ -318,71 +322,156 @@ def _transpose_cases(cfg):
             yield f"transpose({n}) stabilized {at}", v[p, n], n ** (2.0 / p) / n
 
 
-def _run_exact(salt, trial, seed, trials, restarts):
-    """``trial(rng) -> (shape_fields, cases)`` for ``i < trials`` on one seeded stream."""
-    rng = _rng(seed, salt)
-    return [_record(i, *trial(rng)) for i in range(trials)]
+# the trials an exact claim draws and decomposes at once: bounds its memory
+_EXACT_CHUNK = 64
+_GRID = np.array(_EXPONENT_GRID)
+# the grid index of each grid exponent's dual, and monotone_p's (q, p) cases
+_DUAL_AT = [_EXPONENT_GRID.index(_DUAL[p]) for p in _EXPONENT_GRID]
+_MONOTONE_Q, _MONOTONE_P = zip(*((q, p) for q in range(5) for p in range(q, 5)))
 
 
-def _grid_norms(X: np.ndarray) -> list[dict]:
+def _groups(keys) -> dict:
+    """Each key -> the indices of ``keys`` that hold it, in order."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _by_tail(f, stacks) -> list:
+    """``[f(a) for a in stacks]`` for an ``f`` that maps each entry along the
+    first axis on its own: the stacks of one trailing shape go through one
+    ``f`` call on their concatenation."""
+    out = [None] * len(stacks)
+    for idx in _groups(a.shape[1:] for a in stacks).values():
+        res = f(np.concatenate([stacks[i] for i in idx]))
+        stop = 0
+        for i in idx:
+            start, stop = stop, stop + len(stacks[i])
+            out[i] = res[start:stop]
+    return out
+
+
+def _grid_norms(stacks) -> list[np.ndarray]:
     """``schatten_norm(M, p)`` for each p on the exponent grid and each matrix
-    M of a stack of drawn matrices of one shape, from one SVD of the stack and
-    one pass over its spectra."""
-    norms = _spectrum_pnorms(np.linalg.svd(X, compute_uv=False), _EXPONENT_GRID)
-    return [dict(zip(_EXPONENT_GRID, row)) for row in zip(*norms)]
+    M of each stack of drawn matrices, one row per matrix: one SVD call per
+    matrix shape and one ``_spectrum_pnorms`` call per spectrum length."""
+    spectra = _by_tail(lambda a: np.linalg.svd(a, compute_uv=False), stacks)
+    return _by_tail(lambda s: np.array(_spectrum_pnorms(s, _EXPONENT_GRID)).T, spectra)
 
 
-def _duality_trial(rng):
-    """The dual-norm witness attains ||X||_p with a unit dual-norm certificate."""
-    n = int(rng.integers(2, 7))
-    m = int(rng.integers(2, 7))
-    X = _random_matrix(rng, n, m)
-    (norms,) = _grid_norms(X[None])
-    cases = []
-    for p, Y in zip(_EXPONENT_GRID, _duality_witnesses(X, _EXPONENT_GRID)):
-        attained = abs(complex(np.vdot(Y, X)) - norms[p])
-        unit = abs(schatten_norm(Y, _DUAL[p]) - 1.0)
-        cases.append((max(attained, unit), _P_LABELS[p]))
-    return {"shape": [n, m]}, cases
+def _clip(x: np.ndarray) -> np.ndarray:
+    """``max(0.0, v)`` of each entry v, as Python takes it."""
+    return np.where(x > 0.0, x, 0.0)
 
 
-def _hoelder_trial(rng):
+def _draw_shape(rng) -> tuple[int, int]:
+    return int(rng.integers(2, 7)), int(rng.integers(2, 7))
+
+
+def _duality_table(rng, count):
+    """The dual-norm witness attains ||X||_p with a unit dual-norm certificate.
+    The five witnesses of each X are built as ``duality_witness`` builds them,
+    from one SVD with vectors per shape of X, and are decomposed again, for
+    their dual norms, in the call that takes the norms of the X of their
+    shape."""
+    drawn = [_random_matrix(rng, *_draw_shape(rng)) for _ in range(count)]
+    groups = list(_groups(X.shape for X in drawn).values())
+    X = [np.stack([drawn[i] for i in idx]) for idx in groups]
+    usv = [np.linalg.svd(x, full_matrices=False) for x in X]
+    weights = _by_tail(
+        lambda s: np.stack([_holder_weights(s, _DUAL[p]) for p in _EXPONENT_GRID], axis=1), [s for _, s, _ in usv]
+    )
+    Y = [(U[:, None] * w[..., None, :]) @ Vh[:, None] for (U, _, Vh), w in zip(usv, weights)]
+    norms = _grid_norms(X + [y.reshape(-1, *y.shape[2:]) for y in Y])
+    table = np.empty((count, 5))
+    for idx, x, y, x_norms, y_norms in zip(groups, X, Y, norms, norms[len(X) :]):
+        attained = [
+            [abs(complex(np.vdot(Yp, Xt)) - norm) for Yp, norm in zip(Yt, row)]
+            for Xt, Yt, row in zip(x, y, x_norms.tolist())
+        ]
+        unit = np.abs(y_norms.reshape(-1, 5, 5)[:, range(5), _DUAL_AT] - 1.0)
+        table[idx] = np.where(unit > attained, unit, attained)
+    return [{"shape": list(x.shape)} for x in drawn], table
+
+
+def _hoelder_table(rng, count):
     """|<X, Y>| <= ||X||_p ||Y||_p* for X and Y of one shape."""
-    n = int(rng.integers(2, 7))
-    m = int(rng.integers(2, 7))
-    X = _random_matrix(rng, n, m)
-    Y = _random_matrix(rng, n, m)
-    x, y = _grid_norms(np.stack([X, Y]))
-    overlap = abs(complex(np.vdot(X, Y)))
-    cases = [(max(0.0, overlap - x[p] * y[_DUAL[p]]), _P_LABELS[p]) for p in _EXPONENT_GRID]
-    return {"shape": [n, m]}, cases
+    pairs = []
+    for _ in range(count):
+        n, m = _draw_shape(rng)
+        pairs.append(np.stack([_random_matrix(rng, n, m), _random_matrix(rng, n, m)]))
+    norms = np.stack(_grid_norms(pairs))
+    overlap = np.array([abs(complex(np.vdot(X, Y))) for X, Y in pairs])
+    table = _clip(overlap[:, None] - norms[:, 0] * norms[:, 1, _DUAL_AT])
+    return [{"shape": list(pair.shape[1:])} for pair in pairs], table
 
 
-def _block_bounds_trial(rng):
+def _block_bounds_table(rng, count):
     """Squared block norms bound the squared full norm from the p-dependent side."""
-    br = int(rng.integers(1, 4))
-    bc = int(rng.integers(1, 4))
-    h = int(rng.integers(1, 4))
-    w = int(rng.integers(1, 4))
-    X = _random_matrix(rng, br * h, bc * w)
-    cases = []
-    for p, (lhs, rhs) in zip(_EXPONENT_GRID, _block_bounds(_block_spectra(X, br, bc), _EXPONENT_GRID)):
-        slack = lhs - rhs if p <= 2.0 else rhs - lhs
-        r = abs(slack) if p == 2.0 else max(0.0, slack)
-        cases.append((r, _P_LABELS[p]))
-    return {"blocks": [br, bc], "block_shape": [h, w]}, cases
+    fields, drawn, blocks = [], [], []
+    for _ in range(count):
+        br, bc, h, w = (int(rng.integers(1, 4)) for _ in range(4))
+        X = _random_matrix(rng, br * h, bc * w)
+        fields.append({"blocks": [br, bc], "block_shape": [h, w]})
+        drawn.append(X[None])
+        blocks.append(X.reshape(br, h, bc, w).transpose(0, 2, 1, 3).reshape(-1, h, w))
+    norms = _grid_norms(drawn + blocks)
+    bounds = np.array([_block_bounds(*x.tolist(), b.T.tolist()) for x, b in zip(norms, norms[count:])])
+    lhs, rhs = bounds[..., 0], bounds[..., 1]
+    slack = np.where(_GRID <= 2.0, lhs - rhs, rhs - lhs)
+    return fields, np.where(_GRID == 2.0, np.abs(slack), _clip(slack))
 
 
-def _monotone_p_trial(rng):
+def _monotone_p_table(rng, count):
     """||A||_p <= ||A||_q whenever p >= q."""
-    n = int(rng.integers(2, 7))
-    m = int(rng.integers(2, 7))
-    (norms,) = _grid_norms(_random_matrix(rng, n, m)[None])
-    cases = []
-    for qi, q in enumerate(_EXPONENT_GRID):
-        for p in _EXPONENT_GRID[qi:]:
-            cases.append((max(0.0, norms[p] - norms[q]), _QP_LABELS[q, p]))
-    return {"shape": [n, m]}, cases
+    drawn = [_random_matrix(rng, *_draw_shape(rng))[None] for _ in range(count)]
+    norms = np.concatenate(_grid_norms(drawn))
+    table = _clip(norms[:, _MONOTONE_P] - norms[:, _MONOTONE_Q])
+    return [{"shape": list(A.shape[1:])} for A in drawn], table
+
+
+# exact claim -> (its residual table over drawn trials, its case labels)
+_P_CASES = [_P_LABELS[p] for p in _EXPONENT_GRID]
+_EXACT = {
+    "duality": (_duality_table, _P_CASES),
+    "hoelder": (_hoelder_table, _P_CASES),
+    "block_bounds": (_block_bounds_table, _P_CASES),
+    "monotone_p": (
+        _monotone_p_table,
+        [_QP_LABELS[_EXPONENT_GRID[q], _EXPONENT_GRID[p]] for q, p in zip(_MONOTONE_Q, _MONOTONE_P)],
+    ),
+}
+
+
+def _exact_table(claim, rng, trials):
+    """The exact claim's trial fields and its trials x cases table of
+    residuals, over ``trials`` trials drawn from ``rng`` in trial order,
+    ``_EXACT_CHUNK`` trials at a time."""
+    table_of = _EXACT[claim][0]
+    fields, tables = [], []
+    for start in range(0, trials, _EXACT_CHUNK):
+        chunk_fields, table = table_of(rng, min(_EXACT_CHUNK, trials - start))
+        fields += chunk_fields
+        tables.append(table)
+    return fields, np.concatenate(tables)
+
+
+def _table_records(fields, table, labels) -> list[dict]:
+    """``_record(i, fields[i], zip(table[i], labels))`` for each row i of a
+    table of residuals (non-negative, not NaN) in one reduction: a row's first
+    maximum is its first largest residual."""
+    worst, at = table.max(axis=1).tolist(), table.argmax(axis=1).tolist()
+    return [
+        {"trial": i, **f, "residual": r, "worst_case": labels[a] if r > _LABEL_FLOOR else ""}
+        for i, (f, r, a) in enumerate(zip(fields, worst, at))
+    ]
+
+
+def _run_exact(salt, claim, seed, trials, restarts):
+    """The exact claim's records over ``trials`` trials on one seeded stream."""
+    fields, table = _exact_table(claim, _rng(seed, salt), trials)
+    return _table_records(fields, table, _EXACT[claim][1])
 
 
 def _map_claim(salt, cases, cp):
@@ -398,10 +487,10 @@ _REGISTRY = {
     "theorem3": (2e-3, _map_claim(5, _theorem3_cases, cp=False)),
     "transpose_instability": (2e-3, partial(_run_fixed, 6, _transpose_cases)),
     "ahw_fact": (2e-3, _map_claim(7, _ahw_fact_cases, cp=True)),
-    "duality": (1e-8, partial(_run_exact, 8, _duality_trial)),
-    "hoelder": (1e-9, partial(_run_exact, 9, _hoelder_trial)),
-    "block_bounds": (1e-9, partial(_run_exact, 10, _block_bounds_trial)),
-    "monotone_p": (1e-10, partial(_run_exact, 11, _monotone_p_trial)),
+    "duality": (1e-8, partial(_run_exact, 8, "duality")),
+    "hoelder": (1e-9, partial(_run_exact, 9, "hoelder")),
+    "block_bounds": (1e-9, partial(_run_exact, 10, "block_bounds")),
+    "monotone_p": (1e-10, partial(_run_exact, 11, "monotone_p")),
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import importlib
 import json
@@ -192,35 +193,62 @@ def test_exact_claim_records_are_pinned(claim):
         assert {k: got[k] for k in want} == want
 
 
-# exact claim -> (salt, trial, np.linalg.svd calls per trial)
-EXACT_TRIALS = {
-    "duality": (8, "_duality_trial", 7),
-    "hoelder": (9, "_hoelder_trial", 1),
-    "block_bounds": (10, "_block_bounds_trial", 2),
-    "monotone_p": (11, "_monotone_p_trial", 1),
-}
+# exact claim -> the salt of its seeded stream
+EXACT_SALTS = {"duality": 8, "hoelder": 9, "block_bounds": 10, "monotone_p": 11}
 
 
-@pytest.mark.parametrize("claim", EXACT_TRIALS)
+def _blocks(X, block_rows, block_cols):
+    h, w = X.shape[0] // block_rows, X.shape[1] // block_cols
+    return [X[i * h : (i + 1) * h, j * w : (j + 1) * w] for i in range(block_rows) for j in range(block_cols)]
+
+
+def _key(M):
+    return M.shape, M.tobytes()
+
+
+@pytest.mark.parametrize("claim", EXACT_SALTS)
 def test_exact_trials_decompose_each_matrix_once(claim, monkeypatch):
-    # each matrix's singular values are taken once and every exponent's norm
-    # is read from them; hoelder decomposes X and Y in one call on the pair;
-    # duality also builds its five witnesses from one SVD of X and asks the
-    # public dual norm of each
-    salt, trial, want = EXACT_TRIALS[claim]
-    calls = []
-    real = np.linalg.svd
+    # in each chunk of trials, every matrix is decomposed once, in one
+    # np.linalg.svd call per matrix shape, and its singular values give its
+    # norm at every grid exponent (block_bounds: the matrix and each block).
+    # duality also decomposes each X once with vectors, in one call per shape,
+    # to build its five witnesses, which are decomposed with the X of their
+    # shape
+    per = 2 if claim == "hoelder" else 1
+    drawn, calls = [], []
+    real_draw, real_svd = verify_module._random_matrix, np.linalg.svd
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def draw(rng, rows, cols):
+        drawn.append(real_draw(rng, rows, cols))
+        return drawn[-1]
 
+    def spy(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((len(drawn), compute_uv, a.copy()))
+        return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(verify_module, "_random_matrix", draw)
     monkeypatch.setattr(np.linalg, "svd", spy)
-    rng = verify_module._rng(42, salt)
-    for _ in range(3):
-        calls.clear()
-        getattr(verify_module, trial)(rng)
-        assert len(calls) == want
+    chunk = verify_module._EXACT_CHUNK
+    trials = chunk + 9
+    fields, _ = verify_module._exact_table(claim, verify_module._rng(42, EXACT_SALTS[claim]), trials)
+    made = list(calls)
+    assert len(fields) == trials and len(drawn) == trials * per
+    for start in (0, chunk):
+        stop = min(start + chunk, trials)
+        here = drawn[start * per : stop * per]
+        matrices = list(here)
+        if claim == "block_bounds":
+            for X, f in zip(here, fields[start:stop]):
+                matrices += _blocks(X, *f["blocks"])
+        with_vectors = here if claim == "duality" else []
+        if claim == "duality":
+            matrices += [duality_witness(X, p) for X in here for p in EXPONENTS]
+        mine = [(uv, a) for n, uv, a in made if n == stop * per]
+        assert all(a.ndim == 3 for _, a in mine)
+        for uv, want in ((False, matrices), (True, with_vectors)):
+            stacks = [a for used_uv, a in mine if used_uv == uv]
+            assert collections.Counter(_key(M) for a in stacks for M in a) == collections.Counter(map(_key, want))
+            assert len(stacks) == len({M.shape for M in want})
 
 
 def _one_exponent_cases(claim, fields, matrices):
@@ -253,33 +281,74 @@ def _one_exponent_cases(claim, fields, matrices):
 
 
 @pytest.mark.parametrize("rank_one", [False, True])
-@pytest.mark.parametrize("claim", EXACT_TRIALS)
+@pytest.mark.parametrize("claim", EXACT_SALTS)
 def test_exact_trials_check_the_library_definitions(claim, rank_one, monkeypatch):
-    # every per-exponent residual equals, bit for bit, the one built from the
-    # public functions that each take one exponent.  Rank-one draws u v^T
-    # (one u and v for every draw, so hoelder's Y is its X) meet the hoelder
-    # and block bounds with equality, so their residuals are roundoff, not
-    # clipped to zero; monotone_p is never tight for p > q
-    salt, trial, _ = EXACT_TRIALS[claim]
+    # every cell of the claim's residual table equals, bit for bit, the case
+    # built from the public functions that each take one exponent (duality's
+    # dual norms: schatten_norm of each duality_witness).  Rank-one draws
+    # u v^T (one u and v for every draw, so hoelder's Y is its X) meet the
+    # hoelder and block bounds with equality, so their residuals are
+    # roundoff, not clipped to zero; monotone_p is never tight for p > q.
+    # 50 trials read several spectra of each length in one pass
+    per = 2 if claim == "hoelder" else 1
     u, v = np.random.default_rng(3).standard_normal((2, 9)) + 1j
-    drawn = []
-    real = verify_module._random_matrix
+    drawn, reads = [], []
+    real_draw, real_read = verify_module._random_matrix, verify_module._spectrum_pnorms
 
     def keep(rng, rows, cols):
-        drawn.append(np.outer(u[:rows], v[:cols]) if rank_one else real(rng, rows, cols))
+        drawn.append(np.outer(u[:rows], v[:cols]) if rank_one else real_draw(rng, rows, cols))
         return drawn[-1]
 
+    def read(spectra, exponents):
+        reads.append(spectra.shape)
+        return real_read(spectra, exponents)
+
     monkeypatch.setattr(verify_module, "_random_matrix", keep)
+    monkeypatch.setattr(verify_module, "_spectrum_pnorms", read)
+    labels = verify_module._EXACT[claim][1]
     nonzero = 0
     for seed in (42, 7):
-        rng = verify_module._rng(seed, salt)
-        for _ in range(10):
+        for trials in (1, 10, 50):
             drawn.clear()
-            fields, cases = getattr(verify_module, trial)(rng)
-            want = list(_one_exponent_cases(claim, fields, drawn))
-            assert [(float(r).hex(), at) for r, at in cases] == [(float(r).hex(), at) for r, at in want]
-            nonzero += sum(r > 0.0 for r, _ in cases)
+            fields, table = verify_module._exact_table(claim, verify_module._rng(seed, EXACT_SALTS[claim]), trials)
+            assert table.shape == (trials, len(labels)) and len(drawn) == trials * per
+            for t, (f, row) in enumerate(zip(fields, table.tolist())):
+                want = list(_one_exponent_cases(claim, f, drawn[t * per : (t + 1) * per]))
+                assert [(r.hex(), at) for r, at in zip(row, labels)] == [(float(r).hex(), at) for r, at in want]
+                nonzero += sum(r > 0.0 for r in row)
     assert nonzero > 0 or not rank_one or claim == "monotone_p"
+    lengths = {1, 2, 3} if claim == "block_bounds" else {2, 3, 4, 5, 6}
+    assert lengths <= {length for rows, length in reads if rows > 1}
+
+
+@pytest.mark.parametrize("claim", EXACT_SALTS)
+def test_exact_trials_do_not_depend_on_the_trial_count(claim, monkeypatch):
+    # a trial's record is the same at any trial count and in any chunk
+    trials = verify_module._EXACT_CHUNK + 11
+    details = json.dumps(verify(claim, seed=5, trials=trials).details)
+    for k in (1, 7):
+        assert json.dumps(verify(claim, seed=5, trials=k).details) == json.dumps(json.loads(details)[:k])
+    monkeypatch.setattr(verify_module, "_EXACT_CHUNK", trials)
+    assert json.dumps(verify(claim, seed=5, trials=trials).details) == details
+
+
+def test_table_records_reduce_each_row_as_record_does():
+    floor = verify_module._LABEL_FLOOR
+    above = math.nextafter(floor, math.inf)
+    rows = [
+        [1e-6, 3e-6, 3e-6, 0.0],  # tied maxima: the first
+        [0.0, 0.0, 0.0, 0.0],
+        [floor, 0.0, floor, 1e-12],  # at the floor: no label
+        [1e-12, above, above, floor],  # just above it: the first
+        [5e-11, 1e-11, 0.0, 5e-11],
+        [2.0, 2.0, 2.0, 2.0],
+    ]
+    labels = ["a", "b", "c", "d"]
+    fields = [{"shape": [i, i + 1]} for i in range(len(rows))]
+    got = verify_module._table_records(fields, np.array(rows), labels)
+    want = [verify_module._record(i, f, zip(row, labels)) for i, (f, row) in enumerate(zip(fields, rows))]
+    assert json.dumps(got) == json.dumps(want)
+    assert [r["worst_case"] for r in got] == ["b", "", "", "b", "", "a"]
 
 
 @pytest.mark.parametrize("claim", TRIAL_CLAIMS)
