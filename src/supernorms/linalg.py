@@ -25,12 +25,19 @@ from .errors import InvalidInputError, require_count
 
 def as_matrix(data) -> np.ndarray:
     """Validate ``data`` and return it as a fresh 2-D complex128 array."""
+    return as_matrices(data, stack=False)
+
+
+def as_matrices(data, stack: bool = True) -> np.ndarray:
+    """Validate ``data`` as a nonempty matrix or, with ``stack``, a stack of
+    them along leading axes, and return it as a fresh complex128 array."""
     try:
         arr = np.array(data, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"cannot interpret input as a complex matrix: {exc}") from exc
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise InvalidInputError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
+    if arr.ndim < 2 or arr.ndim > 2 and not stack or arr.size == 0:
+        what = "matrix or stack of matrices" if stack else "2-D matrix"
+        raise InvalidInputError(f"expected a nonempty {what}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise InvalidInputError("matrix entries must be finite (no NaN or Inf)")
     return arr

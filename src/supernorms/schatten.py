@@ -9,10 +9,9 @@ A stack of equal-length spectra, one per row, is read in one pass at any
 number of exponents (``_spectrum_pnorms``): its magnitudes, row peaks and
 scaled entries are taken once, each exponent powers and row-sums the whole
 stack, and each row's value has the same bits as ``pnorm`` gives on that row
-alone.  A one-row stack, and ``pnorm`` on a 1-D spectrum, take the same steps
-on the one row with its peak as a Python float (``_row_pnorms``).
-``block_norm_bounds`` reads the full spectrum and the stack of its blocks'
-spectra that way.
+alone, which takes that path, as a one-row stack, for a 1-D spectrum itself.
+``schatten_norm`` of a stack of matrices, at one or several exponents, and
+``block_norm_bounds`` read their spectra that way.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import InvalidExponentError, InvalidInputError, require_count
-from .linalg import as_matrix, inner
+from .linalg import as_matrices, as_matrix, inner
 
 # Singular values below this floor are dropped for exponents close to 1, where
 # raising denormal noise to the power p and summing can pollute the result.
@@ -112,7 +111,7 @@ def pnorm(values, p, axis: int = -1):
     if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not -a.ndim <= axis < a.ndim:
         raise InvalidInputError(f"pnorm axis must be an integer in [{-a.ndim}, {a.ndim}), got {axis!r}")
     if a.ndim == 1:
-        return _row_pnorms(np.abs(a), (p,))[0] if a.size else 0.0
+        return _spectrum_pnorms(a[None], (p,))[0][0]
     a = np.abs(a)
     if a.size == 0:
         return a.sum(axis=axis)
@@ -140,13 +139,10 @@ def _spectrum_pnorms(spectra, exponents) -> list[list[float]]:
     stack is flooring before scaling: a row's peak is either kept or, with
     every other entry of its row, floored to 0.  An all-zero row is scaled
     by 1 and sums to 0, so its peak factor 0 gives its norm 0 all the same.
-    A one-row stack takes the same steps in :func:`_row_pnorms`.
     """
     a = np.abs(np.asarray(spectra, dtype=float))
     if a.size == 0:
         return [[0.0] * len(a) for _ in exponents]
-    if len(a) == 1:
-        return [[norm] for norm in _row_pnorms(a[0], exponents)]
     peak = scaled = None
     norms = []
     for p in exponents:
@@ -164,35 +160,29 @@ def _spectrum_pnorms(spectra, exponents) -> list[list[float]]:
         x = np.where(a < _UNDERFLOW_FLOOR, 0.0, scaled) if p < 1.0001 else scaled
         sums = np.add.reduce(x**p, axis=-1).tolist()
         root = 1.0 / p
-        norms.append([total**root * f for total, f in zip(sums, peaks)])
+        for i, f in enumerate(peaks):  # a loop, not a comprehension: one row is the common call
+            sums[i] = sums[i] ** root * f
+        norms.append(sums)
     return norms
 
 
-def _row_pnorms(a: np.ndarray, exponents) -> list[float]:
-    """:func:`_spectrum_pnorms` of the one nonempty row of magnitudes ``a``
-    (1-D), one norm per exponent, with the same bits: its peak is a Python
-    float and its scale one division by it, with no per-row lists."""
-    peak = scaled = None
-    norms = []
-    for p in exponents:
-        if p == 1.0:
-            norms.append(float(np.add.reduce(np.where(a < _UNDERFLOW_FLOOR, 0.0, a))))
-            continue
-        if peak is None:
-            peak = float(np.maximum.reduce(a))
-        if math.isinf(p):
-            norms.append(peak)
-            continue
-        if scaled is None:
-            scaled = a / peak if peak > 0.0 else a
-        x = np.where(a < _UNDERFLOW_FLOOR, 0.0, scaled) if p < 1.0001 else scaled
-        norms.append(float(np.add.reduce(x**p)) ** (1.0 / p) * peak)
-    return norms
+def schatten_norm(X, p):
+    """Schatten p-norm: the p-norm of the singular value spectrum.
 
-
-def schatten_norm(X, p) -> float:
-    """Schatten p-norm: the p-norm of the singular value spectrum."""
-    return float(pnorm(singular_values(X), p))
+    ``X`` may also be a stack of matrices along leading axes, and ``p`` a
+    sequence of exponents: the norms then come as an array with the stack's
+    leading axes and, for a sequence, a last axis of one norm per exponent.
+    A stack takes one SVD and one pass over its spectra, and each norm has
+    the bits of its one matrix's norm at its one exponent.
+    """
+    A = as_matrices(X)
+    if A.ndim == 2 and np.ndim(p) == 0:
+        return float(pnorm(np.linalg.svd(A, compute_uv=False), p))
+    exponents = [require_exponent(q) for q in (p if np.ndim(p) else [p])]
+    s = np.linalg.svd(A, compute_uv=False)
+    norms = np.array(_spectrum_pnorms(s.reshape(-1, s.shape[-1]), exponents)).T
+    norms = norms.reshape(*A.shape[:-2], len(exponents))
+    return norms if np.ndim(p) else norms[..., 0]
 
 
 def holder_weights(values, ball_exponent) -> np.ndarray:
@@ -241,13 +231,35 @@ def duality_witness(X, p) -> np.ndarray:
     U, s, Vh = np.linalg.svd(as_matrix(X), full_matrices=False)
     if s[0] <= 0.0:
         raise InvalidInputError("duality witness is undefined for the zero matrix")
-    return (U * _holder_weights(s, dual_exponent(p))) @ Vh
+    return _witnesses(U, _witness_weights(s, [p]), Vh)[0]
+
+
+def _witness_weights(s: np.ndarray, exponents) -> np.ndarray:
+    """The weights that :func:`duality_witness` gives the singular values
+    ``s`` (a stack of spectra, one per row) at each exponent: an axis of
+    exponents before the last."""
+    return np.stack([_holder_weights(s, dual_exponent(p)) for p in exponents], axis=-2)
+
+
+def _witnesses(U: np.ndarray, w: np.ndarray, Vh: np.ndarray) -> np.ndarray:
+    """The witnesses ``(U * w) @ Vh`` of a stack of singular systems at each
+    row of their :func:`_witness_weights` ``w``: an axis of exponents before
+    the matrix axes."""
+    return (U[..., None, :, :] * w[..., None, :]) @ Vh[..., None, :, :]
+
+
+def _block_stack(A: np.ndarray, block_rows: int, block_cols: int) -> np.ndarray:
+    """The blocks of ``A`` for an even ``block_rows`` x ``block_cols``
+    partition, as a stack in row-major block order."""
+    rows, cols = A.shape
+    h, w = rows // block_rows, cols // block_cols
+    return A.reshape(block_rows, h, block_cols, w).transpose(0, 2, 1, 3).reshape(-1, h, w)
 
 
 def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, np.ndarray]:
     """The spectrum of the validated matrix ``A`` and its blocks' spectra, one
     row per block in row-major block order, for an even ``block_rows`` x
-    ``block_cols`` partition; the blocks take one batched SVD."""
+    ``block_cols`` partition; the blocks take one stacked SVD."""
     block_rows = require_count(block_rows, "block_rows", 1)
     block_cols = require_count(block_cols, "block_cols", 1)
     rows, cols = A.shape
@@ -255,11 +267,8 @@ def _block_spectra(A: np.ndarray, block_rows, block_cols) -> tuple[np.ndarray, n
         raise InvalidInputError(
             f"matrix of shape {A.shape} does not partition into {block_rows}x{block_cols} blocks"
         )
-    blocks = A.reshape(block_rows, rows // block_rows, block_cols, cols // block_cols).transpose(0, 2, 1, 3)
-    return (
-        np.linalg.svd(A, compute_uv=False),
-        np.linalg.svd(blocks, compute_uv=False).reshape(block_rows * block_cols, -1),
-    )
+    blocks = _block_stack(A, block_rows, block_cols)
+    return np.linalg.svd(A, compute_uv=False), np.linalg.svd(blocks, compute_uv=False)
 
 
 def _block_bounds(norms, block_norms) -> list[tuple[float, float]]:
@@ -287,7 +296,7 @@ def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, fl
     A = as_matrix(X)
     p = require_exponent(p)
     full, blocks = _block_spectra(A, block_rows, block_cols)
-    return _block_bounds(_row_pnorms(full, (p,)), _spectrum_pnorms(blocks, (p,)))[0]
+    return _block_bounds(_spectrum_pnorms(full[None], (p,))[0], _spectrum_pnorms(blocks, (p,)))[0]
 
 
 def hoelder_gap(X, Y, p) -> float:

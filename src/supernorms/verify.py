@@ -22,10 +22,10 @@ call, and all spectra of one length are read at every grid exponent in one
 table, and each row's first maximum gives the trial's record.  The trials
 decompose and pair the finite complex matrices they draw with
 ``np.linalg.svd`` and ``np.vdot``, without validating them again.
-``duality`` builds the five witnesses of each X as ``duality_witness``
-does, from one SVD with vectors per shape of X, and checks each witness's
-unit dual norm from a fresh SVD of the stacked witnesses, taken with the X
-of their shape: the same bits as ``schatten_norm`` of each witness.
+``duality`` builds the five witnesses of each X with ``schatten``'s witness
+helpers, from one SVD with vectors per shape of X, and reads the norms of
+the X of one shape and the dual norms of their witnesses in one public
+``schatten_norm`` call on the stack of both.
 
 Every randomized claim records each trial as its fields followed by
 ``residual`` (the trial's first largest residual) and ``worst_case`` (that
@@ -71,10 +71,13 @@ from .optimize import (
 from .oracle import brute_force_oracle
 from .schatten import (
     _block_bounds,
-    _holder_weights,
+    _block_stack,
     _spectrum_pnorms,
+    _witness_weights,
+    _witnesses,
     dual_exponent,
     format_exponent,
+    schatten_norm,
 )
 from .superop import difference
 
@@ -371,26 +374,23 @@ def _draw_shape(rng) -> tuple[int, int]:
 
 def _duality_table(rng, count):
     """The dual-norm witness attains ||X||_p with a unit dual-norm certificate.
-    The five witnesses of each X are built as ``duality_witness`` builds them,
-    from one SVD with vectors per shape of X, and are decomposed again, for
-    their dual norms, in the call that takes the norms of the X of their
-    shape."""
+    The X of one shape take one SVD with vectors for their witnesses, and
+    one ``schatten_norm`` call for their norms and their witnesses' norms;
+    the weights of all spectra of one length are taken at once."""
     drawn = [_random_matrix(rng, *_draw_shape(rng)) for _ in range(count)]
     groups = list(_groups(X.shape for X in drawn).values())
     X = [np.stack([drawn[i] for i in idx]) for idx in groups]
     usv = [np.linalg.svd(x, full_matrices=False) for x in X]
-    weights = _by_tail(
-        lambda s: np.stack([_holder_weights(s, _DUAL[p]) for p in _EXPONENT_GRID], axis=1), [s for _, s, _ in usv]
-    )
-    Y = [(U[:, None] * w[..., None, :]) @ Vh[:, None] for (U, _, Vh), w in zip(usv, weights)]
-    norms = _grid_norms(X + [y.reshape(-1, *y.shape[2:]) for y in Y])
+    weights = _by_tail(lambda s: _witness_weights(s, _EXPONENT_GRID), [s for _, s, _ in usv])
     table = np.empty((count, 5))
-    for idx, x, y, x_norms, y_norms in zip(groups, X, Y, norms, norms[len(X) :]):
+    for idx, x, (U, _, Vh), w in zip(groups, X, usv, weights):
+        y = _witnesses(U, w, Vh)
+        norms = schatten_norm(np.concatenate([x[:, None], y], axis=1), _EXPONENT_GRID)
+        unit = np.abs(norms[:, range(1, 6), _DUAL_AT] - 1.0)
         attained = [
             [abs(complex(np.vdot(Yp, Xt)) - norm) for Yp, norm in zip(Yt, row)]
-            for Xt, Yt, row in zip(x, y, x_norms.tolist())
+            for Xt, Yt, row in zip(x, y, norms[:, 0].tolist())
         ]
-        unit = np.abs(y_norms.reshape(-1, 5, 5)[:, range(5), _DUAL_AT] - 1.0)
         table[idx] = np.where(unit > attained, unit, attained)
     return [{"shape": list(x.shape)} for x in drawn], table
 
@@ -415,7 +415,7 @@ def _block_bounds_table(rng, count):
         X = _random_matrix(rng, br * h, bc * w)
         fields.append({"blocks": [br, bc], "block_shape": [h, w]})
         drawn.append(X[None])
-        blocks.append(X.reshape(br, h, bc, w).transpose(0, 2, 1, 3).reshape(-1, h, w))
+        blocks.append(_block_stack(X, br, bc))
     norms = _grid_norms(drawn + blocks)
     bounds = np.array([_block_bounds(*x.tolist(), b.T.tolist()) for x, b in zip(norms, norms[count:])])
     lhs, rhs = bounds[..., 0], bounds[..., 1]

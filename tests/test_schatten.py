@@ -102,6 +102,36 @@ def test_trace_norm_of_signed_unitary_spectrum():
     assert schatten_norm(X, math.inf) == pytest.approx(0.5, abs=1e-12)
 
 
+def test_schatten_norm_of_a_stack_matches_each_matrix_bit_for_bit():
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((2, 3, 4, 5)) + 1j * rng.standard_normal((2, 3, 4, 5))
+    X[0, 1] = 0.0
+    X[1, 2] = np.outer(np.arange(4), np.ones(5))
+    norms = schatten_norm(X, EXPONENTS)
+    assert norms.shape == (2, 3, len(EXPONENTS))
+    for i in range(2):
+        for j in range(3):
+            want = [schatten_norm(X[i, j], p) for p in EXPONENTS]
+            assert [v.hex() for v in norms[i, j].tolist()] == [v.hex() for v in want]
+            assert isinstance(want[0], float)
+    np.testing.assert_array_equal(schatten_norm(X, 1.5), norms[..., 1])
+    np.testing.assert_array_equal(schatten_norm(X[1, 0], EXPONENTS), norms[1, 0])
+    assert schatten_norm(X, []).shape == (2, 3, 0)
+
+
+@pytest.mark.parametrize("bad", [np.zeros((2, 0, 3)), np.zeros(3), np.full((2, 2, 2), np.nan)])
+def test_schatten_norm_refuses_empty_flat_and_nonfinite_stacks(bad):
+    with pytest.raises(InvalidInputError):
+        schatten_norm(bad, 2.0)
+
+
+def test_schatten_norm_validates_every_exponent_of_a_sequence():
+    with pytest.raises(InvalidExponentError):
+        schatten_norm(np.eye(2), [2.0, 0.5])
+    with pytest.raises(InvalidExponentError):
+        schatten_norm(np.eye(2)[None], [1.0, True])
+
+
 def test_pnorm_batched_axis():
     vals = np.array([[3.0, 4.0], [1.0, 0.0]])
     assert np.allclose(pnorm(vals, 2.0, axis=-1), [5.0, 1.0])

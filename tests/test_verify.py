@@ -52,6 +52,7 @@ FAST = dict(trials=2, restarts=16)
 TRIAL_CLAIMS = ("theorem1", "lemma1", "theorem2", "theorem3", "ahw_fact")
 
 verify_module = importlib.import_module("supernorms.verify")
+schatten_module = importlib.import_module("supernorms.schatten")
 optimize = importlib.import_module("supernorms.optimize")
 
 
@@ -213,7 +214,7 @@ def test_exact_trials_decompose_each_matrix_once(claim, monkeypatch):
     # norm at every grid exponent (block_bounds: the matrix and each block).
     # duality also decomposes each X once with vectors, in one call per shape,
     # to build its five witnesses, which are decomposed with the X of their
-    # shape
+    # shape, in one schatten_norm call on a stack of (X, its witnesses)
     per = 2 if claim == "hoelder" else 1
     drawn, calls = [], []
     real_draw, real_svd = verify_module._random_matrix, np.linalg.svd
@@ -244,7 +245,8 @@ def test_exact_trials_decompose_each_matrix_once(claim, monkeypatch):
         if claim == "duality":
             matrices += [duality_witness(X, p) for X in here for p in EXPONENTS]
         mine = [(uv, a) for n, uv, a in made if n == stop * per]
-        assert all(a.ndim == 3 for _, a in mine)
+        assert all(a.ndim >= 3 for _, a in mine)
+        mine = [(uv, a.reshape(-1, *a.shape[-2:])) for uv, a in mine]
         for uv, want in ((False, matrices), (True, with_vectors)):
             stacks = [a for used_uv, a in mine if used_uv == uv]
             assert collections.Counter(_key(M) for a in stacks for M in a) == collections.Counter(map(_key, want))
@@ -305,6 +307,7 @@ def test_exact_trials_check_the_library_definitions(claim, rank_one, monkeypatch
 
     monkeypatch.setattr(verify_module, "_random_matrix", keep)
     monkeypatch.setattr(verify_module, "_spectrum_pnorms", read)
+    monkeypatch.setattr(schatten_module, "_spectrum_pnorms", read)
     labels = verify_module._EXACT[claim][1]
     nonzero = 0
     for seed in (42, 7):
