@@ -11,9 +11,29 @@ shorter stacks and larger slices call LAPACK.  On the unit trace-norm ball
 (Y at p = inf, X at q = 1 without the Hermitian restriction) the witness is
 rank one: the first iteration takes the top singular pair from an SVD, and
 after that those rows keep their vector pair and take one power step per
-iteration instead of a decomposition.  The objective value never decreases
-along the iteration, every iterate is feasible, and the reported value is
-therefore a certified lower bound whatever the convergence status.
+iteration instead of a decomposition.
+
+Restarts that converge slowly also extrapolate their input iterates, at the
+input keys ``_EXTRAPOLATED``: q = 1 under any constraint, and q = 2 on the
+full and Hermitian balls.  A row qualifies when its last objective gain is
+more than ``_EXTRAPOLATION_GATE`` of the gain before it; it then steps from
+``X + beta (X - X_old)`` in place of the plain half-step's X, which stays on
+the ball's unit sphere: at q = 1 the step moves the rank-one factors (the
+kept pair ``u, v`` aligned in phase with the previous pair, or the top
+eigenvector with its sign kept), so the iterate is again an extreme point,
+and at q = 2 the matrix is renormalized in the Frobenius norm.  The
+extrapolated rows take the same forward and output half-step as the others;
+a row whose value falls below its previous value is rejected: it keeps its
+previous value, takes the plain iterate back, with the rank-one pairs of both
+sides as the plain step left them, and is evaluated there in the next
+iteration, as the plain step would be.  Each row keeps its own factor ``beta``,
+which starts at ``_EXTRAPOLATION_START``, grows by ``_EXTRAPOLATION_GROWTH``
+on an accepted step up to ``_EXTRAPOLATION_CAP``, and starts over on a
+rejected one; the last iteration takes no extrapolated step, and an ascent in
+which no row qualifies takes the plain steps only, bit for bit.  The
+objective value never decreases along the iteration, every iterate is
+feasible, and the reported value is therefore a certified lower bound
+whatever the convergence status.
 
 The ascent runs on each Kraus stack times the power of two that puts its
 largest real or imaginary part in [0.5, 1), an exact rescale, so no witness
@@ -91,6 +111,15 @@ from .oracle import brute_force_oracle  # noqa: F401
 # the ascent's stopping tolerances: objective gain relative to 1 + |value|, step
 _OBJECTIVE_TOLERANCE = 1e-10
 _STEP_TOLERANCE = 1e-9
+# a row at an extrapolated key takes an extrapolated input iterate when its
+# last objective gain is more than this share of the gain before it
+_EXTRAPOLATION_GATE = 0.3
+# each row's extrapolation factor: its start, its growth on an accepted step
+# (back to the start on a rejected one) and its cap
+_EXTRAPOLATION_START, _EXTRAPOLATION_GROWTH, _EXTRAPOLATION_CAP = 0.5, 1.5, 50.0
+# the input witness keys that extrapolate: their iterates are rank-one extreme
+# points (q = 1) or points of the Frobenius sphere (q = 2)
+_EXTRAPOLATED = frozenset({(1.0, "full"), (1.0, "hermitian"), (1.0, "psd"), (2.0, "full"), (2.0, "hermitian")})
 
 
 @dataclass(frozen=True)
@@ -278,6 +307,59 @@ def _witness(M: np.ndarray, key: tuple, pair: np.ndarray | None):
     return pair, pair[:, 0, :, None] * pair[:, 1, None, :]
 
 
+def _top_vectors(X: np.ndarray):
+    """``(w, s)`` with unit w and s = +-1, ``X = s w w*``, for rank-one
+    Hermitian rows X: w is read off the column of X's largest diagonal entry."""
+    d = np.einsum("raa->ra", X).real
+    r, j = np.arange(len(X)), np.abs(d).argmax(axis=1)
+    w = X[r, :, j]
+    return w / np.linalg.norm(w, axis=1, keepdims=True), np.sign(d[r, j])
+
+
+def _step_vectors(old: np.ndarray, new: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """``new + beta (new - old)`` on (rows, parts, d) stacks of unit vectors,
+    each row of ``old`` first turned by the phase that brings it closest to
+    ``new``, then each part normalized."""
+    c = np.einsum("rpa,rpa->r", old.conj(), new)
+    a = np.abs(c)
+    phase = np.divide(c, a, out=np.ones_like(c), where=a > 0.0)
+    V = new + beta * (new - phase[:, None, None] * old)
+    return V / np.linalg.norm(V, axis=-1, keepdims=True)
+
+
+def _conj_second(pair: np.ndarray) -> np.ndarray:
+    """A copy of a rank-one pair stack with its second vector conjugated,
+    ``(u, v*) <-> (u, v)``: in the second form one phase turns both vectors."""
+    out = pair.copy()
+    np.conjugate(out[:, 1], out=out[:, 1])
+    return out
+
+
+def _extrapolate(key: tuple, old: np.ndarray, new: np.ndarray, pairs, beta: np.ndarray):
+    """The extrapolated input iterates ``new + beta (new - old)`` of rows at
+    input witness key ``key`` (in ``_EXTRAPOLATED``), from their previous
+    iterates ``old`` and plain ones ``new``, as ``(Z, pair)``.
+
+    At q = 2 Z is renormalized in the Frobenius norm, and a Hermitian pair
+    gives a Hermitian Z.  At q = 1 the step acts on the rank-one factors, so
+    Z is again an extreme point of the unit ball: on the full ball on the
+    kept pairs ``pairs = (previous, plain)`` (u, v*), the previous one
+    aligned in phase, each vector renormalized, and the extrapolated pair
+    comes back with Z; on the Hermitian and PSD balls on the top eigenvector
+    w of each iterate ``s w w*``, with the plain iterate's sign s."""
+    b = beta[:, None, None]
+    if key[0] == 2.0:
+        Z = new + b * (new - old)
+        return _unit_rows(Z, out=Z), None
+    if key == _TRACE_BALL:
+        pair = _conj_second(_step_vectors(*map(_conj_second, pairs), b))
+        return pair[:, 0, :, None] * pair[:, 1, None, :], pair
+    w, s = _top_vectors(np.concatenate([old, new]))
+    n = len(new)
+    w = _step_vectors(w[:n, None], w[n:, None], b)[:, 0]
+    return s[n:, None, None] * w[:, :, None] * w.conj()[:, None, :], None
+
+
 class _Side:
     """One side's half-step on a stacked ascent's active rows, whose rows fall
     into groups by witness key.  The groups that take a decomposition share
@@ -288,12 +370,15 @@ class _Side:
     row, and the exponent-2 groups step on their own rows through
     ``_witness``.  With one key the group's rows are the whole stack, taken as
     a view, and its witness is returned as it is, so nothing is gathered or
-    scattered."""
+    scattered.  Each active row also keeps its extrapolation factor (the input
+    side's ``extrapolate``), and ``save`` and ``restore`` put back the pairs of
+    the rows whose extrapolation was rejected."""
 
     def __init__(self, keys: list, restarts: int):
         self.keys = list(dict.fromkeys(keys))
         self.pairs = [None] * len(self.keys)
         self.ids = np.repeat([self.keys.index(key) for key in keys], restarts)
+        self.factor = np.full(len(self.ids), _EXTRAPOLATION_START)
         self._index()
 
     def _index(self) -> None:
@@ -343,14 +428,49 @@ class _Side:
             out[rows] = W
         return out
 
-    def keep(self, keep: np.ndarray) -> None:
-        """Drop the rows where ``keep`` is False."""
-        for g, pair in enumerate(self.pairs):
-            if pair is not None:
-                self.pairs[g] = pair[keep[self.rows[g]]]
+    def keep(self, keep: np.ndarray, saved: list | None = None) -> None:
+        """Drop the rows where ``keep`` is False, also from the pairs
+        ``saved`` (as ``save`` took them), in place."""
+        for pairs in (self.pairs,) if saved is None else (self.pairs, saved):
+            for g, pair in enumerate(pairs):
+                if pair is not None:
+                    pairs[g] = pair[keep[self.rows[g]]]
+        self.ids, self.factor = self.ids[keep], self.factor[keep]
         if len(self.keys) > 1:
-            self.ids = self.ids[keep]
             self._index()
+
+    def _positions(self, rows: np.ndarray, g: int) -> np.ndarray:
+        """The places among group g's rows of the active ``rows`` (ascending
+        indices) in that group."""
+        return rows if len(self.keys) == 1 else np.searchsorted(self.rows[g], rows[self.ids[rows] == g])
+
+    def save(self) -> list:
+        """Copies of the rank-one pairs, for ``restore``."""
+        return [None if pair is None else pair.copy() for pair in self.pairs]
+
+    def restore(self, saved: list, rows: np.ndarray) -> None:
+        """Put back the pairs in ``saved`` of the active ``rows``."""
+        for g, pair in enumerate(saved):
+            if pair is not None:
+                at = self._positions(rows, g)
+                self.pairs[g][at] = pair[at]
+
+    def extrapolate(self, old: np.ndarray, X: np.ndarray, rows: np.ndarray, old_pairs: list) -> list:
+        """Replace the plain iterates ``X`` of the active ``rows`` (ascending
+        indices, at keys in ``_EXTRAPOLATED``) by ``_extrapolate``'s, from
+        their previous iterates ``old`` and the pairs ``old_pairs`` saved
+        before the plain step, each at its own factor; the rank-one group
+        keeps the extrapolated pairs.  Returns the plain pairs, for
+        ``restore``."""
+        plain = self.save()
+        ids = self.ids[rows]
+        for g, at in [(0, rows)] if len(self.keys) == 1 else [(g, rows[ids == g]) for g in np.unique(ids)]:
+            pos = self._positions(at, g)
+            pairs = None if self.pairs[g] is None else (old_pairs[g][pos], self.pairs[g][pos])
+            X[at], pair = _extrapolate(self.keys[g], old[at], X[at], pairs, self.factor[at])
+            if pair is not None:
+                self.pairs[g][pos] = pair
+        return plain
 
 
 def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
@@ -378,32 +498,73 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
     x_side = _Side(x_keys, R)
     # a rank-one input witness has unit norm, so only the others can stall
     may_stall = any(key != _TRACE_BALL for key in x_side.keys)
+    extrapolates = np.array([key in _EXTRAPOLATED for key in x_side.keys])
+    any_extrapolate = bool(extrapolates.any())
     converged = np.zeros(len(X), dtype=bool)
-    # the active restarts' rows: indices into X, iterates and last values
-    active, Xa, values = np.arange(len(X)), X, np.full(len(X), -np.inf)
-    for _ in range(cfg.max_iterations):
+    # the active restarts' rows: indices into X, iterates, last values and gains
+    active, Xa, values, gains = np.arange(len(X)), X, np.full(len(X), -np.inf), np.full(len(X), np.inf)
+    # the rows at an extrapolated iterate: (their indices, plain iterates, plain input pairs)
+    trial = None
+    for it in range(cfg.max_iterations):
         W = forward(Xa)
+        if trial is not None:
+            y_saved = y_side.save()
         Y = y_side(W)
         vals = np.einsum("rab,rab->r", W.conj(), Y).real
         gain = vals - values
+        back = None
+        if trial is not None:
+            # the safeguard: a row whose value fell below its last one keeps
+            # that value and its gain, takes its plain iterate back with the
+            # pairs of both sides as the plain step left them, and is evaluated
+            # there in the next iteration, as the plain step would be
+            tried, plain, x_saved = trial
+            low = vals[tried] < values[tried]
+            x_side.factor[tried] = np.minimum(x_side.factor[tried] * _EXTRAPOLATION_GROWTH, _EXTRAPOLATION_CAP)
+            if np.any(low):
+                back = tried[low]
+                vals[back], gain[back] = values[back], gains[back]
+                y_side.restore(y_saved, back)
+                x_side.factor[back] = _EXTRAPOLATION_START
+        # the rows that extrapolate this step: at extrapolated keys, with a last
+        # gain above the gate's share of the one before, not rejected, and not
+        # in the last iteration, which hands back plain iterates
+        slow = x_pairs = None
+        if any_extrapolate and it + 1 < cfg.max_iterations:
+            slow = extrapolates[x_side.ids] & (gain > _EXTRAPOLATION_GATE * gains)
+            if back is not None:
+                slow[back] = False
+            # and the rank-one pairs their plain step starts from
+            slow, x_pairs = (slow, x_side.save()) if np.any(slow) else (None, None)
         Xn = x_side(backward(Y))
+        if back is not None:
+            Xn[back] = plain[low]
+            x_side.restore(x_saved, back)
         if may_stall:
             stalled = _frobenius(Xn) <= 1e-14
             if np.any(stalled):
                 Xn[stalled] = Xa[stalled]
         step = _frobenius(Xn - Xa)
-        Xa, values = Xn, vals
+        old, Xa, values, gains = Xa, Xn, vals, gain
         done = (np.abs(gain) <= _OBJECTIVE_TOLERANCE * (1.0 + np.abs(vals))) | (step <= _STEP_TOLERANCE)
+        if back is not None:
+            done[back] = False  # a rejected row has not taken its plain step yet
         if np.any(done):
             # a converged row goes back into the full stack and leaves the active one
             X[active[done]] = Xa[done]
             converged[active[done]] = True
             keep = ~done
-            active, Xa, values = active[keep], Xa[keep], values[keep]
+            active, Xa, values, gains = active[keep], Xa[keep], values[keep], gains[keep]
             if active.size == 0:
                 break
             y_side.keep(keep)
-            x_side.keep(keep)
+            x_side.keep(keep, x_pairs)
+            if slow is not None:
+                old, slow = old[keep], slow[keep]
+        trial = None
+        if slow is not None and np.any(slow):
+            tried = np.flatnonzero(slow)
+            trial = (tried, Xa[tried], x_side.extrapolate(old, Xa, tried, x_pairs))
     else:
         # the cap: the rows still active go back as they stand
         X[active] = Xa

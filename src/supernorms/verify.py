@@ -28,9 +28,10 @@ the X of one shape and the dual norms of their witnesses in one public
 ``schatten_norm`` call on the stack of both.
 
 Every randomized claim records each trial as its fields followed by
-``residual`` (the trial's first largest residual) and ``worst_case`` (that
-case's label, or ``""`` at a residual of at most 1e-10, where rounding picks
-the case).  The five claims on random maps are generators of
+``residual`` (the trial's first largest residual, a NaN counting as larger
+than any number, so that it fails the claim) and ``worst_case`` (that case's
+label, or ``""`` at a residual of at most 1e-10, where rounding picks the
+case).  The five claims on random maps are generators of
 ``(residual, label)`` cases on one seeded map per trial.  A trial asks all
 its queries on one map at once, so they run as one stacked ascent per
 ancilla size: ``theorem1`` one of 50 cells through ``norm_q_to_p``, and
@@ -187,12 +188,19 @@ _LABEL_FLOOR = 1e-10
 def _record(i, fields, cases) -> dict:
     """Trial i's record: its fields, then the first largest residual over
     ``(residual, label)`` cases and that case's label, or ``""`` where the
-    residual is at most ``_LABEL_FLOOR``."""
+    residual is at most ``_LABEL_FLOOR``.  A NaN residual is larger than any
+    other, as in ``_table_records``, so the first NaN is the record's."""
     worst, at = 0.0, ""
     for r, label in cases:
-        if r > worst:
+        if r > worst or (math.isnan(r) and not math.isnan(worst)):
             worst, at = r, label
-    return {"trial": i, **fields, "residual": worst, "worst_case": at if worst > _LABEL_FLOOR else ""}
+    return {"trial": i, **fields, "residual": worst, "worst_case": _worst_label(worst, at)}
+
+
+def _worst_label(residual: float, label: str) -> str:
+    """The worst case's label of a record, ``""`` at a residual of at most
+    ``_LABEL_FLOOR``; a NaN residual keeps its label."""
+    return "" if residual <= _LABEL_FLOOR else label
 
 
 def _map_trial(cp, cases, i, seed, restarts):
@@ -459,11 +467,11 @@ def _exact_table(claim, rng, trials):
 
 def _table_records(fields, table, labels) -> list[dict]:
     """``_record(i, fields[i], zip(table[i], labels))`` for each row i of a
-    table of residuals (non-negative, not NaN) in one reduction: a row's first
-    maximum is its first largest residual."""
+    table of non-negative residuals in one reduction: a row's first maximum,
+    or its first NaN, is its first largest residual."""
     worst, at = table.max(axis=1).tolist(), table.argmax(axis=1).tolist()
     return [
-        {"trial": i, **f, "residual": r, "worst_case": labels[a] if r > _LABEL_FLOOR else ""}
+        {"trial": i, **f, "residual": r, "worst_case": _worst_label(r, labels[a])}
         for i, (f, r, a) in enumerate(zip(fields, worst, at))
     ]
 
@@ -522,7 +530,8 @@ def verify(claim_id: str, seed: int = 42, trials: int = 50, restarts: int = 32) 
     trials = require_count(trials, "trials", 1)
     restarts = require_count(restarts, "restarts", 1)
     details = runner(seed, trials, restarts)
-    worst = max((d["residual"] for d in details), default=0.0)
+    # a NaN residual is the worst one, and fails the claim
+    worst = float(np.max([d["residual"] for d in details], initial=0.0))
     return VerificationReport(
         claim_id=claim_id,
         trials=len(details),

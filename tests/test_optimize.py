@@ -414,38 +414,75 @@ def gather_scatter_ascent(phi, k, cells, cfg):
     restarts`` rows, on the map's unit-scale Kraus stacks: gather the active
     rows, take each side's half-step with ``reference_side`` on them, with the
     rank-one pairs kept by absolute row, scatter them back; returns the final
-    stack and the converged flags."""
+    stack and the converged flags.
+
+    A row at an extrapolated input key whose gain is above the gate's share
+    of its gain before (and that neither stops nor is in the last iteration)
+    next steps from ``optimize._extrapolate``'s iterate, at its own factor.
+    If the value there falls below its last value, the row keeps its last
+    value and gain, its output pair goes back to where it stood before that
+    step, and its input iterate and pair to the plain ones, so the next
+    iteration evaluates the plain iterate; its factor starts over.  An
+    accepted step grows its factor up to the cap."""
     left, right = optimize._unit_scale(phi.kraus_left), optimize._unit_scale(phi.kraus_right)
     forward, backward = _kraus_kernel(left, right, k, len(cells) * cfg.restarts)
     X = np.concatenate([optimize._start_stack(phi.dim_in, k, q, constraint, cfg) for q, _, constraint in cells])
     cell = np.repeat(np.arange(len(cells)), cfg.restarts)
     y_key = [(dual_exponent(cells[c][1]), "full") for c in cell]
     x_key = [(cells[c][0], cells[c][2]) for c in cell]
+    y_whole, x_whole = len(set(y_key)) == 1, len(set(x_key)) == 1
     may_stall = any(key != (1.0, "full") for key in x_key)
     y_pairs = np.zeros((len(X), 2, phi.dim_out * k), dtype=complex)
     x_pairs = np.zeros((len(X), 2, phi.dim_in * k), dtype=complex)
-    values = np.full(len(X), -np.inf)
+    values, gains = np.full(len(X), -np.inf), np.full(len(X), np.inf)
+    factor = np.full(len(X), 0.5)
     converged = np.zeros(len(X), dtype=bool)
     active = np.arange(len(X))
+    plain = {}  # row -> (plain iterate, plain input pair) of a row at an extrapolated iterate
     for it in range(cfg.max_iterations):
         Xa = X[active]
         W = forward(Xa)
         pairs = y_pairs[active]
-        Y = reference_side(W, [y_key[i] for i in active], pairs, it == 0, len(set(y_key)) == 1)
+        y_before = pairs.copy()
+        Y = reference_side(W, [y_key[i] for i in active], pairs, it == 0, y_whole)
         y_pairs[active] = pairs
         vals = np.einsum("rab,rab->r", W.conj(), Y).real
         gain = vals - values[active]
-        values[active] = vals
-        pairs = x_pairs[active]
-        Xn = reference_side(backward(Y), [x_key[i] for i in active], pairs, it == 0, len(set(x_key)) == 1)
+        tried = np.array([i for i, row in enumerate(active) if row in plain], dtype=int)
+        factor[active[tried]] = np.minimum(factor[active[tried]] * 1.5, 50.0)
+        back = tried[vals[tried] < values[active[tried]]]
+        vals[back], gain[back] = values[active[back]], gains[active[back]]
+        y_pairs[active[back]] = y_before[back]
+        factor[active[back]] = 0.5
+        slow = np.array([x_key[row] in optimize._EXTRAPOLATED for row in active]) & (gain > 0.3 * gains[active])
+        slow[back] = False
+        values[active], gains[active] = vals, gain
+        x_before = x_pairs[active]
+        pairs = x_before.copy()
+        Xn = reference_side(backward(Y), [x_key[i] for i in active], pairs, it == 0, x_whole)
         x_pairs[active] = pairs
+        for i in back:
+            Xn[i], x_pairs[active[i]] = plain[active[i]]
         if may_stall:
             stalled = optimize._frobenius(Xn) <= 1e-14
             Xn[stalled] = Xa[stalled]
         step = optimize._frobenius(Xn - Xa)
         X[active] = Xn
         done = (np.abs(gain) <= 1e-10 * (1.0 + np.abs(vals))) | (step <= 1e-9)
+        done[back] = False
         converged[active[done]] = True
+        plain = {}
+        if it + 1 < cfg.max_iterations:
+            for key in set(x_key):
+                mine = np.flatnonzero(slow & ~done & np.array([x_key[row] == key for row in active]))
+                if not mine.size:
+                    continue
+                rows = active[mine]
+                plain.update((row, (X[row].copy(), x_pairs[row].copy())) for row in rows)
+                both = (x_before[mine], x_pairs[rows]) if key == (1.0, "full") else None
+                X[rows], pair = optimize._extrapolate(key, Xa[mine], Xn[mine], both, factor[rows])
+                if pair is not None:
+                    x_pairs[rows] = pair
         active = active[~done]
         if active.size == 0:
             break
@@ -457,6 +494,7 @@ STACKS = {
     "1.0-inf-full-1": ([(1.0, math.inf, "full")], 1),
     "2.0-2.0-hermitian-2": ([(2.0, 2.0, "hermitian")], 2),
     "1.0-1.0-hermitian-3": ([(1.0, 1.0, "hermitian")], 3),
+    "1.0-3.0-psd-2": ([(1.0, 3.0, "psd")], 2),
     # contiguous input groups, strided output groups, both rank-one kinds
     "grid-1": (
         [(q, p, c) for c in ("full", "hermitian") for q in (1.0, 2.0, 3.0) for p in (1.0, 2.0, math.inf)],
@@ -488,7 +526,7 @@ def test_compact_stack_hands_back_every_row(cells, k, monkeypatch):
 
     monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
     mixed = split = False
-    for cap in (1, 3, 22, 27, 5000):
+    for cap in (1, 3, 15, 18, 22, 27, 5000):
         capped = OptimizerConfig(restarts=cfg.restarts, max_iterations=cap, seed=cfg.seed)
         want, flags = gather_scatter_ascent(phi, k, cells, capped)
         seen.clear()
@@ -511,6 +549,184 @@ def test_compact_stack_hands_back_every_row(cells, k, monkeypatch):
         split = split or 0 < done.sum() < len(cells)
     assert flags.all() and mixed  # the last cap let all converge, an earlier one some
     assert split or len(cells) == 1
+
+
+class RecordingSide(optimize._Side):
+    """``optimize._Side`` that logs, in one list for all sides, each step,
+    compaction, extrapolation and restore of pairs; the sides an ascent
+    builds are ``made`` in order, the output side first.  A step logs the
+    side's pairs before it; a restore logs the side's pairs after it, the
+    places of its rows among them and the factors."""
+
+    made, log = [], []
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        RecordingSide.made.append(self)
+
+    def __call__(self, M):
+        before = self.save()
+        W = super().__call__(M)
+        self.log.append((self, "step", M, W, before))
+        return W
+
+    def keep(self, keep, saved=None):
+        self.log.append((self, "keep", keep))
+        super().keep(keep, saved)
+
+    def extrapolate(self, old, X, rows, old_pairs):
+        plain = X[rows].copy()
+        pairs = super().extrapolate(old, X, rows, old_pairs)
+        self.log.append((self, "extrapolate", rows, plain, pairs))
+        return pairs
+
+    def restore(self, saved, rows):
+        super().restore(saved, rows)
+        places = [self._positions(rows, g) for g in range(len(self.keys))]
+        self.log.append((self, "restore", rows, self.save(), places, self.factor.copy()))
+
+
+def value_histories(side) -> dict:
+    """Each row's objective value, iteration by iteration, from the log of
+    the output side ``side``: ``Re <W, Y>`` of its step, except where the
+    step's extrapolation was rejected, where the row keeps its last value."""
+    rows, now, histories = None, None, {}
+
+    def close():
+        for row, value in zip(rows, now):
+            if not np.isnan(value):
+                histories.setdefault(int(row), []).append(value)
+
+    for event in RecordingSide.log:
+        if event[0] is not side:
+            continue
+        if event[1] == "step":
+            if now is not None:
+                close()
+            W, Y = event[2:4]
+            rows = np.arange(len(W)) if rows is None else rows
+            now = np.einsum("rab,rab->r", W.conj(), Y).real
+        elif event[1] == "restore":
+            now[event[2]] = np.nan
+        else:
+            close()
+            rows, now = rows[event[2]], None
+    if now is not None:
+        close()
+    return histories
+
+
+# one-cell ascents at each extrapolated input key, and one stack of them all
+EXTRAPOLATED_CELLS = {
+    "1-full": ([(1.0, 1.0, "full")], 2),
+    "1-hermitian": ([(1.0, 1.0, "hermitian")], 2),
+    "1-psd": ([(1.0, 3.0, "psd")], 2),
+    "2-full": ([(2.0, 1.0, "full")], 2),
+    "2-hermitian": ([(2.0, 2.0, "hermitian")], 1),
+    "stacked": ([(1.0, 1.0, "full"), (1.0, 1.0, "hermitian"), (1.0, 3.0, "psd"), (2.0, 1.0, "full"),
+                 (2.0, 2.0, "hermitian"), (1.5, math.inf, "full"), (1.0, math.inf, "hermitian")], 2),
+}
+
+
+@pytest.mark.parametrize("cells, k", list(EXTRAPOLATED_CELLS.values()), ids=list(EXTRAPOLATED_CELLS))
+def test_no_row_value_ever_decreases(cells, k, monkeypatch):
+    # a row whose extrapolated iterate lowers its value keeps its last value and
+    # takes its plain iterate back, so each row's value never decreases from one
+    # iteration to the next (up to rounding in the plain steps)
+    monkeypatch.setattr(optimize, "_Side", RecordingSide)
+    RecordingSide.made.clear()
+    RecordingSide.log.clear()
+    optimize._ascend(random_superop(3, 3, 2, 90), k, cells, OptimizerConfig(restarts=8, seed=5))
+    y_side, x_side = RecordingSide.made
+    kinds = [event[1] for event in RecordingSide.log]
+    assert "extrapolate" in kinds and "restore" in kinds
+    for row, values in value_histories(y_side).items():
+        for before, after in zip(values, values[1:]):
+            assert after >= before - 1e-13 * (1.0 + abs(before)), row
+
+
+@pytest.mark.parametrize("cells, k", list(EXTRAPOLATED_CELLS.values()), ids=list(EXTRAPOLATED_CELLS))
+def test_rejected_extrapolation_steps_from_the_plain_iterate(cells, k, monkeypatch):
+    # a row whose extrapolated iterate lowers its value goes back to the plain
+    # step's iterate: the kernel's next input for that row is that iterate, bit
+    # for bit, its output pair is the one the rejected step started from, its
+    # input pair is the plain step's again, and its factor starts over
+    forwards = []
+
+    def spy_kernel(left, right, k=1, rows=1):
+        forward, backward = _kraus_kernel(left, right, k, rows)
+        return lambda X: forwards.append((X.copy(), forward(X))) or forwards[-1][1], backward
+
+    monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
+    monkeypatch.setattr(optimize, "_Side", RecordingSide)
+    RecordingSide.made.clear()
+    RecordingSide.log.clear()
+    optimize._ascend(random_superop(3, 3, 2, 90), k, cells, OptimizerConfig(restarts=8, seed=5))
+    y_side, x_side = RecordingSide.made
+    rejected, y_checked, trial, y_before, pending = 0, 0, None, None, None
+    for event in RecordingSide.log:
+        side, kind = event[:2]
+        if kind == "extrapolate":
+            trial = event[2:]
+        elif kind == "step" and side is y_side:
+            if pending is not None:
+                # the iteration after a rejection evaluates the plain iterates
+                at, want = pending
+                (X,) = [X for X, out in forwards if out is event[2]]
+                np.testing.assert_array_equal(X[at], want)
+                pending = None
+            y_before = event[4]
+        elif kind == "restore":
+            back, pairs, places, factor = event[2:]
+            tried, plain, plain_pairs = trial
+            at = np.searchsorted(tried, back)
+            assert np.array_equal(tried[at], back)
+            if side is x_side:
+                for g, pair in enumerate(plain_pairs):
+                    if pair is not None:
+                        np.testing.assert_array_equal(pairs[g][places[g]], pair[places[g]])
+                assert (factor[back] == optimize._EXTRAPOLATION_START).all()
+            else:
+                for g, pair in enumerate(y_before):
+                    if pair is not None:
+                        np.testing.assert_array_equal(pairs[g][places[g]], pair[places[g]])
+                        y_checked += places[g].size
+                pending = back, plain[at]
+                rejected += len(back)
+        elif kind == "keep" and side is y_side and pending is not None:
+            # the rejected rows stay; the others may leave the stack
+            keep = event[2]
+            assert keep[pending[0]].all()
+            pending = np.cumsum(keep)[pending[0]] - 1, pending[1]
+    assert rejected > 0
+    # rows with rank-one output witnesses (p = inf) were rejected too
+    assert y_checked or not any(math.isinf(p) for _, p, _ in cells)
+
+
+@pytest.mark.parametrize(
+    "cells, k", [EXTRAPOLATED_CELLS[key] for key in EXTRAPOLATED_CELLS if key != "stacked"],
+    ids=[key for key in EXTRAPOLATED_CELLS if key != "stacked"],
+)
+def test_one_cell_ascent_without_a_slow_row_takes_the_plain_steps(cells, k, monkeypatch):
+    # with a gate no gain passes, no row qualifies: the one-cell ascent takes
+    # only plain steps, bit for bit those of the loop without extrapolation
+    phi, cfg = random_superop(3, 3, 2, 90), OptimizerConfig(restarts=8, seed=5)
+    seen = []
+
+    def spy_kernel(left, right, k=1, rows=1):
+        forward, backward = _kraus_kernel(left, right, k, rows)
+        return lambda X: seen.append(X.copy()) or forward(X), backward
+
+    monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
+    monkeypatch.setattr(optimize, "_Side", RecordingSide)
+    monkeypatch.setattr(optimize, "_EXTRAPOLATION_GATE", math.inf)
+    RecordingSide.log.clear()
+    ((X, conv),) = optimize._ascend(phi, k, cells, cfg)
+    assert not any(event[1] in ("extrapolate", "restore") for event in RecordingSide.log)
+    monkeypatch.setattr(optimize, "_EXTRAPOLATED", frozenset())
+    want, flags = gather_scatter_ascent(phi, k, cells, cfg)
+    np.testing.assert_array_equal(seen[-1], want)
+    assert flags.all() and conv
 
 
 # a GEMM of the kernel (the transfer matrix's on these maps) can round a row's

@@ -354,6 +354,47 @@ def test_table_records_reduce_each_row_as_record_does():
     assert [r["worst_case"] for r in got] == ["b", "", "", "b", "", "a"]
 
 
+def _nan_cases(phi, cfg):
+    """A map claim's cases, with a NaN residual on maps of input dimension 3."""
+    yield 1e-12, "a"
+    yield math.nan if phi.dim_in == 3 else 1e-6, "b"
+    yield 5e-4, "c"
+
+
+def test_a_nan_residual_fails_a_map_claim(monkeypatch):
+    # a NaN case residual is its trial's worst one, with a smaller case before
+    # it and a larger finite one after it, keeps its label, and is the
+    # report's worst residual, which fails the claim, though the trials before
+    # it have finite worst residuals within the tolerance.  The trials may
+    # run in forked workers, so the cases are a module-level function
+    claim = verify_module._map_claim(1, _nan_cases, cp=True)
+    monkeypatch.setitem(verify_module._REGISTRY, "theorem1", (2e-3, claim))
+    report = verify("theorem1", trials=3, restarts=2)
+    # trial 2 is the first on a map with input dimension 3
+    assert [(d["residual"], d["worst_case"]) for d in report.details[:2]] == [(5e-4, "c")] * 2
+    assert math.isnan(report.details[2]["residual"]) and report.details[2]["worst_case"] == "b"
+    assert math.isnan(report.worst_residual) and not report.passed
+
+
+def test_a_nan_table_cell_fails_an_exact_claim(monkeypatch):
+    # one NaN cell of an exact claim's residual table is its trial's worst
+    # residual, labelled by its case, and fails the report; the other trials
+    # keep their records
+    clean = verify("hoelder", trials=3)
+    table_of, labels = verify_module._EXACT["hoelder"]
+
+    def with_nan(rng, count):
+        fields, table = table_of(rng, count)
+        table[1, 2] = math.nan
+        return fields, table
+
+    monkeypatch.setitem(verify_module._EXACT, "hoelder", (with_nan, labels))
+    report = verify("hoelder", trials=3)
+    assert math.isnan(report.details[1]["residual"]) and report.details[1]["worst_case"] == labels[2]
+    assert [report.details[i] for i in (0, 2)] == [clean.details[i] for i in (0, 2)]
+    assert math.isnan(report.worst_residual) and not report.passed
+
+
 @pytest.mark.parametrize("claim", TRIAL_CLAIMS)
 def test_fan_out_matches_the_in_process_run(claim, monkeypatch):
     pools = []
