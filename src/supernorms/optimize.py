@@ -18,22 +18,24 @@ input keys ``_EXTRAPOLATED``: q = 1 under any constraint, and q = 2 on the
 full and Hermitian balls.  A row qualifies when its last objective gain is
 more than ``_EXTRAPOLATION_GATE`` of the gain before it; it then steps from
 ``X + beta (X - X_old)`` in place of the plain half-step's X, which stays on
-the ball's unit sphere: at q = 1 the step moves the rank-one factors (the
-kept pair ``u, v`` aligned in phase with the previous pair, or the top
-eigenvector with its sign kept), so the iterate is again an extreme point,
-and at q = 2 the matrix is renormalized in the Frobenius norm.  The
-extrapolated rows take the same forward and output half-step as the others;
-a row whose value falls below its previous value is rejected: it keeps its
-previous value, takes the plain iterate back, with the rank-one pairs of both
-sides as the plain step left them, and is evaluated there in the next
-iteration, as the plain step would be.  Each row keeps its own factor ``beta``,
+the ball's unit sphere: at q = 1 the step moves the rank-one factors (the kept
+pair ``u, v`` aligned in phase with the previous pair, or the top eigenvector
+with its sign kept), so the iterate is again an extreme point, and at q = 2
+the matrix is renormalized in the Frobenius norm.  The extrapolated rows take
+the same forward and output half-step as the others; a row whose value falls
+below its previous value is rejected: it keeps its previous value, takes back
+the plain iterate and the rank-one pairs of both sides as the plain step left
+them, and is evaluated there in the next iteration, as the plain step would
+be.  The pairs are values that a half-step takes and returns and never writes
+into, so the ascent keeps them beside its iterates and values and puts a
+rejected row's back by indexing.  Each row keeps its own factor ``beta``,
 which starts at ``_EXTRAPOLATION_START``, grows by ``_EXTRAPOLATION_GROWTH``
 on an accepted step up to ``_EXTRAPOLATION_CAP``, and starts over on a
 rejected one; the last iteration takes no extrapolated step, and an ascent in
-which no row qualifies takes the plain steps only, bit for bit.  The
-objective value never decreases along the iteration, every iterate is
-feasible, and the reported value is therefore a certified lower bound
-whatever the convergence status.
+which no row qualifies takes the plain steps only, bit for bit.  The objective
+value never decreases along the iteration, every iterate is feasible, and the
+reported value is therefore a certified lower bound whatever the convergence
+status.
 
 The ascent runs on each Kraus stack times the power of two that puts its
 largest real or imaginary part in [0.5, 1), an exact rescale, so no witness
@@ -289,7 +291,7 @@ def _witness(M: np.ndarray, key: tuple, pair: np.ndarray | None):
     trace-norm ball W is rank one, ``u v*``, with its pair stacked as
     ``pair[:, 0] = u``, ``pair[:, 1] = v*``.  Without a pair it is the top
     singular pair of M, from one SVD, and so the exact maximizer, also on a
-    zero slice.  Otherwise ``pair`` takes one power step in place:
+    zero slice.  Otherwise a copy of ``pair`` takes one power step:
     ``v' = M* u / |M* u|``, then ``u' = M v' / |M v'|``, so that
     ``Re u* M v <= |M* u| = u* M v' <= |M v'| = u'* M v'`` and the objective
     never decreases.  A slice whose product vanishes keeps its vector.
@@ -301,6 +303,7 @@ def _witness(M: np.ndarray, key: tuple, pair: np.ndarray | None):
         U, _, Vh = _batched_svd(M)
         pair = np.stack([U[:, :, 0], Vh[:, 0]], axis=1)
     else:
+        pair = pair.copy()
         u, vh = pair[:, 0], pair[:, 1]
         _unit_rows((u[:, None].conj() @ M)[:, 0], out=vh)
         _unit_rows((M @ vh[:, :, None].conj())[:, :, 0], out=u)
@@ -362,23 +365,18 @@ def _extrapolate(key: tuple, old: np.ndarray, new: np.ndarray, pairs, beta: np.n
 
 class _Side:
     """One side's half-step on a stacked ascent's active rows, whose rows fall
-    into groups by witness key.  The groups that take a decomposition share
-    it: all their rows of one kind go through one ``_batched_svd`` (``full``)
-    or one ``_batched_eigh`` of their Hermitian parts (``hermitian`` and
-    ``psd``), each group weights its own rows' spectra, and each kind is
-    rebuilt once.  The rank-one group, which keeps its pairs, one per active
-    row, and the exponent-2 groups step on their own rows through
-    ``_witness``.  With one key the group's rows are the whole stack, taken as
-    a view, and its witness is returned as it is, so nothing is gathered or
-    scattered.  Each active row also keeps its extrapolation factor (the input
-    side's ``extrapolate``), and ``save`` and ``restore`` put back the pairs of
-    the rows whose extrapolation was rejected."""
+    into groups by witness key; a side holds only that grouping.  The groups
+    that take a decomposition share it: all their rows of one kind go through
+    one ``_batched_svd`` (``full``) or one ``_batched_eigh`` of their
+    Hermitian parts (``hermitian`` and ``psd``), each group weights its own
+    rows' spectra, and each kind is rebuilt once.  The rank-one group and the
+    exponent-2 groups step on their own rows through ``_witness``.  With one
+    key the group's rows are the whole stack, taken as a view, and its witness
+    is returned as it is, so nothing is gathered or scattered."""
 
     def __init__(self, keys: list, restarts: int):
         self.keys = list(dict.fromkeys(keys))
-        self.pairs = [None] * len(self.keys)
         self.ids = np.repeat([self.keys.index(key) for key in keys], restarts)
-        self.factor = np.full(len(self.ids), _EXTRAPOLATION_START)
         self._index()
 
     def _index(self) -> None:
@@ -403,13 +401,15 @@ class _Side:
                     end += self.rows[g].size
                 self.merged.append((kind, np.concatenate([self.rows[g] for g in groups]), spans))
 
-    def _parts(self, M: np.ndarray):
-        """``(rows, witness)`` of each group that steps on its own rows and of
-        each merged kind, one at a time, so that each is scattered before the
-        next is built."""
+    def _parts(self, M: np.ndarray, pairs):
+        """``(rows, witness, pair)`` of each group that steps on its own rows
+        and of each merged kind, one at a time, so that each is scattered
+        before the next is built; ``pair`` is the rank-one group's new pairs,
+        from its rows of ``pairs``, and None elsewhere."""
         for g in self.own:
-            self.pairs[g], W = _witness(M[self.rows[g]], self.keys[g], self.pairs[g])
-            yield self.rows[g], W
+            rows, key = self.rows[g], self.keys[g]
+            pair, W = _witness(M[rows], key, pairs[rows] if key == _TRACE_BALL and pairs is not None else None)
+            yield rows, W, pair
         for kind, rows, spans in self.merged:
             if kind == "svd":
                 U, s, Vh = _batched_svd(M[rows])
@@ -417,59 +417,45 @@ class _Side:
                 s, U = _batched_eigh(_hermitian_part(M[rows]))
                 Vh = U.conj().transpose(0, 2, 1)
             w = [_spectral_weights(s[at], *self.keys[g]) for g, at in spans]
-            yield rows, _rebuild(U, w[0] if len(w) == 1 else np.concatenate(w), Vh)
+            yield rows, _rebuild(U, w[0] if len(w) == 1 else np.concatenate(w), Vh), None
 
-    def __call__(self, M: np.ndarray) -> np.ndarray:
+    def __call__(self, M: np.ndarray, pairs):
+        """``(W, pairs)``: the witness of each row of ``M``, and new rank-one
+        pairs, one row per row of ``M`` (rows of other groups unused; None
+        without a rank-one group), stepped from ``pairs`` (None before the
+        first step), which the half-step never writes into."""
         if len(self.keys) == 1:
-            ((_, W),) = self._parts(M)
-            return W
-        out = np.empty_like(M)
-        for rows, W in self._parts(M):
+            ((_, W, pairs),) = self._parts(M, pairs)
+            return W, pairs
+        out, new = np.empty_like(M), None
+        for rows, W, pair in self._parts(M, pairs):
             out[rows] = W
-        return out
+            if pair is not None:
+                new = np.zeros((len(M),) + pair.shape[1:], dtype=pair.dtype)
+                new[rows] = pair
+        return out, new
 
-    def keep(self, keep: np.ndarray, saved: list | None = None) -> None:
-        """Drop the rows where ``keep`` is False, also from the pairs
-        ``saved`` (as ``save`` took them), in place."""
-        for pairs in (self.pairs,) if saved is None else (self.pairs, saved):
-            for g, pair in enumerate(pairs):
-                if pair is not None:
-                    pairs[g] = pair[keep[self.rows[g]]]
-        self.ids, self.factor = self.ids[keep], self.factor[keep]
+    def keep(self, keep: np.ndarray) -> None:
+        """Drop the rows where ``keep`` is False."""
+        self.ids = self.ids[keep]
         if len(self.keys) > 1:
             self._index()
 
-    def _positions(self, rows: np.ndarray, g: int) -> np.ndarray:
-        """The places among group g's rows of the active ``rows`` (ascending
-        indices) in that group."""
-        return rows if len(self.keys) == 1 else np.searchsorted(self.rows[g], rows[self.ids[rows] == g])
-
-    def save(self) -> list:
-        """Copies of the rank-one pairs, for ``restore``."""
-        return [None if pair is None else pair.copy() for pair in self.pairs]
-
-    def restore(self, saved: list, rows: np.ndarray) -> None:
-        """Put back the pairs in ``saved`` of the active ``rows``."""
-        for g, pair in enumerate(saved):
-            if pair is not None:
-                at = self._positions(rows, g)
-                self.pairs[g][at] = pair[at]
-
-    def extrapolate(self, old: np.ndarray, X: np.ndarray, rows: np.ndarray, old_pairs: list) -> list:
+    def extrapolate(self, old: np.ndarray, X: np.ndarray, rows: np.ndarray, pairs: tuple, factor: np.ndarray):
         """Replace the plain iterates ``X`` of the active ``rows`` (ascending
         indices, at keys in ``_EXTRAPOLATED``) by ``_extrapolate``'s, from
-        their previous iterates ``old`` and the pairs ``old_pairs`` saved
-        before the plain step, each at its own factor; the rank-one group
-        keeps the extrapolated pairs.  Returns the plain pairs, for
-        ``restore``."""
-        plain = self.save()
+        their previous iterates ``old`` and the rank-one pairs ``pairs =
+        (previous, plain)``, the ones before and after the plain step, each at
+        its own ``factor``.  Returns the plain pairs with the rank-one group's
+        rows extrapolated."""
+        previous, plain = pairs
         ids = self.ids[rows]
         for g, at in [(0, rows)] if len(self.keys) == 1 else [(g, rows[ids == g]) for g in np.unique(ids)]:
-            pos = self._positions(at, g)
-            pairs = None if self.pairs[g] is None else (old_pairs[g][pos], self.pairs[g][pos])
-            X[at], pair = _extrapolate(self.keys[g], old[at], X[at], pairs, self.factor[at])
+            both = (previous[at], plain[at]) if self.keys[g] == _TRACE_BALL else None
+            X[at], pair = _extrapolate(self.keys[g], old[at], X[at], both, factor[at])
             if pair is not None:
-                self.pairs[g][pos] = pair
+                plain = plain.copy()
+                plain[at] = pair
         return plain
 
 
@@ -481,8 +467,11 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
     Each side groups the rows by witness key ``(ball exponent, constraint)``,
     ``(p*, "full")`` for the output side and ``(q, constraint)`` for the
     input side, and takes its half-step through ``_Side``; there is one
-    forward and one adjoint kernel call per iteration.  Each row stops on its
-    own tolerances, and each cell picks its best restart from its own rows."""
+    forward and one adjoint kernel call per iteration.  The loop owns every
+    per-row array: iterates, values, gains, extrapolation factors and both
+    sides' rank-one pairs, which the half-steps take and return as values; one
+    compaction step filters them all.  Each row stops on its own tolerances,
+    and each cell picks its best restart from its own rows."""
     # exact unit-scale stacks, so that 2^j Phi runs the very ascent Phi runs
     left, right = _unit_scale(phi.kraus_left), _unit_scale(phi.kraus_right)
     R = cfg.restarts
@@ -492,8 +481,7 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
     X = starts[x_keys[0]] if len(cells) == 1 else np.concatenate([starts[key] for key in x_keys])
     # witnesses at key (1, "full"), the unit trace-norm ball, are rank one: the
     # output side's at p = inf, the input side's at q = 1 without a constraint;
-    # those groups keep their pairs, one row per active restart, and take
-    # power steps
+    # those rows keep their pairs and take power steps
     y_side = _Side([(dual_exponent(p), "full") for _, p, _ in cells], R)
     x_side = _Side(x_keys, R)
     # a rank-one input witness has unit norm, so only the others can stall
@@ -501,15 +489,17 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
     extrapolates = np.array([key in _EXTRAPOLATED for key in x_side.keys])
     any_extrapolate = bool(extrapolates.any())
     converged = np.zeros(len(X), dtype=bool)
-    # the active restarts' rows: indices into X, iterates, last values and gains
+    # the active restarts' rows: indices into X, iterates, last values and
+    # gains, extrapolation factors, and the rank-one pairs of both sides (None
+    # before the first step, and on a side without a rank-one group)
     active, Xa, values, gains = np.arange(len(X)), X, np.full(len(X), -np.inf), np.full(len(X), np.inf)
+    factor, y_pairs, x_pairs = np.full(len(X), _EXTRAPOLATION_START), None, None
     # the rows at an extrapolated iterate: (their indices, plain iterates, plain input pairs)
     trial = None
     for it in range(cfg.max_iterations):
         W = forward(Xa)
-        if trial is not None:
-            y_saved = y_side.save()
-        Y = y_side(W)
+        y_before = y_pairs
+        Y, y_pairs = y_side(W, y_pairs)
         vals = np.einsum("rab,rab->r", W.conj(), Y).real
         gain = vals - values
         back = None
@@ -518,28 +508,32 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
             # that value and its gain, takes its plain iterate back with the
             # pairs of both sides as the plain step left them, and is evaluated
             # there in the next iteration, as the plain step would be
-            tried, plain, x_saved = trial
+            tried, plain, x_plain = trial
             low = vals[tried] < values[tried]
-            x_side.factor[tried] = np.minimum(x_side.factor[tried] * _EXTRAPOLATION_GROWTH, _EXTRAPOLATION_CAP)
+            factor[tried] = np.minimum(factor[tried] * _EXTRAPOLATION_GROWTH, _EXTRAPOLATION_CAP)
             if np.any(low):
                 back = tried[low]
                 vals[back], gain[back] = values[back], gains[back]
-                y_side.restore(y_saved, back)
-                x_side.factor[back] = _EXTRAPOLATION_START
+                if y_pairs is not None:
+                    y_pairs[back] = y_before[back]
+                factor[back] = _EXTRAPOLATION_START
         # the rows that extrapolate this step: at extrapolated keys, with a last
         # gain above the gate's share of the one before, not rejected, and not
         # in the last iteration, which hands back plain iterates
-        slow = x_pairs = None
+        slow = None
         if any_extrapolate and it + 1 < cfg.max_iterations:
             slow = extrapolates[x_side.ids] & (gain > _EXTRAPOLATION_GATE * gains)
             if back is not None:
                 slow[back] = False
-            # and the rank-one pairs their plain step starts from
-            slow, x_pairs = (slow, x_side.save()) if np.any(slow) else (None, None)
-        Xn = x_side(backward(Y))
+            if not np.any(slow):
+                slow = None
+        # the rank-one pairs the plain step starts from
+        x_before = x_pairs
+        Xn, x_pairs = x_side(backward(Y), x_pairs)
         if back is not None:
             Xn[back] = plain[low]
-            x_side.restore(x_saved, back)
+            if x_pairs is not None:
+                x_pairs[back] = x_plain[back]
         if may_stall:
             stalled = _frobenius(Xn) <= 1e-14
             if np.any(stalled):
@@ -554,17 +548,19 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
             X[active[done]] = Xa[done]
             converged[active[done]] = True
             keep = ~done
-            active, Xa, values, gains = active[keep], Xa[keep], values[keep], gains[keep]
+            active, Xa, values, gains, factor = active[keep], Xa[keep], values[keep], gains[keep], factor[keep]
             if active.size == 0:
                 break
             y_side.keep(keep)
-            x_side.keep(keep, x_pairs)
+            x_side.keep(keep)
+            y_pairs, x_pairs, x_before = (None if a is None else a[keep] for a in (y_pairs, x_pairs, x_before))
             if slow is not None:
                 old, slow = old[keep], slow[keep]
         trial = None
         if slow is not None and np.any(slow):
             tried = np.flatnonzero(slow)
-            trial = (tried, Xa[tried], x_side.extrapolate(old, Xa, tried, x_pairs))
+            trial = (tried, Xa[tried], x_pairs)
+            x_pairs = x_side.extrapolate(old, Xa, tried, (x_before, x_pairs), factor)
     else:
         # the cap: the rows still active go back as they stand
         X[active] = Xa
