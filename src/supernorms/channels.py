@@ -100,7 +100,10 @@ def build_example(name: str):
 
 
 def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """``re + 1j * im`` for Gaussian ``re`` and then ``im`` of ``shape``, drawn in one call."""
+    X = np.empty(shape, dtype=np.complex128)
+    X.real, X.imag = rng.standard_normal((2, *shape))
+    return X
 
 
 def random_superop(dim_in: int, dim_out: int, n_terms: int, seed: int) -> SuperOp:

@@ -61,10 +61,10 @@ full stack of iterates, once its gain or step falls under fixed tolerances,
 and the rows still active go back when the iteration cap stops the ascent;
 each cell then picks its best restart.  The ascent applies ``Phi (x) I_k``
 and its adjoint through the Kraus kernel of :mod:`.superop`, built once per
-ascent for its full stack: on the small maps of most queries each
-application is one GEMM with the map's transfer matrix (its conjugate
-transpose for the adjoint), and on a large map with few terms two GEMMs on
-the system legs; neither materializes the enlarged map.  A GEMM can round a row
+ascent for its full stack on the map's stacks and once on their daggers: on
+the small maps of most queries each application is one GEMM with a transfer
+matrix, and on a large map with few terms two GEMMs on the system legs;
+neither materializes the enlarged map.  A GEMM can round a row
 differently by where it sits in the stack, and a merged stack can take the
 closed form where a group alone would call LAPACK, so a stacked cell agrees
 with the same cell alone to the stopping tolerance, not bit for bit.
@@ -97,6 +97,7 @@ from .linalg import _batched_eigh, _batched_svd
 from .schatten import _holder_weights, dual_exponent, pnorm, require_exponent
 from .superop import (
     SuperOp,
+    _dagger,
     _kernel_entries,
     _kraus_kernel,
     apply,
@@ -475,7 +476,8 @@ def _ascend(phi: SuperOp, k: int, cells: list, cfg: OptimizerConfig) -> list:
     # exact unit-scale stacks, so that 2^j Phi runs the very ascent Phi runs
     left, right = _unit_scale(phi.kraus_left), _unit_scale(phi.kraus_right)
     R = cfg.restarts
-    forward, backward = _kraus_kernel(left, right, k, len(cells) * R)
+    forward = _kraus_kernel(left, right, k, len(cells) * R)
+    backward = _kraus_kernel(_dagger(left), _dagger(right), k, len(cells) * R)
     x_keys = [(q, constraint) for q, _, constraint in cells]
     starts = {key: _start_stack(phi.dim_in, k, *key, cfg) for key in dict.fromkeys(x_keys)}
     X = starts[x_keys[0]] if len(cells) == 1 else np.concatenate([starts[key] for key in x_keys])

@@ -5,13 +5,13 @@ explicit branch (the operator norm is the top singular value, never a large-p
 approximation).  The serialized form of an exponent is either the string
 ``"inf"`` or a decimal number >= 1.
 
-A stack of equal-length spectra, one per row, is read in one pass at any
-number of exponents (``_spectrum_pnorms``): its magnitudes, row peaks and
-scaled entries are taken once, each exponent powers and row-sums the whole
-stack, and each row's value has the same bits as ``pnorm`` gives on that row
-alone, which takes that path, as a one-row stack, for a 1-D spectrum itself.
-``schatten_norm`` of a stack of matrices, at one or several exponents, and
-``block_norm_bounds`` read their spectra that way.
+Every p-norm of a spectrum is taken by one arithmetic, ``_spectrum_pnorms``,
+which reads a stack of equal-length spectra, one per row, in one pass at any
+number of exponents: its magnitudes, row peaks and scaled entries are taken
+once, and each exponent powers, row-sums and roots the whole stack.
+``pnorm`` hands it every spectrum, 1-D or batched along any axis, as such a
+stack, and ``schatten_norm`` and ``block_norm_bounds`` hand it their singular
+values, so a spectrum's norm has the same bits in whatever stack it is read.
 """
 
 from __future__ import annotations
@@ -102,67 +102,55 @@ def pnorm(values, p, axis: int = -1):
 
     Scales by the peak entry before powering so large exponents neither
     overflow nor underflow.  An empty spectrum has norm 0 at every exponent.
-    A 1-D spectrum gives a float, computed as :func:`_spectrum_pnorms` does.
-    Non-real or non-finite entries, 0-d input and an axis out of range raise
+    A 1-D spectrum gives a float; a batched one gives an array of the other
+    axes.  Every spectrum is read by :func:`_spectrum_pnorms`, so each norm
+    of a batch has the bits of ``pnorm`` of its spectrum alone.  Non-real or
+    non-finite entries, 0-d input and an axis out of range raise
     :class:`InvalidInputError`.
     """
     p = require_exponent(p)
     a = _real_spectrum(values, "pnorm")
     if isinstance(axis, bool) or not isinstance(axis, (int, np.integer)) or not -a.ndim <= axis < a.ndim:
         raise InvalidInputError(f"pnorm axis must be an integer in [{-a.ndim}, {a.ndim}), got {axis!r}")
-    if a.ndim == 1:
-        return _spectrum_pnorms(a[None], (p,))[0][0]
-    a = np.abs(a)
-    if a.size == 0:
-        return a.sum(axis=axis)
-    if math.isinf(p):
-        return a.max(axis=axis)
-    if p < 1.0001:
-        a = np.where(a < _UNDERFLOW_FLOOR, 0.0, a)
-    if p == 1.0:
-        return a.sum(axis=axis)
-    peak = a.max(axis=axis, keepdims=True)
-    safe = np.where(peak > 0.0, peak, 1.0)
-    out = ((a / safe) ** p).sum(axis=axis) ** (1.0 / p) * np.squeeze(safe, axis=axis)
-    return out
+    if axis % a.ndim != a.ndim - 1:  # np.moveaxis is slow on small inputs
+        a = np.moveaxis(a, axis, -1)
+    batch = a.shape[:-1]
+    norms = _spectrum_pnorms(a.reshape(math.prod(batch), a.shape[-1]), (p,))[0]
+    return float(norms[0]) if a.ndim == 1 else norms.reshape(batch)
 
 
-def _spectrum_pnorms(spectra, exponents) -> list[list[float]]:
-    """``[[float(pnorm(row, p)) for row in spectra] for p in exponents]`` on a
-    2-D stack of equal-length spectra, one per row (``exponents`` validated
-    floats), bit for bit.
+def _spectrum_pnorms(spectra, exponents) -> np.ndarray:
+    """The p-norm of each row of a 2-D stack of equal-length spectra at each
+    of ``exponents`` (validated floats): one row of norms per exponent.
 
     The magnitudes, their row peaks and the scaled stack are taken once; each
     exponent then floors (p < 1.0001), powers and row-sums the whole stack.
-    Each row's root and peak factor are scalar, as ``pnorm`` takes them on one
-    spectrum: an array power can round differently.  Flooring the scaled
-    stack is flooring before scaling: a row's peak is either kept or, with
-    every other entry of its row, floored to 0.  An all-zero row is scaled
-    by 1 and sums to 0, so its peak factor 0 gives its norm 0 all the same.
+    The stack is read in C order, so each row sums as it would alone.  The
+    roots go through ``np.float_power``, which takes each one as the C
+    library's ``pow`` takes one number; ``np.power`` can take a SIMD loop that
+    rounds some of them differently.  Flooring the scaled stack is flooring
+    before scaling: a row's peak is either kept or, with every other entry of
+    its row, floored to 0.  An all-zero row is scaled by 1 and sums to 0, so
+    its peak factor 0 gives its norm 0 all the same.
     """
-    a = np.abs(np.asarray(spectra, dtype=float))
+    a = np.abs(np.ascontiguousarray(spectra, dtype=float))
+    norms = np.zeros((len(exponents), len(a)))
     if a.size == 0:
-        return [[0.0] * len(a) for _ in exponents]
+        return norms
     peak = scaled = None
-    norms = []
-    for p in exponents:
+    for i, p in enumerate(exponents):
         if p == 1.0:
-            norms.append(np.add.reduce(np.where(a < _UNDERFLOW_FLOOR, 0.0, a), axis=-1).tolist())
+            norms[i] = np.add.reduce(np.where(a < _UNDERFLOW_FLOOR, 0.0, a), axis=-1)
             continue
         if peak is None:
-            peak = np.maximum.reduce(a, axis=-1, keepdims=True)
-            peaks = peak.ravel().tolist()
+            peak = np.maximum.reduce(a, axis=-1)
         if math.isinf(p):
-            norms.append(peaks)
+            norms[i] = peak
             continue
         if scaled is None:
-            scaled = a / (np.where(peak > 0.0, peak, 1.0) if 0.0 in peaks else peak)
+            scaled = a / np.where(peak > 0.0, peak, 1.0)[:, None]
         x = np.where(a < _UNDERFLOW_FLOOR, 0.0, scaled) if p < 1.0001 else scaled
-        sums = np.add.reduce(x**p, axis=-1).tolist()
-        root = 1.0 / p
-        for i, f in enumerate(peaks):  # a loop, not a comprehension: one row is the common call
-            sums[i] = sums[i] ** root * f
-        norms.append(sums)
+        norms[i] = np.float_power(np.add.reduce(x**p, axis=-1), 1.0 / p) * peak
     return norms
 
 
@@ -171,18 +159,19 @@ def schatten_norm(X, p):
 
     ``X`` may also be a stack of matrices along leading axes, and ``p`` a
     sequence of exponents: the norms then come as an array with the stack's
-    leading axes and, for a sequence, a last axis of one norm per exponent.
-    A stack takes one SVD and one pass over its spectra, and each norm has
-    the bits of its one matrix's norm at its one exponent.
+    leading axes and, for a sequence, a last axis of one norm per exponent;
+    one matrix at one exponent gives a float.  A stack takes one SVD and one
+    pass over its spectra, and each norm has the bits of its one matrix's
+    norm at its one exponent.
     """
     A = as_matrices(X)
-    if A.ndim == 2 and np.ndim(p) == 0:
-        return float(pnorm(np.linalg.svd(A, compute_uv=False), p))
     exponents = [require_exponent(q) for q in (p if np.ndim(p) else [p])]
     s = np.linalg.svd(A, compute_uv=False)
-    norms = np.array(_spectrum_pnorms(s.reshape(-1, s.shape[-1]), exponents)).T
+    norms = _spectrum_pnorms(s.reshape(-1, s.shape[-1]), exponents).T
     norms = norms.reshape(*A.shape[:-2], len(exponents))
-    return norms if np.ndim(p) else norms[..., 0]
+    if np.ndim(p):
+        return norms
+    return float(norms[0]) if A.ndim == 2 else norms[..., 0]
 
 
 def holder_weights(values, ball_exponent) -> np.ndarray:
@@ -296,7 +285,7 @@ def block_norm_bounds(X, block_rows: int, block_cols: int, p) -> tuple[float, fl
     A = as_matrix(X)
     p = require_exponent(p)
     full, blocks = _block_spectra(A, block_rows, block_cols)
-    return _block_bounds(_spectrum_pnorms(full[None], (p,))[0], _spectrum_pnorms(blocks, (p,)))[0]
+    return _block_bounds(_spectrum_pnorms(full[None], (p,))[0].tolist(), _spectrum_pnorms(blocks, (p,)).tolist())[0]
 
 
 def hoelder_gap(X, Y, p) -> float:

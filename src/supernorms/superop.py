@@ -5,14 +5,16 @@ and acts as ``Phi(X) = sum_i A_i X B_i^*``.  Maps given in completely positive
 form use a single list (``B_i = A_i``) and store one shared stack.  Instances
 are immutable; the stored stacks are read-only arrays.
 
-One kernel, built by :func:`_kraus_kernel`, applies every map and adjoint
-to stacks of matrices, and never materializes ``Phi (x) I_k``;
-:func:`tensor_identity` builds that map explicitly and is the reference.  It
-contracts either by two GEMMs on the system legs or by one GEMM with the
-transfer matrix (the realigned Choi matrix), whichever takes fewer
-multiply-adds on the stack it is built for: the ascent's long stacks of small
-maps take the transfer matrix, and one matrix (``apply``, which lays out
-only the direction it uses) or a large map with few terms takes the system
+One kernel, built by :func:`_kraus_kernel`, applies every map to stacks of
+matrices, and never materializes ``Phi (x) I_k``; :func:`tensor_identity`
+builds that map explicitly and is the reference.  The adjoint
+``Phi^*(Y) = sum_i A_i^* Y B_i`` is again a map in generalized Kraus form,
+with the pairs ``(A_i^*, B_i^*)``, so it is the same kernel built on the
+daggered stacks.  The kernel contracts either by two GEMMs on the system legs
+or by one GEMM with the transfer matrix (the realigned Choi matrix),
+whichever takes fewer multiply-adds on the stack it is built for: the
+ascent's long stacks of small maps take the transfer matrix, and one matrix
+(``apply``, ``adjoint_apply``) or a large map with few terms takes the system
 legs.
 """
 
@@ -154,34 +156,26 @@ def _transfer_gemm(T: np.ndarray, n: int, m: int, k: int):
     return act
 
 
-def _kraus_kernel(left: np.ndarray, right: np.ndarray, k: int = 1, rows: int = 1, directions=(False, True)):
+def _kraus_kernel(left: np.ndarray, right: np.ndarray, k: int = 1, rows: int = 1):
     """The contraction ``X -> sum_t (A_t (x) I_k) X (B_t (x) I_k)^*`` on
-    (r, nk, nk) stacks and its adjoint ``Y -> sum_t (A_t (x) I_k)^* Y
-    (B_t (x) I_k)`` on (r, mk, mk) stacks, for (n_terms, m, n) stacks
-    ``left``, ``right``: a list of one function per entry of ``directions``,
-    False for the contraction and True for its adjoint, so a caller that
-    needs one direction lays out only that one.
+    (r, nk, nk) stacks, for (n_terms, m, n) stacks ``left``, ``right``.  Its
+    adjoint ``Y -> sum_t (A_t (x) I_k)^* Y (B_t (x) I_k)`` on (r, mk, mk)
+    stacks is the kernel of ``(_dagger(left), _dagger(right))``.
 
-    Two contractions give them.  The system-leg form takes two GEMMs whose
+    Two contractions give it.  The system-leg form takes two GEMMs whose
     inner dimensions are n and n_terms n (``_system_gemms``); the transfer
-    form takes one GEMM with the transfer matrix T (``_transfer_gemm``), and
-    the adjoint one with T^H, its exact conjugate transpose, so T is built
-    once.  The kernel takes the transfer form when building T and its GEMM
-    cost fewer multiply-adds than the two GEMMs on a stack of ``rows`` rows
-    (``_transfer_pays``), and uses it on every stack it is given.  Either
-    form lays out its operands here, once, so a caller that contracts many
-    stacks with one map (the ascent) pays for them once.
+    form takes one GEMM with the transfer matrix T (``_transfer_gemm``).  The
+    kernel takes the transfer form when building T and its GEMM cost fewer
+    multiply-adds than the two GEMMs on a stack of ``rows`` rows
+    (``_transfer_pays``, which is symmetric in m and n, so a map and its
+    adjoint take the same form), and uses it on every stack it is given.
+    Either form lays out its operands here, once, so a caller that contracts
+    many stacks with one map (the ascent) pays for them once.
     """
     t, m, n = left.shape
     if _transfer_pays(t, m, n, rows * k * k):
-        T = _transfer_matrix(left, right)
-        return [
-            _transfer_gemm(T.conj().T, m, n, k) if adjoint else _transfer_gemm(T, n, m, k) for adjoint in directions
-        ]
-    return [
-        _system_gemms(_dagger(left), _dagger(right), k) if adjoint else _system_gemms(left, right, k)
-        for adjoint in directions
-    ]
+        return _transfer_gemm(_transfer_matrix(left, right), n, m, k)
+    return _system_gemms(left, right, k)
 
 
 def _kernel_entries(t: int, m: int, n: int, blocks: int) -> int:
@@ -202,7 +196,7 @@ def apply(phi: SuperOp, X) -> np.ndarray:
         raise InvalidInputError(
             f"input must be {phi.dim_in}x{phi.dim_in}, got {A.shape}"
         )
-    return _kraus_kernel(phi.kraus_left, phi.kraus_right, directions=(False,))[0](A[None])[0]
+    return _kraus_kernel(phi.kraus_left, phi.kraus_right)(A[None])[0]
 
 
 def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
@@ -212,7 +206,7 @@ def adjoint_apply(phi: SuperOp, Y) -> np.ndarray:
         raise InvalidInputError(
             f"adjoint input must be {phi.dim_out}x{phi.dim_out}, got {A.shape}"
         )
-    return _kraus_kernel(phi.kraus_left, phi.kraus_right, directions=(True,))[0](A[None])[0]
+    return _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right))(A[None])[0]
 
 
 def tensor_identity(phi: SuperOp, ancilla_dim: int) -> SuperOp:

@@ -59,7 +59,7 @@ from functools import partial
 
 import numpy as np
 
-from .channels import build_example, random_cp_channel, random_superop
+from .channels import _complex_gaussian, build_example, random_cp_channel, random_superop
 from .errors import InvalidInputError, require_count
 from .optimize import (
     NormQuery,
@@ -109,13 +109,6 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
 
 def _trial_seeds(seed: int, salt: int, count: int) -> list[int]:
     return [int(s) for s in _rng(seed, salt).integers(0, 2**63 - 1, size=count)]
-
-
-def _random_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """``re + 1j * im`` for Gaussian ``re`` and then ``im``, drawn in one call."""
-    X = np.empty((rows, cols), dtype=complex)
-    X.real, X.imag = rng.standard_normal((2, rows, cols))
-    return X
 
 
 def _label(q, p) -> str:
@@ -186,21 +179,25 @@ _LABEL_FLOOR = 1e-10
 
 
 def _record(i, fields, cases) -> dict:
-    """Trial i's record: its fields, then the first largest residual over
-    ``(residual, label)`` cases and that case's label, or ``""`` where the
-    residual is at most ``_LABEL_FLOOR``.  A NaN residual is larger than any
-    other, as in ``_table_records``, so the first NaN is the record's."""
-    worst, at = 0.0, ""
-    for r, label in cases:
-        if r > worst or (math.isnan(r) and not math.isnan(worst)):
-            worst, at = r, label
-    return {"trial": i, **fields, "residual": worst, "worst_case": _worst_label(worst, at)}
+    """Trial i's record of its fields and its ``(residual, label)`` cases:
+    ``_table_records`` of the cases as a one-row table."""
+    residuals, labels = zip(*cases)
+    record = _table_records([fields], np.array([residuals]), labels)[0]
+    record["trial"] = i
+    return record
 
 
-def _worst_label(residual: float, label: str) -> str:
-    """The worst case's label of a record, ``""`` at a residual of at most
-    ``_LABEL_FLOOR``; a NaN residual keeps its label."""
-    return "" if residual <= _LABEL_FLOOR else label
+def _table_records(fields, table, labels) -> list[dict]:
+    """The record of each row i of a table of non-negative residuals, one
+    column per case in ``labels``, in one reduction: trial i, its fields
+    ``fields[i]``, the row's first largest residual (its first maximum, or
+    its first NaN, which is larger than any number) and that case's label,
+    or ``""`` where the residual is at most ``_LABEL_FLOOR``."""
+    worst, at = table.max(axis=1).tolist(), table.argmax(axis=1).tolist()
+    return [
+        {"trial": i, **f, "residual": r, "worst_case": "" if r <= _LABEL_FLOOR else labels[a]}
+        for i, (f, r, a) in enumerate(zip(fields, worst, at))
+    ]
 
 
 def _map_trial(cp, cases, i, seed, restarts):
@@ -368,7 +365,7 @@ def _grid_norms(stacks) -> list[np.ndarray]:
     M of each stack of drawn matrices, one row per matrix: one SVD call per
     matrix shape and one ``_spectrum_pnorms`` call per spectrum length."""
     spectra = _by_tail(lambda a: np.linalg.svd(a, compute_uv=False), stacks)
-    return _by_tail(lambda s: np.array(_spectrum_pnorms(s, _EXPONENT_GRID)).T, spectra)
+    return _by_tail(lambda s: _spectrum_pnorms(s, _EXPONENT_GRID).T, spectra)
 
 
 def _clip(x: np.ndarray) -> np.ndarray:
@@ -385,7 +382,7 @@ def _duality_table(rng, count):
     The X of one shape take one SVD with vectors for their witnesses, and
     one ``schatten_norm`` call for their norms and their witnesses' norms;
     the weights of all spectra of one length are taken at once."""
-    drawn = [_random_matrix(rng, *_draw_shape(rng)) for _ in range(count)]
+    drawn = [_complex_gaussian(rng, _draw_shape(rng)) for _ in range(count)]
     groups = list(_groups(X.shape for X in drawn).values())
     X = [np.stack([drawn[i] for i in idx]) for idx in groups]
     usv = [np.linalg.svd(x, full_matrices=False) for x in X]
@@ -408,7 +405,7 @@ def _hoelder_table(rng, count):
     pairs = []
     for _ in range(count):
         n, m = _draw_shape(rng)
-        pairs.append(np.stack([_random_matrix(rng, n, m), _random_matrix(rng, n, m)]))
+        pairs.append(np.stack([_complex_gaussian(rng, (n, m)), _complex_gaussian(rng, (n, m))]))
     norms = np.stack(_grid_norms(pairs))
     overlap = np.array([abs(complex(np.vdot(X, Y))) for X, Y in pairs])
     table = _clip(overlap[:, None] - norms[:, 0] * norms[:, 1, _DUAL_AT])
@@ -419,8 +416,8 @@ def _block_bounds_table(rng, count):
     """Squared block norms bound the squared full norm from the p-dependent side."""
     fields, drawn, blocks = [], [], []
     for _ in range(count):
-        br, bc, h, w = (int(rng.integers(1, 4)) for _ in range(4))
-        X = _random_matrix(rng, br * h, bc * w)
+        br, bc, h, w = rng.integers(1, 4, size=4).tolist()
+        X = _complex_gaussian(rng, (br * h, bc * w))
         fields.append({"blocks": [br, bc], "block_shape": [h, w]})
         drawn.append(X[None])
         blocks.append(_block_stack(X, br, bc))
@@ -433,7 +430,7 @@ def _block_bounds_table(rng, count):
 
 def _monotone_p_table(rng, count):
     """||A||_p <= ||A||_q whenever p >= q."""
-    drawn = [_random_matrix(rng, *_draw_shape(rng))[None] for _ in range(count)]
+    drawn = [_complex_gaussian(rng, _draw_shape(rng))[None] for _ in range(count)]
     norms = np.concatenate(_grid_norms(drawn))
     table = _clip(norms[:, _MONOTONE_P] - norms[:, _MONOTONE_Q])
     return [{"shape": list(A.shape[1:])} for A in drawn], table
@@ -463,17 +460,6 @@ def _exact_table(claim, rng, trials):
         fields += chunk_fields
         tables.append(table)
     return fields, np.concatenate(tables)
-
-
-def _table_records(fields, table, labels) -> list[dict]:
-    """``_record(i, fields[i], zip(table[i], labels))`` for each row i of a
-    table of non-negative residuals in one reduction: a row's first maximum,
-    or its first NaN, is its first largest residual."""
-    worst, at = table.max(axis=1).tolist(), table.argmax(axis=1).tolist()
-    return [
-        {"trial": i, **f, "residual": r, "worst_case": _worst_label(r, labels[a])}
-        for i, (f, r, a) in enumerate(zip(fields, worst, at))
-    ]
 
 
 def _run_exact(salt, claim, seed, trials, restarts):

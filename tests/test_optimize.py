@@ -40,7 +40,7 @@ from supernorms import (
 )
 from supernorms import linalg, optimize, oracle, schatten
 from supernorms.schatten import dual_exponent
-from supernorms.superop import _kraus_kernel
+from supernorms.superop import _dagger, _kraus_kernel
 
 EXPONENTS = [1.0, 1.5, 2.0, math.inf]
 
@@ -409,6 +409,21 @@ def reference_side(Z, keys, pairs, first, whole):
     return out
 
 
+def forward_spy(spy):
+    """A stand-in for ``optimize._kraus_kernel`` whose forward kernels run
+    ``spy(forward, X)`` in place of ``forward(X)``: an ascent builds its
+    forward kernel first and its adjoint kernel, on the daggered stacks,
+    second."""
+    built = []
+
+    def kernel(left, right, k=1, rows=1):
+        act = _kraus_kernel(left, right, k, rows)
+        built.append(act)
+        return act if len(built) % 2 == 0 else lambda X: spy(act, X)
+
+    return kernel
+
+
 def gather_scatter_ascent(phi, k, cells, cfg):
     """The stacked ascent as one loop over the full stack of ``cells x
     restarts`` rows, on the map's unit-scale Kraus stacks: gather the active
@@ -425,7 +440,8 @@ def gather_scatter_ascent(phi, k, cells, cfg):
     iteration evaluates the plain iterate; its factor starts over.  An
     accepted step grows its factor up to the cap."""
     left, right = optimize._unit_scale(phi.kraus_left), optimize._unit_scale(phi.kraus_right)
-    forward, backward = _kraus_kernel(left, right, k, len(cells) * cfg.restarts)
+    forward = _kraus_kernel(left, right, k, len(cells) * cfg.restarts)
+    backward = _kraus_kernel(_dagger(left), _dagger(right), k, len(cells) * cfg.restarts)
     X = np.concatenate([optimize._start_stack(phi.dim_in, k, q, constraint, cfg) for q, _, constraint in cells])
     cell = np.repeat(np.arange(len(cells)), cfg.restarts)
     y_key = [(dual_exponent(cells[c][1]), "full") for c in cell]
@@ -519,12 +535,7 @@ def test_compact_stack_hands_back_every_row(cells, k, monkeypatch):
     base, cfg = random_superop(3, 2, 3, 60), OptimizerConfig(restarts=7, seed=4)
     phi = SuperOp.from_kraus(3.0 * base.kraus_left, base.kraus_right)
     seen = []
-
-    def spy_kernel(left, right, k=1, rows=1):
-        forward, backward = _kraus_kernel(left, right, k, rows)
-        return lambda X: seen.append(X.copy()) or forward(X), backward
-
-    monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
+    monkeypatch.setattr(optimize, "_kraus_kernel", forward_spy(lambda forward, X: seen.append(X.copy()) or forward(X)))
     mixed = split = False
     for cap in (1, 3, 15, 18, 22, 27, 5000):
         capped = OptimizerConfig(restarts=cfg.restarts, max_iterations=cap, seed=cfg.seed)
@@ -533,7 +544,7 @@ def test_compact_stack_hands_back_every_row(cells, k, monkeypatch):
         got = optimize._ascend(phi, k, cells, capped)
         np.testing.assert_array_equal(seen[-1], want)  # the final evaluation's stack
         left, right = optimize._unit_scale(phi.kraus_left), optimize._unit_scale(phi.kraus_right)
-        final = _kraus_kernel(left, right, k, len(want))[0](want)
+        final = _kraus_kernel(left, right, k, len(want))(want)
         s = np.linalg.svd(final, compute_uv=False)
         assert len(got) == len(cells)
         for c, ((_, p, _), (X, conv)) in enumerate(zip(cells, got)):
@@ -653,11 +664,7 @@ def test_rejected_extrapolation_steps_from_the_plain_iterate(cells, k, monkeypat
     # for bit, its output pair is the one the rejected step started from, its
     # input pair is the plain step's again, and its factor starts over
     forwards = []
-
-    def spy_kernel(left, right, k=1, rows=1):
-        forward, backward = _kraus_kernel(left, right, k, rows)
-        return lambda X: forwards.append((X.copy(), forward(X))) or forwards[-1][1], backward
-
+    spy_kernel = forward_spy(lambda forward, X: forwards.append((X.copy(), forward(X))) or forwards[-1][1])
     monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
     monkeypatch.setattr(optimize, "_Side", RecordingSide)
     RecordingSide.made.clear()
@@ -737,12 +744,7 @@ def test_one_cell_ascent_without_a_slow_row_takes_the_plain_steps(cells, k, monk
     # only plain steps, bit for bit those of the loop without extrapolation
     phi, cfg = random_superop(3, 3, 2, 90), OptimizerConfig(restarts=8, seed=5)
     seen = []
-
-    def spy_kernel(left, right, k=1, rows=1):
-        forward, backward = _kraus_kernel(left, right, k, rows)
-        return lambda X: seen.append(X.copy()) or forward(X), backward
-
-    monkeypatch.setattr(optimize, "_kraus_kernel", spy_kernel)
+    monkeypatch.setattr(optimize, "_kraus_kernel", forward_spy(lambda forward, X: seen.append(X.copy()) or forward(X)))
     monkeypatch.setattr(optimize, "_Side", RecordingSide)
     monkeypatch.setattr(optimize, "_EXTRAPOLATION_GATE", math.inf)
     RecordingSide.log.clear()
@@ -840,7 +842,7 @@ def test_one_cell_ascent_gathers_nothing(monkeypatch):
 
             return run
 
-        return tuple(spied(act) for act in kernel(left, right, k, rows))
+        return spied(kernel(left, right, k, rows))
 
     def spy(name, take, make):
         real = getattr(optimize, name)

@@ -154,7 +154,7 @@ def test_pnorm_zero_spectrum():
 def test_empty_spectra_have_norm_zero_and_empty_weights(p):
     # every exponent answers as p = 1 and q = inf always did
     assert pnorm([], p) == 0.0
-    assert _spectrum_pnorms(np.zeros((1, 0)), [p]) == [[0.0]]
+    np.testing.assert_array_equal(_spectrum_pnorms(np.zeros((1, 0)), [p]), [[0.0]], strict=True)
     np.testing.assert_array_equal(pnorm(np.zeros((3, 0)), p), np.zeros(3))
     assert holder_weights([], p).shape == (0,)
     assert holder_weights(np.zeros((3, 0)), p).shape == (3, 0)
@@ -213,15 +213,32 @@ def test_spectrum_pnorms_match_pnorm_bit_for_bit():
         got = _spectrum_pnorms(stack, exponents)
         assert len(got) == len(exponents) and all(len(norms) == len(stack) for norms in got)
         for row, norms in zip(stack, zip(*got)):
-            assert all(type(v) is float for v in norms)
+            assert all(type(v) is np.float64 for v in norms)
             for p, v in zip(exponents, norms):
                 want = _reference_pnorm(row, p)
                 assert v.hex() == want.hex() == float(pnorm(row, p)).hex(), (row, p)
             count += 1
     assert count == 12 * 18 + 9 * 45
     # an empty stack has no rows, and rows of no entries have norm 0
-    assert _spectrum_pnorms(np.zeros((0, 3)), exponents) == [[]] * len(exponents)
-    assert _spectrum_pnorms(np.zeros((2, 0)), exponents) == [[0.0, 0.0]] * len(exponents)
+    for rows, length in ((0, 3), (2, 0)):
+        got = _spectrum_pnorms(np.zeros((rows, length)), exponents)
+        np.testing.assert_array_equal(got, np.zeros((len(exponents), rows)), strict=True)
+
+
+def test_batched_pnorm_rows_have_the_bits_of_each_row_alone():
+    # stacks of 1 to 9 rows of 1 to 3 sorted entries, batched along the last
+    # axis and along the first: every batched norm has the bits of pnorm of
+    # its spectrum alone (an array root can round about 1% of them differently)
+    rng = np.random.default_rng(0)
+    exponents = EXPONENTS + [1.00005, 7.3]
+    for _ in range(5):
+        for length in (1, 2, 3):
+            for rows in range(1, 10):
+                stack = np.sort(rng.random((rows, length)), axis=-1)[:, ::-1]
+                for p in exponents:
+                    want = [pnorm(row, p).hex() for row in stack]
+                    assert [v.hex() for v in pnorm(stack, p).tolist()] == want, (stack, p)
+                    assert [v.hex() for v in pnorm(stack.T, p, axis=0).tolist()] == want, (stack, p)
 
 
 def test_singular_values_sorted():

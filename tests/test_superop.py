@@ -31,7 +31,8 @@ from supernorms import (
 )
 
 from supernorms import superop
-from supernorms.superop import _kernel_entries, _kraus_kernel, _transfer_matrix as transfer_matrix, _transfer_pays
+from supernorms.superop import _dagger, _kernel_entries, _kraus_kernel, _transfer_pays
+from supernorms.superop import _transfer_matrix as transfer_matrix
 
 from conftest import COUNTS, check_count, complex_matrix
 
@@ -169,8 +170,8 @@ KERNEL_MAPS = {
 def test_kraus_kernel_matches_tensor_identity(phi, transfer, k, monkeypatch):
     # the stacked kernel against the explicitly enlarged map, on stacks of 1
     # and 32 rows: each stack takes the contraction _transfer_pays names for
-    # its rows x k^2 blocks, builds the transfer matrix at most once for both
-    # directions, and matches the Kraus sum on the enlarged map
+    # its rows x k^2 blocks, builds a transfer matrix at most once per
+    # direction, and matches the Kraus sum on the enlarged map
     built = []
     monkeypatch.setattr(superop, "_transfer_matrix", lambda *stacks: built.append(1) or transfer_matrix(*stacks))
     big = tensor_identity(phi, k)
@@ -180,12 +181,13 @@ def test_kraus_kernel_matches_tensor_identity(phi, transfer, k, monkeypatch):
         X = rng.standard_normal((rows, big.dim_in, big.dim_in, 2)).view(complex)[..., 0]
         Y = rng.standard_normal((rows, big.dim_out, big.dim_out, 2)).view(complex)[..., 0]
         built.clear()
-        forward, backward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k, rows)
+        forward = _kraus_kernel(phi.kraus_left, phi.kraus_right, k, rows)
+        backward = _kraus_kernel(_dagger(phi.kraus_left), _dagger(phi.kraus_right), k, rows)
         out, back = forward(X), backward(Y)
         assert (out.shape, back.shape) == (Y.shape, X.shape)
-        assert len(built) == _transfer_pays(t, m, n, rows * k * k)
+        assert len(built) == 2 * _transfer_pays(t, m, n, rows * k * k)
         if rows == 32:
-            assert len(built) == transfer
+            assert len(built) == 2 * transfer
         elif k == 1:
             assert not built
         for i in range(rows):
@@ -193,6 +195,25 @@ def test_kraus_kernel_matches_tensor_identity(phi, transfer, k, monkeypatch):
             assert np.allclose(out[i], manual_apply(big, X[i]), rtol=0.0, atol=1e-12)
             assert np.allclose(back[i], want_back, rtol=0.0, atol=1e-12)
             assert inner(Y[i], out[i]) == pytest.approx(inner(back[i], X[i]), abs=1e-10)
+
+
+def test_adjoint_kernel_is_the_kernel_of_the_daggered_stacks():
+    # Phi^*(Y) = sum_t A_t^* Y B_t is the generalized Kraus map of the pairs
+    # (A_t^*, B_t^*): its transfer matrix is the map's conjugate transpose,
+    # bit for bit, and the kernel built on the daggered stacks is the adjoint
+    # of the map's kernel, in whichever form each takes
+    rng = np.random.default_rng(39)
+    for t, m, n in itertools.product(range(1, 5), range(1, 6), range(1, 6)):
+        left, right = (rng.standard_normal((t, m, n, 2)).view(complex)[..., 0] for _ in range(2))
+        T = transfer_matrix(left, right)
+        assert transfer_matrix(_dagger(left), _dagger(right)).tobytes() == T.conj().T.tobytes()
+        for k, rows in ((1, 1), (2, 32)):
+            X = rng.standard_normal((rows, n * k, n * k, 2)).view(complex)[..., 0]
+            Y = rng.standard_normal((rows, m * k, m * k, 2)).view(complex)[..., 0]
+            out = _kraus_kernel(left, right, k, rows)(X)
+            back = _kraus_kernel(_dagger(left), _dagger(right), k, rows)(Y)
+            for i in range(rows):
+                assert inner(Y[i], out[i]) == pytest.approx(inner(back[i], X[i]), rel=1e-12, abs=1e-12)
 
 
 def test_apply_on_a_large_enlarged_map_builds_no_transfer_matrix(monkeypatch):
@@ -225,7 +246,7 @@ def test_apply_and_adjoint_lay_out_one_direction(shape, monkeypatch):
     left, right = (rng.standard_normal((t, m, n, 2)).view(complex)[..., 0] for _ in range(2))
     phi = SuperOp(left, right)
     X, Y = complex_matrix(rng, n, n), complex_matrix(rng, m, m)
-    forward, backward = _kraus_kernel(left, right)
+    forward, backward = _kraus_kernel(left, right), _kraus_kernel(_dagger(left), _dagger(right))
     laid_out = []
     for name in ("_system_gemms", "_transfer_gemm"):
         real = getattr(superop, name)

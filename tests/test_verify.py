@@ -217,17 +217,17 @@ def test_exact_trials_decompose_each_matrix_once(claim, monkeypatch):
     # shape, in one schatten_norm call on a stack of (X, its witnesses)
     per = 2 if claim == "hoelder" else 1
     drawn, calls = [], []
-    real_draw, real_svd = verify_module._random_matrix, np.linalg.svd
+    real_draw, real_svd = verify_module._complex_gaussian, np.linalg.svd
 
-    def draw(rng, rows, cols):
-        drawn.append(real_draw(rng, rows, cols))
+    def draw(rng, shape):
+        drawn.append(real_draw(rng, shape))
         return drawn[-1]
 
     def spy(a, full_matrices=True, compute_uv=True, **kwargs):
         calls.append((len(drawn), compute_uv, a.copy()))
         return real_svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
-    monkeypatch.setattr(verify_module, "_random_matrix", draw)
+    monkeypatch.setattr(verify_module, "_complex_gaussian", draw)
     monkeypatch.setattr(np.linalg, "svd", spy)
     chunk = verify_module._EXACT_CHUNK
     trials = chunk + 9
@@ -295,17 +295,18 @@ def test_exact_trials_check_the_library_definitions(claim, rank_one, monkeypatch
     per = 2 if claim == "hoelder" else 1
     u, v = np.random.default_rng(3).standard_normal((2, 9)) + 1j
     drawn, reads = [], []
-    real_draw, real_read = verify_module._random_matrix, verify_module._spectrum_pnorms
+    real_draw, real_read = verify_module._complex_gaussian, verify_module._spectrum_pnorms
 
-    def keep(rng, rows, cols):
-        drawn.append(np.outer(u[:rows], v[:cols]) if rank_one else real_draw(rng, rows, cols))
+    def keep(rng, shape):
+        rows, cols = shape
+        drawn.append(np.outer(u[:rows], v[:cols]) if rank_one else real_draw(rng, shape))
         return drawn[-1]
 
     def read(spectra, exponents):
         reads.append(spectra.shape)
         return real_read(spectra, exponents)
 
-    monkeypatch.setattr(verify_module, "_random_matrix", keep)
+    monkeypatch.setattr(verify_module, "_complex_gaussian", keep)
     monkeypatch.setattr(verify_module, "_spectrum_pnorms", read)
     monkeypatch.setattr(schatten_module, "_spectrum_pnorms", read)
     labels = verify_module._EXACT[claim][1]
